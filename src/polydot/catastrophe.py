@@ -16,7 +16,6 @@ stationary orbits along a line are refined too and reported as events.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +58,6 @@ class ParamPath:
                 raise ValueError(f"parameter {name} does not vary (start == end)")
             try:
                 with_param(self.spec, name, start)
-            except ValueError:
-                raise
             except PolydotError:
                 pass  # known name, endpoint outside the valid region: per-sample
 
@@ -152,16 +149,14 @@ def _evaluate_sample(path: ParamPath, t: float) -> ScanSample:
         return ScanSample(t, params, False, f"{type(err).__name__}: {err}",
                           None, None, {}, {}, ())
     try:
-        cands = spectra.ground_candidates(spec)
+        cands = spectra.ground_candidates(spec, stationary=points)
     except NoMinimum as err:
         return ScanSample(t, params, False, f"NoMinimum: {err}",
                           None, None, {}, {}, orbit_labels)
     energies = cands.energies
     depths = cands.depths
-    qlabel = min(energies.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    clabel = min(depths.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    return ScanSample(t, params, True, None, qlabel, clabel,
-                      energies, depths, orbit_labels)
+    return ScanSample(t, params, True, None, spectra._lowest(energies).label,
+                      spectra._lowest(depths).label, energies, depths, orbit_labels)
 
 
 def _gap_fn(path: ParamPath, kind: str, pair):
@@ -296,22 +291,18 @@ def scan_line(
 
     Invalid samples (shape constraint violations, no minimum, degenerate
     couplings) are recorded per sample, excluded from bracketing, and never
-    fatal.  The sample list is assembled in parameter order regardless of
-    worker count.  An interrupt (Ctrl-C) during serial sampling yields a
-    partial report marked in the header instead of an exception.
+    fatal.  Samples are evaluated serially in parameter order; workers is
+    accepted for compatibility and does not change the result.  An
+    interrupt (Ctrl-C) during sampling yields a partial report marked in the
+    header instead of an exception.
     """
-    ts = np.linspace(0.0, 1.0, path.steps)
+    samples = []
     partial = False
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(lambda t: _evaluate_sample(path, t), ts))
-    else:
-        samples = []
-        try:
-            for t in ts:
-                samples.append(_evaluate_sample(path, t))
-        except KeyboardInterrupt:
-            partial = True
+    try:
+        for t in np.linspace(0.0, 1.0, path.steps):
+            samples.append(_evaluate_sample(path, t))
+    except KeyboardInterrupt:
+        partial = True
 
     boundaries = []
     events = []
@@ -473,7 +464,9 @@ def scan_grid(
 ) -> SubdomainMap:
     """Raster of quantum and classical dominant labels over two parameters,
     with marching-squares polylines along every label's region boundary.
-    Per-cell failures are recorded as the distinguished label "<invalid>"."""
+    Per-cell failures are recorded as the distinguished label "<invalid>".
+    Cells are evaluated serially; workers is accepted for compatibility and
+    does not change the result."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     name_x, x_lo, x_hi = vary_x
@@ -481,31 +474,21 @@ def scan_grid(
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
 
-    def cell(ij):
-        i, j = ij
+    def cell(i, j):
         try:
             s = with_param(with_param(spec, name_x, xs[i]), name_y, ys[j])
             cands = spectra.ground_candidates(s)
-            ql = min(cands.energies.items(), key=lambda kv: (kv[1], kv[0]))[0]
-            cl = min(cands.depths.items(), key=lambda kv: (kv[1], kv[0]))[0]
-            return ql, cl, ""
+            return (spectra._lowest(cands.energies).label,
+                    spectra._lowest(cands.depths).label, "")
         except (PolydotError, ValueError) as err:
             return INVALID, INVALID, f"{type(err).__name__}: {err}"
-
-    pairs = [(i, j) for i in range(resolution) for j in range(resolution)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(cell, pairs))
-    else:
-        results = [cell(ij) for ij in pairs]
 
     labels_q = np.empty((resolution, resolution), dtype=object)
     labels_c = np.empty((resolution, resolution), dtype=object)
     errors = np.empty((resolution, resolution), dtype=object)
-    for (i, j), (ql, cl, err) in zip(pairs, results):
-        labels_q[i, j] = ql
-        labels_c[i, j] = cl
-        errors[i, j] = err
+    for i in range(resolution):
+        for j in range(resolution):
+            labels_q[i, j], labels_c[i, j], errors[i, j] = cell(i, j)
 
     boundaries = []
     for kind, grid in ((QUANTUM, labels_q), (CLASSICAL, labels_c)):

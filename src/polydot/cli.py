@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=33, help="raster resolution")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="energy-gap tolerance of the boundary bisection")
-    p.add_argument("--workers", type=int, default=1, help="worker pool width")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; scans run serially")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("grid", help="dump potential values for plotting")

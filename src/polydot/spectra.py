@@ -21,12 +21,7 @@ import numpy as np
 
 from .errors import DegenerateWell, NoMinimum
 from .potentials import PotentialSpec
-from .stationary import (
-    MINIMUM,
-    StationaryPoint,
-    enumerate_stationary,
-    hessian_matrix,
-)
+from .stationary import MINIMUM, StationaryPoint, enumerate_stationary
 
 _DEGENERATE_REL_TOL = 1e-9
 _TIE_REL_TOL = 1e-12
@@ -88,14 +83,15 @@ def harmonic_expand(
 ) -> HarmonicWell:
     """Quadratic model around one minimum.
 
-    The confinement margin is the lowest saddle/maximum value above v0 in
-    the stationary list (inf when the well has no enumerated escape point);
-    the harmonic picture degrades once the margin is comparable to the
-    zero-point energy.
+    The stiffnesses are the minimum's Hessian eigenvalues.  The confinement
+    margin is the lowest saddle/maximum value above v0 in the stationary
+    list (inf when the well has no enumerated escape point); the harmonic
+    picture degrades once the margin is comparable to the zero-point
+    energy.
     """
     if minimum.kind != MINIMUM:
         raise ValueError(f"harmonic_expand needs a minimum, got {minimum.kind}")
-    h = np.linalg.eigvalsh(hessian_matrix(spec, minimum.location))
+    h = np.asarray(minimum.hessian_eigs, dtype=float)
     tol = _DEGENERATE_REL_TOL * float(np.max(np.abs(h))) if h.size else 0.0
     if np.any(h <= tol):
         raise DegenerateWell(
@@ -140,22 +136,27 @@ def levels(well: HarmonicWell, e_max: float) -> list[LevelEstimate]:
     return out
 
 
-def ground_candidates(spec: PotentialSpec) -> GroundCandidates:
+def ground_candidates(
+    spec: PotentialSpec,
+    stationary: list[StationaryPoint] | None = None,
+) -> GroundCandidates:
     """One harmonic ground candidate per minimum orbit.
 
+    stationary is the spec's enumeration when the caller already has it.
     Degenerate (flat-direction) minima are skipped with a warning record;
     raises NoMinimum when nothing remains.
     """
-    points = list(enumerate_stationary(spec).points)
-    minima = [p for p in points if p.kind == MINIMUM]
+    if stationary is None:
+        stationary = list(enumerate_stationary(spec).points)
+    minima = [p for p in stationary if p.kind == MINIMUM]
     wells = {}
     warnings = []
     for p in minima:
         try:
-            wells[p.label] = harmonic_expand(spec, p, points)
+            wells[p.label] = harmonic_expand(spec, p, stationary)
         except DegenerateWell as err:
             warnings.append(str(err))
-    degenerate = [p for p in points if p.kind == "degenerate"]
+    degenerate = [p for p in stationary if p.kind == "degenerate"]
     for p in degenerate:
         warnings.append(
             f"degenerate stationary orbit {p.label} (flat direction); "
@@ -166,26 +167,24 @@ def ground_candidates(spec: PotentialSpec) -> GroundCandidates:
     return GroundCandidates(wells=wells, warnings=tuple(warnings))
 
 
-def dominant_minimum(spec: PotentialSpec) -> DominantMinimum:
-    """Label of the lowest ground candidate; near-ties are reported, not
-    silently broken."""
-    cands = ground_candidates(spec)
-    ordered = sorted(cands.energies.items(), key=lambda kv: (kv[1], kv[0]))
-    best_label, best = ordered[0]
-    scale = max(1.0, abs(best))
-    tied = tuple(
-        label for label, e in ordered if abs(e - best) <= _TIE_REL_TOL * scale
-    )
-    return DominantMinimum(label=best_label, energy=best, tied=tied)
-
-
-def classical_argmin(spec: PotentialSpec) -> DominantMinimum:
-    """Deepest minimum orbit by classical value (no zero-point energy)."""
-    cands = ground_candidates(spec)
-    ordered = sorted(cands.depths.items(), key=lambda kv: (kv[1], kv[0]))
+def _lowest(table: dict) -> DominantMinimum:
+    """Entry of a label -> value table that is lowest by (value, label);
+    near-ties are reported, not silently broken."""
+    ordered = sorted(table.items(), key=lambda kv: (kv[1], kv[0]))
     best_label, best = ordered[0]
     scale = max(1.0, abs(best))
     tied = tuple(
         label for label, v in ordered if abs(v - best) <= _TIE_REL_TOL * scale
     )
     return DominantMinimum(label=best_label, energy=best, tied=tied)
+
+
+def dominant_minimum(spec: PotentialSpec) -> DominantMinimum:
+    """Label of the lowest ground candidate; near-ties are reported, not
+    silently broken."""
+    return _lowest(ground_candidates(spec).energies)
+
+
+def classical_argmin(spec: PotentialSpec) -> DominantMinimum:
+    """Deepest minimum orbit by classical value (no zero-point energy)."""
+    return _lowest(ground_candidates(spec).depths)

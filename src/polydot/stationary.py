@@ -117,34 +117,10 @@ def classify(eigs) -> str:
     return SADDLE
 
 
-def value_at(spec, coords) -> float:
-    return float(evaluate(spec, coords[0] if spec.dimension == 1 else tuple(coords)))
-
-
 def gradient_at(spec, coords) -> np.ndarray:
     if spec.dimension == 1:
         return np.array([gradient(spec, float(coords[0]))])
     return np.asarray(gradient(spec, tuple(coords)))
-
-
-def hessian_matrix(spec, coords) -> np.ndarray:
-    if spec.dimension == 1:
-        return np.array([[hessian(spec, float(coords[0]))]])
-    return np.asarray(hessian(spec, tuple(coords)))
-
-
-def _make_point(spec, coords, subfamily, label) -> StationaryPoint:
-    coords = tuple(float(abs(c)) for c in coords)
-    eigs = np.linalg.eigvalsh(hessian_matrix(spec, coords))
-    return StationaryPoint(
-        location=coords,
-        subfamily=subfamily,
-        value=value_at(spec, coords),
-        hessian_eigs=tuple(float(e) for e in eigs),
-        kind=classify(eigs),
-        multiplicity=2 ** sum(1 for c in coords if c > 0.0),
-        label=label,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +356,13 @@ def _off_axis_tagged_3d(spec):
 def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
     """Complete closed-form stationary set, classified and sorted by value.
 
-    Axes whose on-axis roots are complex are skipped with a warning record
-    rather than an error.
+    The root formulas give one representative per orbit; values, Hessians
+    and their eigenvalues then come from one batched call each over the
+    stack of representatives.  Axes whose on-axis roots are complex are
+    skipped with a warning record rather than an error.
     """
-    points = [_make_point(spec, (0.0,) * spec.dimension, "origin", "origin")]
+    dim = spec.dimension
+    reps = [((0.0,) * dim, "origin", "origin")]  # (location, subfamily, label)
     warnings = []
     for idx, axis in enumerate(spec.axis_names()):
         try:
@@ -395,31 +374,38 @@ def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
             )
             continue
         for suffix, t in roots:
-            coords = [0.0] * spec.dimension
+            coords = [0.0] * dim
             coords[idx] = math.sqrt(t)
-            points.append(
-                _make_point(spec, coords, f"axis_{axis}", f"axis_{axis}{suffix}")
-            )
+            reps.append((tuple(coords), f"axis_{axis}", f"axis_{axis}{suffix}"))
 
     if spec.family == "butterfly2d":
         r = spec.raw
         for x2, y2, _r2, tag in _off_axis_tagged(r["a"], r["b"], r["c"], r["d"], r["u"]):
-            points.append(
-                _make_point(
-                    spec, (math.sqrt(x2), math.sqrt(y2)), "plane_xy",
-                    f"plane_xy_{tag}",
-                )
-            )
+            reps.append(((math.sqrt(x2), math.sqrt(y2)), "plane_xy", f"plane_xy_{tag}"))
     elif spec.family == "butterfly3d":
         for x2, y2, z2, _r2, subfamily, tag in _off_axis_tagged_3d(spec):
-            points.append(
-                _make_point(
-                    spec,
-                    (math.sqrt(x2), math.sqrt(y2), math.sqrt(z2)),
-                    subfamily, f"{subfamily}_{tag}",
-                )
-            )
+            reps.append(((math.sqrt(x2), math.sqrt(y2), math.sqrt(z2)),
+                         subfamily, f"{subfamily}_{tag}"))
 
+    # an (n, 1, D) stack sends every point through the same matmul core as a
+    # single-point call, so results are bitwise those of single-point
+    # evaluate/hessian calls; an (n, D) stack takes a BLAS gemv that rounds
+    # differently
+    locations = np.array([loc for loc, _sub, _label in reps])[:, None, :]
+    values = evaluate(spec, locations)[:, 0]
+    eigs = np.linalg.eigvalsh(hessian(spec, locations))[:, 0]
+    points = [
+        StationaryPoint(
+            location=loc,
+            subfamily=subfamily,
+            value=float(value),
+            hessian_eigs=tuple(float(e) for e in row),
+            kind=classify(row),
+            multiplicity=2 ** sum(1 for c in loc if c > 0.0),
+            label=label,
+        )
+        for (loc, subfamily, label), value, row in zip(reps, values, eigs)
+    ]
     points.sort(key=lambda p: (p.value, p.label))
     return StationaryReport(points=tuple(points), warnings=tuple(warnings))
 

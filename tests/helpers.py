@@ -1,4 +1,6 @@
-"""Shared parameter-draw helpers for the test suite."""
+"""Shared helpers for the test suite: parameter draws and a call counter."""
+
+import sys
 
 import numpy as np
 
@@ -116,3 +118,21 @@ DRAWERS = {
 
 def random_points(rng, dim, n, radius=2.0):
     return rng.uniform(-radius, radius, size=(n, dim))
+
+
+def count_calls(monkeypatch, fn):
+    """Replace fn by a counting wrapper in every polydot module that binds
+    it (callers that imported the name see the wrapper too); returns the
+    list that grows by one entry per call."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "polydot" or name.startswith("polydot."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls

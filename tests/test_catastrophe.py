@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polydot import catastrophe
+from polydot import catastrophe, stationary
 from polydot.catastrophe import (
     CLASSICAL,
     QUANTUM,
@@ -16,6 +16,8 @@ from polydot.catastrophe import (
 from polydot.errors import SplitBracket
 from polydot.potentials import make_spec
 from polydot.verify import bisect_small_coupling_threshold
+
+from helpers import count_calls
 
 
 def butterfly_path(beta=2.0, lo=1.5, hi=2.2, steps=71):
@@ -76,6 +78,14 @@ def test_butterfly2d_coupling_sweep_orbit_appearance():
     appear = {e.label: e for e in rep.events if e.change == "appears"}
     assert {"plane_xy_minus", "plane_xy_plus"} <= set(appear)
     assert appear["plane_xy_minus"].location == pytest.approx(2.99, abs=1e-8)
+
+
+def test_scan_line_enumerates_once_per_sample(monkeypatch):
+    calls = count_calls(monkeypatch, stationary.enumerate_stationary)
+    base = make_spec("cusp2d", alpha=1.1, beta=1.0)
+    rep = scan_line(ParamPath(spec=base, varied=(("alpha", 1.1, 2.0),), steps=31))
+    assert rep.boundaries == () and rep.events == ()
+    assert len(calls) == 31
 
 
 def test_workers_do_not_change_results():

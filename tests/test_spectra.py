@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from polydot import spectra
+from polydot import potentials, spectra, stationary
 from polydot.errors import DegenerateWell, NoMinimum
 from polydot.oracle import GridSpec, fd_eigensolve, localization
 from polydot.potentials import make_spec
@@ -15,6 +15,8 @@ from polydot.spectra import (
     levels,
 )
 from polydot.stationary import MINIMUM, StationaryPoint, stationary_points
+
+from helpers import count_calls
 
 SQRT3 = math.sqrt(3.0)
 
@@ -31,6 +33,18 @@ def test_cusp2d_well_frequencies_and_ground():
     assert well.ground_estimate == pytest.approx(-3.8416 + 2.8 + math.sqrt(1.92),
                                                  rel=1e-12)
     assert well.confinement_margin == pytest.approx(1.4**4 - 1.0, rel=1e-12)
+
+
+def test_given_enumeration_is_reused(monkeypatch):
+    spec = make_spec("butterfly2d", alpha=1.0, gamma=1.9, u=-16.0 / 3.0)
+    points = stationary_points(spec)
+    origin = [p for p in points if p.label == "origin"][0]
+    expected = ground_candidates(spec)
+    enumerations = count_calls(monkeypatch, stationary.enumerate_stationary)
+    hessians = count_calls(monkeypatch, potentials.hessian)
+    assert ground_candidates(spec, stationary=points) == expected
+    assert harmonic_expand(spec, origin, points) == expected.wells["origin"]
+    assert enumerations == [] and hessians == []
 
 
 def test_harmonic_expand_rejects_non_minimum():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polydot import potentials, stationary
 from polydot.errors import DegenerateCoupling, NoRealShape
@@ -12,6 +14,7 @@ from polydot.stationary import (
     bulk_reality_large_couplings,
     bulk_reality_small_couplings,
     bulk_roots_3d,
+    classify,
     enumerate_stationary,
     gradient_at,
     off_axis_roots_2d,
@@ -21,6 +24,7 @@ from polydot.stationary import (
     quadratic_aux,
     stationary_points,
 )
+from polydot.verify import corpus_specs
 
 from helpers import (
     DRAWERS,
@@ -389,3 +393,75 @@ def test_points_sorted_by_value():
         spec = draw(rng)
         pts = stationary_points(spec)
         assert [p.value for p in pts] == sorted(p.value for p in pts)
+
+
+# ---------------------------------------------------------------------------
+# batched enumeration against single-point evaluate/hessian calls
+# ---------------------------------------------------------------------------
+
+def assert_matches_single_point_calls(spec, points):
+    """Values and Hessian eigenvalues of the batched enumeration equal the
+    single-point evaluate and eigvalsh(hessian) at each location to 1e-12
+    relative to the spec's value scale and the point's stiffness scale;
+    kinds, multiplicities and the (value, label) order are unchanged."""
+    dim = spec.dimension
+    values = [float(potentials.evaluate(spec, p.location[0] if dim == 1 else p.location))
+              for p in points]
+    v_scale = max(abs(v) for v in values)
+    for p, v in zip(points, values):
+        h = potentials.hessian(spec, p.location[0] if dim == 1 else p.location)
+        eigs = np.linalg.eigvalsh(np.reshape(h, (dim, dim)))
+        assert p.value == pytest.approx(v, rel=1e-12, abs=1e-12 * v_scale), p.label
+        np.testing.assert_allclose(p.hessian_eigs, eigs, rtol=1e-12,
+                                   atol=1e-12 * float(np.max(np.abs(eigs))))
+        assert p.kind == classify(eigs), p.label
+        assert p.multiplicity == 2 ** sum(1 for c in p.location if c != 0.0)
+    reordered = sorted(zip(values, [p.label for p in points]))
+    assert [label for _v, label in reordered] == [p.label for p in points]
+
+
+@pytest.mark.parametrize("name", sorted(corpus_specs()))
+def test_batched_enumeration_matches_single_point_calls_corpus(name):
+    spec = corpus_specs()[name]
+    assert_matches_single_point_calls(spec, enumerate_stationary(spec).points)
+
+
+def _axis_shapes(draw, axes):
+    shape = {}
+    for ax in axes:
+        al = draw(st.floats(0.05, 3.0))
+        be = draw(st.floats(0.0, 3.0))
+        shape.update({f"alpha_{ax}_sq": al, f"beta_{ax}_sq": be,
+                      f"gamma_{ax}_sq": al + 2.0 * be})
+    return shape
+
+
+@st.composite
+def any_family_spec(draw):
+    family = draw(st.sampled_from(potentials.FAMILIES))
+    coef = st.floats(0.0, 4.0)
+    cross = st.floats(-6.0, 6.0)
+    if family == "cusp2d":
+        return spec_from_raw(family, {"alpha_sq": draw(coef), "beta_sq": draw(coef)})
+    if family == "cusp3d":
+        return spec_from_raw(family, {"alpha_sq": draw(coef), "beta_sq": draw(coef),
+                                      "gamma_sq": draw(coef)})
+    if family == "butterfly1d":
+        # raw route: a^2 < c draws exercise the skipped-axis warning
+        return spec_from_raw(family, {"a": -draw(st.floats(0.0, 9.0)),
+                                      "c": draw(st.floats(0.01, 20.0))})
+    if family == "butterfly2d":
+        return potentials.spec_from_shape(
+            family, {**_axis_shapes(draw, "xy"), "u": draw(cross)})
+    return potentials.spec_from_shape(
+        family, {**_axis_shapes(draw, "xyz"), **{k: draw(cross) for k in "uvw"}})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(any_family_spec())
+def test_batched_enumeration_matches_single_point_calls_drawn(spec):
+    try:
+        points = enumerate_stationary(spec).points
+    except DegenerateCoupling:
+        assume(False)
+    assert_matches_single_point_calls(spec, points)
