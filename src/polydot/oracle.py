@@ -4,7 +4,9 @@ Three instruments, deliberately decoupled from the closed forms they check:
 
 * :func:`newton_stationary` - damped-free Newton iteration on the gradient
   from every node of a coarse grid, deduplicated and classified; used to
-  diff against the closed-form stationary enumeration.
+  diff against the closed-form stationary enumeration.  A seed stops at a
+  bitwise fixed point; the iteration budget caps only seeds that never
+  reach one.
 * :func:`fd_eigensolve` - second-order central finite differences for
   -Laplacian + V with Dirichlet boundaries just outside the grid box,
   lowest-k eigenpairs via shift-invert Lanczos (LOBPCG fallback in 3D).
@@ -107,23 +109,29 @@ def newton_stationary(
 ) -> list[StationaryPoint]:
     """Stationary points found by Newton iteration seeded at every grid node.
 
-    Seeds that fail to converge (scaled gradient norm 1e-12 * (1 + |x|^5)
-    within max_iter steps, or that wander far outside the box) are dropped;
-    survivors are folded onto sign-orbit representatives, deduplicated within
-    dedup_tol, and classified by the Hessian.  The output mirrors the
-    closed-form enumeration so the two lists can be diffed directly.
+    A seed stops iterating once a Newton step leaves it bitwise unchanged;
+    max_iter caps only seeds that never reach such a fixed point.  Seeds
+    that fail to converge (scaled gradient norm 1e-12 * (1 + |x|^5) after
+    their last step, or that wander far outside the box) are dropped;
+    survivors are folded onto sign-orbit representatives, deduplicated
+    greedily in lexicographic order within dedup_tol (max-norm), and
+    classified by the Hessian.  The output mirrors the closed-form
+    enumeration so the two lists can be diffed directly.
     """
     dim = spec.dimension
     pts = grid.mesh(dim).reshape(-1, dim).copy()
     box = max(grid.axis_extent(i) for i in range(dim))
     alive = np.ones(len(pts), dtype=bool)
+    moving = np.ones(len(pts), dtype=bool)
 
-    # run the full budget: degenerate roots converge only linearly, and the
-    # extra steps past quadratic convergence are rounding-level no-ops
+    # a seed retires once a step leaves it bitwise unchanged: every later
+    # step would start from the same point and be the same exact no-op.
+    # Seeds that converge only linearly (degenerate roots) or end in a
+    # rounding-level cycle keep moving and still get the whole budget.
     for _ in range(max_iter):
-        if not alive.any():
+        idx = np.flatnonzero(alive & moving)
+        if len(idx) == 0:
             break
-        idx = np.flatnonzero(alive)
         x = pts[idx]
         g = np.atleast_2d(gradient(spec, x))
         H = hessian(spec, x).reshape(len(x), dim, dim)
@@ -137,9 +145,10 @@ def newton_stationary(
             step = np.linalg.solve(H, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, g[..., None], rcond=None)[0][..., 0]
-        x = x - step
-        pts[idx] = x
-        escaped = np.linalg.norm(x, axis=1) > 50.0 * box
+        new = x - step
+        moving[idx[(new == x).all(axis=1)]] = False
+        pts[idx] = new
+        escaped = np.linalg.norm(new, axis=1) > 50.0 * box
         alive[idx[escaped]] = False
 
     g = np.atleast_2d(gradient(spec, pts))
@@ -151,24 +160,31 @@ def newton_stationary(
     reps = np.abs(found)
     reps[reps < 10.0 * dedup_tol] = 0.0  # snap near-axis coordinates
 
+    # greedy dedup in lexicographic order: the first fresh representative
+    # is kept and retires every one within dedup_tol of it
+    reps = reps[np.lexsort(reps.T[::-1])]
+    fresh = np.ones(len(reps), dtype=bool)
+    kept = []
+    while fresh.any():
+        i = int(np.argmax(fresh))
+        kept.append(i)
+        fresh[i] = False
+        fresh[np.max(np.abs(reps - reps[i]), axis=1) < dedup_tol] = False
+
+    reps = reps[kept]
+    # an (n, 1, D) stack gives bitwise the results of single-point calls
+    values = evaluate(spec, reps[:, None, :])[:, 0]
+    eigs = np.linalg.eigvalsh(hessian(spec, reps[:, None, :]))[:, 0]
     out: list[StationaryPoint] = []
-    taken: list[np.ndarray] = []
-    order = np.lexsort(reps.T[::-1])
-    for rep in reps[order]:
-        if any(np.max(np.abs(rep - t)) < dedup_tol for t in taken):
-            continue
-        taken.append(rep)
+    for rep, v, row in zip(reps, values, eigs):
         coords = tuple(float(c) for c in rep)
-        h = hessian(spec, coords) if dim > 1 else np.array([[hessian(spec, coords[0])]])
-        eigs = np.linalg.eigvalsh(np.asarray(h))
-        v = evaluate(spec, coords if dim > 1 else coords[0])
         out.append(
             StationaryPoint(
                 location=coords,
                 subfamily="oracle",
                 value=float(v),
-                hessian_eigs=tuple(float(e) for e in eigs),
-                kind=classify(eigs),
+                hessian_eigs=tuple(float(e) for e in row),
+                kind=classify(row),
                 multiplicity=2 ** sum(1 for c in coords if c > 0.0),
                 label="oracle",
             )
@@ -421,12 +437,11 @@ def localization(
     if not wells:
         raise ValueError("localization needs at least one well")
     orbits = _orbit_arrays(wells)
+    d = min_orbit_distance(wells)
     if radius is None:
-        d = min_orbit_distance(wells)
-        if not math.isfinite(d):
-            d = 2.0 * max(sol.grid.axis_extent(i) for i in range(sol.dim))
-        radius = 0.5 * d
-    if len(orbits) > 1 and min_orbit_distance(wells) < 2.0 * radius * (1.0 - 1e-12):
+        radius = 0.5 * (d if math.isfinite(d)
+                        else 2.0 * max(sol.grid.axis_extent(i) for i in range(sol.dim)))
+    if len(orbits) > 1 and d < 2.0 * radius * (1.0 - 1e-12):
         raise ValueError(
             f"capture balls of radius {radius:g} overlap between orbits; "
             "pass a smaller radius"

@@ -1,10 +1,14 @@
-"""Shared helpers for the test suite: parameter draws and a call counter."""
+"""Shared helpers for the test suite: parameter draws, a hypothesis
+strategy over all families, a call counter and the loop reference of the
+Newton oracle."""
 
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from polydot import potentials
+from polydot.stationary import StationaryPoint, classify
 
 
 def draw_cusp2d(rng):
@@ -114,6 +118,104 @@ DRAWERS = {
     "butterfly2d": draw_butterfly2d,
     "butterfly3d": draw_butterfly3d,
 }
+
+
+def _axis_shapes(draw, axes):
+    shape = {}
+    for ax in axes:
+        al = draw(st.floats(0.05, 3.0))
+        be = draw(st.floats(0.0, 3.0))
+        shape.update({f"alpha_{ax}_sq": al, f"beta_{ax}_sq": be,
+                      f"gamma_{ax}_sq": al + 2.0 * be})
+    return shape
+
+
+@st.composite
+def any_family_spec(draw):
+    family = draw(st.sampled_from(potentials.FAMILIES))
+    coef = st.floats(0.0, 4.0)
+    cross = st.floats(-6.0, 6.0)
+    if family == "cusp2d":
+        return potentials.spec_from_raw(
+            family, {"alpha_sq": draw(coef), "beta_sq": draw(coef)})
+    if family == "cusp3d":
+        return potentials.spec_from_raw(
+            family, {"alpha_sq": draw(coef), "beta_sq": draw(coef), "gamma_sq": draw(coef)})
+    if family == "butterfly1d":
+        # raw route: a^2 < c draws exercise the skipped-axis warning
+        return potentials.spec_from_raw(family, {"a": -draw(st.floats(0.0, 9.0)),
+                                                 "c": draw(st.floats(0.01, 20.0))})
+    if family == "butterfly2d":
+        return potentials.spec_from_shape(
+            family, {**_axis_shapes(draw, "xy"), "u": draw(cross)})
+    return potentials.spec_from_shape(
+        family, {**_axis_shapes(draw, "xyz"), **{k: draw(cross) for k in "uvw"}})
+
+
+def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6):
+    """The Newton oracle as a plain loop: every live seed runs the whole
+    iteration budget, every found representative is compared with every
+    kept one, and each kept orbit is classified by single-point calls.
+    oracle.newton_stationary must return exactly this list."""
+    gradient, hessian = potentials.gradient, potentials.hessian
+    dim = spec.dimension
+    pts = grid.mesh(dim).reshape(-1, dim).copy()
+    box = max(grid.axis_extent(i) for i in range(dim))
+    alive = np.ones(len(pts), dtype=bool)
+    for _ in range(max_iter):
+        if not alive.any():
+            break
+        idx = np.flatnonzero(alive)
+        x = pts[idx]
+        g = np.atleast_2d(gradient(spec, x))
+        H = hessian(spec, x).reshape(len(x), dim, dim)
+        dets = np.abs(np.linalg.det(H))
+        hscale = np.maximum(np.abs(H).max(axis=(1, 2)), 1.0)
+        bad = dets < 1e-12 * hscale ** dim
+        if bad.any():
+            H[bad] += 1e-8 * hscale[bad][:, None, None] * np.eye(dim)
+        try:
+            step = np.linalg.solve(H, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(H, g[..., None], rcond=None)[0][..., 0]
+        x = x - step
+        pts[idx] = x
+        escaped = np.linalg.norm(x, axis=1) > 50.0 * box
+        alive[idx[escaped]] = False
+
+    g = np.atleast_2d(gradient(spec, pts))
+    tol = 1e-12 * (1.0 + np.linalg.norm(pts, axis=1) ** 5)
+    converged = alive & (np.linalg.norm(g, axis=1) < tol)
+    found = pts[converged]
+    if len(found) == 0:
+        return []
+    reps = np.abs(found)
+    reps[reps < 10.0 * dedup_tol] = 0.0
+
+    out = []
+    taken = []
+    order = np.lexsort(reps.T[::-1])
+    for rep in reps[order]:
+        if any(np.max(np.abs(rep - t)) < dedup_tol for t in taken):
+            continue
+        taken.append(rep)
+        coords = tuple(float(c) for c in rep)
+        h = hessian(spec, coords) if dim > 1 else np.array([[hessian(spec, coords[0])]])
+        eigs = np.linalg.eigvalsh(np.asarray(h))
+        v = potentials.evaluate(spec, coords if dim > 1 else coords[0])
+        out.append(
+            StationaryPoint(
+                location=coords,
+                subfamily="oracle",
+                value=float(v),
+                hessian_eigs=tuple(float(e) for e in eigs),
+                kind=classify(eigs),
+                multiplicity=2 ** sum(1 for c in coords if c > 0.0),
+                label="oracle",
+            )
+        )
+    out.sort(key=lambda p: (p.value, p.location))
+    return out
 
 
 def random_points(rng, dim, n, radius=2.0):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from polydot import potentials
 from polydot.errors import BudgetExceeded
 from polydot.oracle import (
     GridSpec,
@@ -15,6 +17,9 @@ from polydot.oracle import (
 )
 from polydot.potentials import make_spec, spec_from_raw
 from polydot.stationary import stationary_points
+from polydot.verify import _oracle_grid, corpus_specs
+
+from helpers import any_family_spec, count_calls, newton_stationary_reference
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +54,48 @@ def test_newton_matches_fig2_enumeration():
     assert not missing and not spurious
     assert len(found) == len(closed) == 5
     assert sum(p.multiplicity for p in found) == 9
+
+
+def shrunk_fig2(lam=1e-5):
+    """fig2_butterfly2d with every stationary point moved to lam times its
+    location: quartic/cross coefficients times lam^2, quadratic ones times
+    lam^4."""
+    raw = corpus_specs()["fig2_butterfly2d"].raw
+    return spec_from_raw("butterfly2d", {
+        k: v * (lam ** 4 if k in ("c", "d") else lam ** 2) for k, v in raw.items()})
+
+
+def assert_matches_reference(spec):
+    grid = _oracle_grid(spec)
+    assert repr(newton_stationary(spec, grid)) == repr(newton_stationary_reference(spec, grid))
+
+
+@pytest.mark.parametrize("name", sorted(corpus_specs()))
+def test_newton_matches_loop_reference_corpus(name):
+    assert_matches_reference(corpus_specs()[name])
+
+
+def test_newton_matches_loop_reference_small_scale():
+    # the absolute tolerances break this search (64 orbits for 5); the
+    # result must still be the reference's, bit for bit
+    spec = shrunk_fig2()
+    assert len(newton_stationary(spec, _oracle_grid(spec))) == 64
+    assert_matches_reference(spec)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(any_family_spec())
+def test_newton_matches_loop_reference_drawn(spec):
+    assert_matches_reference(spec)
+
+
+@pytest.mark.parametrize("name, limit", [("cusp3d_ordered", 30), ("fig1_cusp2d", 50)])
+def test_newton_stops_when_no_seed_moves(monkeypatch, name, limit):
+    # the full budget is 50 Newton steps plus the final residual check
+    spec = corpus_specs()[name]
+    calls = count_calls(monkeypatch, potentials.gradient)
+    newton_stationary(spec, _oracle_grid(spec))
+    assert len(calls) <= limit
 
 
 # ---------------------------------------------------------------------------

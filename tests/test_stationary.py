@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from polydot import potentials, stationary
 from polydot.errors import DegenerateCoupling, NoRealShape
@@ -28,6 +27,7 @@ from polydot.verify import corpus_specs
 
 from helpers import (
     DRAWERS,
+    any_family_spec,
     draw_butterfly2d_with_roots,
     draw_butterfly3d_ordered,
 )
@@ -424,37 +424,6 @@ def assert_matches_single_point_calls(spec, points):
 def test_batched_enumeration_matches_single_point_calls_corpus(name):
     spec = corpus_specs()[name]
     assert_matches_single_point_calls(spec, enumerate_stationary(spec).points)
-
-
-def _axis_shapes(draw, axes):
-    shape = {}
-    for ax in axes:
-        al = draw(st.floats(0.05, 3.0))
-        be = draw(st.floats(0.0, 3.0))
-        shape.update({f"alpha_{ax}_sq": al, f"beta_{ax}_sq": be,
-                      f"gamma_{ax}_sq": al + 2.0 * be})
-    return shape
-
-
-@st.composite
-def any_family_spec(draw):
-    family = draw(st.sampled_from(potentials.FAMILIES))
-    coef = st.floats(0.0, 4.0)
-    cross = st.floats(-6.0, 6.0)
-    if family == "cusp2d":
-        return spec_from_raw(family, {"alpha_sq": draw(coef), "beta_sq": draw(coef)})
-    if family == "cusp3d":
-        return spec_from_raw(family, {"alpha_sq": draw(coef), "beta_sq": draw(coef),
-                                      "gamma_sq": draw(coef)})
-    if family == "butterfly1d":
-        # raw route: a^2 < c draws exercise the skipped-axis warning
-        return spec_from_raw(family, {"a": -draw(st.floats(0.0, 9.0)),
-                                      "c": draw(st.floats(0.01, 20.0))})
-    if family == "butterfly2d":
-        return potentials.spec_from_shape(
-            family, {**_axis_shapes(draw, "xy"), "u": draw(cross)})
-    return potentials.spec_from_shape(
-        family, {**_axis_shapes(draw, "xyz"), **{k: draw(cross) for k in "uvw"}})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
