@@ -9,8 +9,10 @@ dominant well changes.  Two kinds are tracked side by side:
 
 Scans sample a line or raster in parameter space, label every sample by its
 dominant well under both definitions, and refine each label change by
-bisection on the signed candidate gap.  Appearances/disappearances of whole
-stationary orbits along a line are refined too and reported as events.
+Illinois false position on the signed candidate gap, started from the probe
+interval where the gap changes sign.  Appearances/disappearances of whole
+stationary orbits along a line are refined by bisection on orbit presence,
+read from the root formulas alone, and reported as events.
 """
 
 from __future__ import annotations
@@ -159,25 +161,19 @@ def _evaluate_sample(path: ParamPath, t: float) -> ScanSample:
                       spectra._lowest(depths).label, energies, depths, orbit_labels)
 
 
-def _gap_fn(path: ParamPath, kind: str, pair):
-    """Signed gap E_A - E_B as a function of t; +-inf when a label is
-    missing (the surviving label dominates)."""
-    a, b = pair
-
-    def gap(t: float) -> float:
-        sample = _evaluate_sample(path, t)
-        table = sample.candidates if kind == QUANTUM else sample.depths
-        ea = table.get(a)
-        eb = table.get(b)
-        if ea is None and eb is None:
-            return math.nan
-        if ea is None:
-            return math.inf
-        if eb is None:
-            return -math.inf
-        return ea - eb
-
-    return gap
+def _gap(sample: ScanSample, kind: str, pair) -> float:
+    """Signed gap E_A - E_B of one sample; +-inf when a label is missing
+    (the surviving label dominates), nan when both are."""
+    table = sample.candidates if kind == QUANTUM else sample.depths
+    ea = table.get(pair[0])
+    eb = table.get(pair[1])
+    if ea is None and eb is None:
+        return math.nan
+    if ea is None:
+        return math.inf
+    if eb is None:
+        return -math.inf
+    return ea - eb
 
 
 def locate_boundary(
@@ -187,55 +183,75 @@ def locate_boundary(
     pair: tuple[str, str] | None = None,
     gap_tol: float = DEFAULT_GAP_TOL,
     width_tol: float = DEFAULT_WIDTH_TOL,
+    ends: tuple[ScanSample, ScanSample] | None = None,
 ) -> CatastropheBoundary:
-    """Bisect one label change inside a bracket of path coordinates.
+    """Refine one label change inside a bracket of path coordinates.
 
     The bracket endpoints must carry different dominant labels (pair is
-    inferred when omitted).  Bisection runs on the signed gap
-    E_A - E_B until |gap| < gap_tol or the bracket is narrower than
-    width_tol in the first varied parameter.  A gap with more than one sign
-    change inside the bracket raises SplitBracket.
+    inferred when omitted); ends may pass the samples already evaluated
+    there.  Nine interior probes of the signed gap E_A - E_B check that it
+    changes sign once (more raise SplitBracket) and narrow the bracket to
+    the probe interval where it does.  Illinois false position then runs
+    from there, bisecting while an end gap is +-inf, until |gap| < gap_tol
+    or the bracket is narrower than width_tol in the first varied parameter.
     """
     t_lo, t_hi = bracket
+    if ends is None:
+        ends = (_evaluate_sample(path, t_lo), _evaluate_sample(path, t_hi))
     if pair is None:
-        lo = _evaluate_sample(path, t_lo)
-        hi = _evaluate_sample(path, t_hi)
-        a = lo.quantum_label if kind == QUANTUM else lo.classical_label
-        b = hi.quantum_label if kind == QUANTUM else hi.classical_label
+        a, b = (s.quantum_label if kind == QUANTUM else s.classical_label for s in ends)
         if a is None or b is None or a == b:
             raise ValueError(
                 f"bracket endpoints must carry different dominant labels, got {a!r}/{b!r}"
             )
         pair = (a, b)
-    gap = _gap_fn(path, kind, pair)
-    g_lo, g_hi = gap(t_lo), gap(t_hi)
+
+    def gap(t: float) -> float:
+        return _gap(_evaluate_sample(path, t), kind, pair)
+
+    g_lo, g_hi = (_gap(s, kind, pair) for s in ends)
     if not (g_lo < 0.0 <= g_hi or g_hi < 0.0 <= g_lo):
         raise ValueError(
             f"gap does not change sign over the bracket ({g_lo:g} .. {g_hi:g})"
         )
 
-    # probe the interior for extra sign changes before trusting bisection
-    probes = [g_lo] + [gap(t) for t in np.linspace(t_lo, t_hi, 11)[1:-1]] + [g_hi]
-    signs = [1 if g >= 0 else -1 for g in probes if not math.isnan(g)]
-    changes = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
-    if changes > 1:
+    # probe the interior for extra sign changes before trusting one root
+    ts = np.linspace(t_lo, t_hi, 11)
+    probes = [g_lo] + [gap(t) for t in ts[1:-1]] + [g_hi]
+    defined = [(t, g) for t, g in zip(ts, probes) if not math.isnan(g)]
+    flips = [(p0, p1) for p0, p1 in zip(defined, defined[1:])
+             if (p0[1] < 0.0) != (p1[1] < 0.0)]
+    if len(flips) > 1:
         raise SplitBracket(
-            f"{changes} sign changes inside the bracket; rescan with more steps"
+            f"{len(flips)} sign changes inside the bracket; rescan with more steps"
         )
+    (t_lo, g_lo), (t_hi, g_hi) = flips[0]
 
     span = path.primary_span
+    kept = 0  # Illinois: +1/-1 when the last step kept the low/high end
     for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
+        if math.isinf(g_lo) or math.isinf(g_hi):
+            t_mid = 0.5 * (t_lo + t_hi)
+        else:
+            t_mid = t_lo - g_lo * (t_hi - t_lo) / (g_hi - g_lo)
         g_mid = gap(t_mid)
         if math.isnan(g_mid):
             raise ValueError("gap undefined inside the bracket (no common wells)")
         if abs(g_mid) < gap_tol or (t_hi - t_lo) * span < width_tol:
             t_lo = t_hi = t_mid
             break
+        # halving the gap at an end kept twice in a row stops false position
+        # from creeping towards the root from one side only
         if (g_mid < 0.0) == (g_lo < 0.0):
             t_lo, g_lo = t_mid, g_mid
+            if kept < 0:
+                g_hi *= 0.5
+            kept = -1
         else:
             t_hi, g_hi = t_mid, g_mid
+            if kept > 0:
+                g_lo *= 0.5
+            kept = 1
     t_star = 0.5 * (t_lo + t_hi)
 
     dt = max(1e-7, 10.0 * width_tol / max(span, 1e-300))
@@ -256,10 +272,15 @@ def locate_boundary(
 
 
 def _locate_orbit_event(path, t_lo, t_hi, label, width_tol):
-    """Binary search on orbit-label presence (boolean, no signed gap)."""
+    """Binary search on orbit-label presence (boolean, no signed gap),
+    read from the root formulas alone."""
 
     def present(t):
-        return label in _evaluate_sample(path, t).orbit_labels
+        try:
+            reps, _warnings = stat._representatives(path.spec_at(t))
+        except (PolydotError, ValueError):
+            return False
+        return any(rep_label == label for _loc, _sub, rep_label in reps)
 
     p_lo = present(t_lo)
     span = path.primary_span
@@ -317,7 +338,7 @@ def scan_line(
                 try:
                     boundaries.append(
                         locate_boundary(path, (s0.t, s1.t), kind, (l0, l1),
-                                        gap_tol, width_tol)
+                                        gap_tol, width_tol, ends=(s0, s1))
                     )
                 except (SplitBracket, ValueError) as err:
                     boundaries.append(

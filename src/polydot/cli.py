@@ -202,8 +202,10 @@ def cmd_scan(args) -> int:
         if "csv" in formats:
             reports.write_csv(out / "scan.csv", reports.scan_csv_rows(report))
         if "json" in formats:
-            reports.write_json(out / "scan.json", reports.scan_report_dict(report))
-            reports.write_json(out / "boundaries.json", reports.boundaries_dict(report))
+            d = reports.scan_report_dict(report)
+            reports.write_json(out / "scan.json", d)
+            reports.write_json(out / "boundaries.json",
+                               {k: d[k] for k in ("header", "boundaries", "events")})
         print(f"scan over {varied[0][0]}: {len(report.samples)} samples, "
               f"{len(report.boundaries)} boundaries, {len(report.events)} orbit events")
         for b in report.boundaries:
@@ -354,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=51, help="samples along a line")
     p.add_argument("--resolution", type=int, default=33, help="raster resolution")
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="energy-gap tolerance of the boundary bisection")
+                   help="energy-gap tolerance of the boundary refinement "
+                        "(false position on the signed gap)")
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; scans run serially")
     p.set_defaults(func=cmd_scan)

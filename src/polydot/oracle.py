@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceeded
 from .potentials import PotentialSpec, evaluate, gradient, hessian
-from .stationary import StationaryPoint, classify, orbit_members
+from .stationary import StationaryPoint, classify_rows, orbit_members
 
 DEFAULT_BUDGET = 300_000  # grid unknowns (n^D); 64^3 fits
 
@@ -176,7 +176,7 @@ def newton_stationary(
     values = evaluate(spec, reps[:, None, :])[:, 0]
     eigs = np.linalg.eigvalsh(hessian(spec, reps[:, None, :]))[:, 0]
     out: list[StationaryPoint] = []
-    for rep, v, row in zip(reps, values, eigs):
+    for rep, v, row, kind in zip(reps, values, eigs, classify_rows(eigs)):
         coords = tuple(float(c) for c in rep)
         out.append(
             StationaryPoint(
@@ -184,7 +184,7 @@ def newton_stationary(
                 subfamily="oracle",
                 value=float(v),
                 hessian_eigs=tuple(float(e) for e in row),
-                kind=classify(row),
+                kind=kind,
                 multiplicity=2 ** sum(1 for c in coords if c > 0.0),
                 label="oracle",
             )

@@ -190,11 +190,6 @@ def scan_csv_rows(report: ScanReport):
         )
 
 
-def boundaries_dict(report: ScanReport) -> dict:
-    d = scan_report_dict(report)
-    return {"header": d["header"], "boundaries": d["boundaries"], "events": d["events"]}
-
-
 # ---------------------------------------------------------------------------
 # subdomain rasters
 # ---------------------------------------------------------------------------

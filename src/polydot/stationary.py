@@ -105,16 +105,24 @@ def orbit_members(location) -> np.ndarray:
 
 def classify(eigs) -> str:
     """Hessian signature -> minimum/maximum/saddle/degenerate."""
+    return classify_rows(np.reshape(eigs, (1, -1)))[0]
+
+
+def classify_rows(eigs) -> list[str]:
+    """:func:`classify` for every row of an (n, D) eigenvalue array.
+
+    An eigenvalue no larger in magnitude than 1e-9 times the row's largest
+    counts as zero and makes the row degenerate.
+    """
     eigs = np.asarray(eigs, dtype=float)
-    scale = np.max(np.abs(eigs)) if eigs.size else 0.0
-    tol = _CLASSIFY_REL_TOL * scale
-    if scale == 0.0 or np.any(np.abs(eigs) <= tol):
-        return DEGENERATE
-    if np.all(eigs > tol):
-        return MINIMUM
-    if np.all(eigs < -tol):
-        return MAXIMUM
-    return SADDLE
+    mags = np.abs(eigs)
+    scale = mags.max(axis=1, initial=0.0)
+    tol = (_CLASSIFY_REL_TOL * scale)[:, None]
+    degenerate = ((scale == 0.0) | (mags <= tol).any(axis=1)).tolist()
+    minimum = (eigs > tol).all(axis=1).tolist()
+    maximum = (eigs < -tol).all(axis=1).tolist()
+    return [DEGENERATE if d else MINIMUM if lo else MAXIMUM if hi else SADDLE
+            for d, lo, hi in zip(degenerate, minimum, maximum)]
 
 
 def gradient_at(spec, coords) -> np.ndarray:
@@ -353,16 +361,15 @@ def _off_axis_tagged_3d(spec):
 # full enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
-    """Complete closed-form stationary set, classified and sorted by value.
+def _representatives(spec: PotentialSpec) -> tuple[list, list]:
+    """One representative per stationary orbit, from the root formulas alone.
 
-    The root formulas give one representative per orbit; values, Hessians
-    and their eigenvalues then come from one batched call each over the
-    stack of representatives.  Axes whose on-axis roots are complex are
-    skipped with a warning record rather than an error.
+    Returns ([(location, subfamily, label), ...], warnings), origin first;
+    no value, Hessian or classification is computed.  Axes whose on-axis
+    roots are complex are skipped with a warning record.
     """
     dim = spec.dimension
-    reps = [((0.0,) * dim, "origin", "origin")]  # (location, subfamily, label)
+    reps = [((0.0,) * dim, "origin", "origin")]
     warnings = []
     for idx, axis in enumerate(spec.axis_names()):
         try:
@@ -386,7 +393,18 @@ def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
         for x2, y2, z2, _r2, subfamily, tag in _off_axis_tagged_3d(spec):
             reps.append(((math.sqrt(x2), math.sqrt(y2), math.sqrt(z2)),
                          subfamily, f"{subfamily}_{tag}"))
+    return reps, warnings
 
+
+def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
+    """Complete closed-form stationary set, classified and sorted by value.
+
+    The root formulas give one representative per orbit; values, Hessians,
+    their eigenvalues and the classification then come from one batched
+    call each over the stack of representatives.  Axes whose on-axis roots
+    are complex are skipped with a warning record rather than an error.
+    """
+    reps, warnings = _representatives(spec)
     # an (n, 1, D) stack sends every point through the same matmul core as a
     # single-point call, so results are bitwise those of single-point
     # evaluate/hessian calls; an (n, D) stack takes a BLAS gemv that rounds
@@ -400,11 +418,12 @@ def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
             subfamily=subfamily,
             value=float(value),
             hessian_eigs=tuple(float(e) for e in row),
-            kind=classify(row),
+            kind=kind,
             multiplicity=2 ** sum(1 for c in loc if c > 0.0),
             label=label,
         )
-        for (loc, subfamily, label), value, row in zip(reps, values, eigs)
+        for (loc, subfamily, label), value, row, kind
+        in zip(reps, values, eigs, classify_rows(eigs))
     ]
     points.sort(key=lambda p: (p.value, p.label))
     return StationaryReport(points=tuple(points), warnings=tuple(warnings))

@@ -1,13 +1,15 @@
 """Shared helpers for the test suite: parameter draws, a hypothesis
-strategy over all families, a call counter and the loop reference of the
-Newton oracle."""
+strategy over all families, a call counter, the loop reference of the
+Newton oracle and the bisection references of scan refinement."""
 
+import math
 import sys
 
 import numpy as np
 from hypothesis import strategies as st
 
-from polydot import potentials
+from polydot import catastrophe, potentials
+from polydot.errors import SplitBracket
 from polydot.stationary import StationaryPoint, classify
 
 
@@ -238,3 +240,106 @@ def count_calls(monkeypatch, fn):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapper)
     return calls
+
+
+def locate_boundary_reference(path, bracket, kind, pair,
+                              gap_tol=1e-10, width_tol=1e-12):
+    """catastrophe.locate_boundary as a plain bisection on the signed gap:
+    both ends and 9 interior probes are evaluated, then the midpoint of the
+    whole bracket is bisected until |gap| < gap_tol or the bracket is
+    narrower than width_tol.  Split brackets and undefined gaps raise as in
+    the library."""
+    def gap(t):
+        s = catastrophe._evaluate_sample(path, t)
+        table = s.candidates if kind == catastrophe.QUANTUM else s.depths
+        ea, eb = table.get(pair[0]), table.get(pair[1])
+        if ea is None and eb is None:
+            return math.nan
+        if ea is None:
+            return math.inf
+        if eb is None:
+            return -math.inf
+        return ea - eb
+
+    t_lo, t_hi = bracket
+    g_lo, g_hi = gap(t_lo), gap(t_hi)
+    if not (g_lo < 0.0 <= g_hi or g_hi < 0.0 <= g_lo):
+        raise ValueError(f"gap does not change sign over the bracket ({g_lo:g} .. {g_hi:g})")
+    probes = [g_lo] + [gap(t) for t in np.linspace(t_lo, t_hi, 11)[1:-1]] + [g_hi]
+    signs = [1 if g >= 0 else -1 for g in probes if not math.isnan(g)]
+    changes = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 != s1)
+    if changes > 1:
+        raise SplitBracket(f"{changes} sign changes inside the bracket; rescan with more steps")
+    span = path.primary_span
+    for _ in range(200):
+        t_mid = 0.5 * (t_lo + t_hi)
+        g_mid = gap(t_mid)
+        if math.isnan(g_mid):
+            raise ValueError("gap undefined inside the bracket (no common wells)")
+        if abs(g_mid) < gap_tol or (t_hi - t_lo) * span < width_tol:
+            t_lo = t_hi = t_mid
+            break
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            t_lo, g_lo = t_mid, g_mid
+        else:
+            t_hi, g_hi = t_mid, g_mid
+    t_star = 0.5 * (t_lo + t_hi)
+    dt = max(1e-7, 10.0 * width_tol / max(span, 1e-300))
+    t_plus, t_minus = min(t_star + dt, 1.0), max(t_star - dt, 0.0)
+    g_plus, g_minus = gap(t_plus), gap(t_minus)
+    slope = None
+    if all(map(math.isfinite, (g_plus, g_minus))):
+        dparam = path.primary_value(t_plus) - path.primary_value(t_minus)
+        if dparam != 0.0:
+            slope = (g_plus - g_minus) / dparam
+    return catastrophe.CatastropheBoundary(
+        kind=kind, pair=pair, location=path.primary_value(t_star),
+        params=path.params_at(t_star), gap_slope=slope)
+
+
+def orbit_event_reference(path, t_lo, t_hi, label, width_tol=1e-12):
+    """catastrophe._locate_orbit_event as bisection on the orbit labels of
+    full sample evaluations."""
+    def present(t):
+        return label in catastrophe._evaluate_sample(path, t).orbit_labels
+
+    p_lo = present(t_lo)
+    span = path.primary_span
+    for _ in range(200):
+        if (t_hi - t_lo) * span < width_tol:
+            break
+        t_mid = 0.5 * (t_lo + t_hi)
+        if present(t_mid) == p_lo:
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+    t_star = 0.5 * (t_lo + t_hi)
+    return catastrophe.OrbitEvent(
+        label=label, change="appears" if not p_lo else "disappears",
+        location=path.primary_value(t_star), params=path.params_at(t_star))
+
+
+def scan_line_reference(path, gap_tol=1e-10, width_tol=1e-12):
+    """(boundaries, events) of catastrophe.scan_line, refined by the two
+    bisection references above; unrefined boundaries carry the error."""
+    samples = [catastrophe._evaluate_sample(path, t)
+               for t in np.linspace(0.0, 1.0, path.steps)]
+    boundaries, events = [], []
+    for s0, s1 in zip(samples, samples[1:]):
+        if not (s0.ok and s1.ok):
+            continue
+        for kind, l0, l1 in ((catastrophe.QUANTUM, s0.quantum_label, s1.quantum_label),
+                             (catastrophe.CLASSICAL, s0.classical_label, s1.classical_label)):
+            if l0 != l1:
+                try:
+                    boundaries.append(locate_boundary_reference(
+                        path, (s0.t, s1.t), kind, (l0, l1), gap_tol, width_tol))
+                except (SplitBracket, ValueError) as err:
+                    boundaries.append(catastrophe.CatastropheBoundary(
+                        kind=kind, pair=(l0, l1),
+                        location=path.primary_value(0.5 * (s0.t + s1.t)),
+                        params={"unrefined": str(err)}))
+        changed = set(s0.orbit_labels) ^ set(s1.orbit_labels)
+        for label in sorted(changed):
+            events.append(orbit_event_reference(path, s0.t, s1.t, label, width_tol))
+    return boundaries, events

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polydot import catastrophe, stationary
+from polydot import catastrophe, potentials, spectra, stationary
 from polydot.catastrophe import (
     CLASSICAL,
+    DEFAULT_GAP_TOL,
+    DEFAULT_WIDTH_TOL,
     QUANTUM,
     ParamPath,
     ScanSample,
@@ -15,9 +19,9 @@ from polydot.catastrophe import (
 )
 from polydot.errors import SplitBracket
 from polydot.potentials import make_spec
-from polydot.verify import bisect_small_coupling_threshold
+from polydot.verify import bisect_small_coupling_threshold, corpus_specs
 
-from helpers import count_calls
+from helpers import count_calls, scan_line_reference
 
 
 def butterfly_path(beta=2.0, lo=1.5, hi=2.2, steps=71):
@@ -275,3 +279,114 @@ def test_marching_squares_closed_loop():
     chains = catastrophe._marching_squares(blob, xs, ys)
     assert len(chains) == 1
     assert chains[0][0] == chains[0][-1]  # closed polyline
+
+
+# ---------------------------------------------------------------------------
+# refinement against the bisection references
+# ---------------------------------------------------------------------------
+
+def _corpus_line(name, varied, steps):
+    return ParamPath(spec=corpus_specs()[name], varied=(varied,), steps=steps)
+
+
+REFERENCE_LINES = {
+    "readme": lambda: butterfly_path(),
+    "butterfly1d_center": lambda: _corpus_line("butterfly1d_center", ("alpha", 1.7, 2.3), 41),
+    "butterfly1d_outer": lambda: _corpus_line("butterfly1d_outer", ("beta", 1.6, 2.3), 41),
+    "fig2_butterfly2d_u": lambda: _corpus_line("fig2_butterfly2d", ("u", -6.0, 4.5), 41),
+    "butterfly3d_gamma_x": lambda: _corpus_line("butterfly3d_ordered", ("gamma_x", 1.8, 2.5), 31),
+    "butterfly3d_w": lambda: _corpus_line("butterfly3d_ordered", ("w", -2.0, 3.0), 31),
+}
+
+
+def assert_matches_reference(path):
+    """Same boundary kinds and pairs, locations within the stop rules'
+    tolerance, gap slopes within 1e-6 relative, and repr-equal events.
+
+    Either method stops once the bracket is narrower than
+    DEFAULT_WIDTH_TOL x span or once |gap| < DEFAULT_GAP_TOL, which leaves
+    it up to DEFAULT_GAP_TOL / |slope| from the root; two locations can
+    therefore differ by the sum of both bounds."""
+    rep = scan_line(path)
+    boundaries, events = scan_line_reference(path)
+    assert [(b.kind, b.pair) for b in rep.boundaries] == \
+        [(b.kind, b.pair) for b in boundaries]
+    for new, old in zip(rep.boundaries, boundaries):
+        if old.params and "unrefined" in old.params:
+            assert new == old
+            continue
+        tol = DEFAULT_WIDTH_TOL * path.primary_span + 2.0 * DEFAULT_GAP_TOL / abs(old.gap_slope)
+        assert abs(new.location - old.location) <= tol, (new.location, old.location)
+        assert new.gap_slope == pytest.approx(old.gap_slope, rel=1e-6)
+    assert repr(rep.events) == repr(tuple(events))
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_LINES))
+def test_refinement_matches_bisection_reference(name):
+    rep = assert_matches_reference(REFERENCE_LINES[name]())
+    assert rep.boundaries or rep.events
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(0.8, 3.0), below=st.floats(0.1, 0.3), above=st.floats(0.05, 0.3),
+       steps=st.integers(5, 41))
+def test_refinement_matches_bisection_reference_drawn(beta, below, above, steps):
+    lo, hi = beta * (1.0 - below), beta * (1.0 + above)
+    path = ParamPath(spec=make_spec("butterfly1d", alpha=lo, beta=beta),
+                     varied=(("alpha", lo, hi),), steps=steps)
+    assert_matches_reference(path)
+
+
+def test_readme_line_refines_each_boundary_in_few_evaluations(monkeypatch):
+    calls = count_calls(monkeypatch, catastrophe._evaluate_sample)
+    rep = scan_line(butterfly_path())
+    assert len(rep.boundaries) == 2 and rep.events == ()
+    assert (len(calls) - 71) / len(rep.boundaries) <= 15
+
+
+def test_event_refinement_uses_root_algebra_only(monkeypatch):
+    # plane_xy_minus appears at u = 2.99 (see the coupling sweep above)
+    path = ParamPath(spec=make_spec("butterfly2d", alpha=1.0, gamma=1.9, u=-6.0),
+                     varied=(("u", -6.0, 4.5),), steps=71)
+    ts = np.linspace(0.0, 1.0, path.steps)
+    k = int(np.searchsorted(ts, (2.99 + 6.0) / 10.5)) - 1
+    candidates = count_calls(monkeypatch, spectra.ground_candidates)
+    hessians = count_calls(monkeypatch, potentials.hessian)
+    probes = count_calls(monkeypatch, stationary._representatives)
+    event = catastrophe._locate_orbit_event(path, ts[k], ts[k + 1], "plane_xy_minus",
+                                            DEFAULT_WIDTH_TOL)
+    assert event.change == "appears"
+    assert event.location == pytest.approx(2.99, abs=1e-8)
+    assert candidates == [] and hessians == []
+    assert len(probes) <= 40
+
+
+def test_infinite_end_gap_is_bisected_until_finite(monkeypatch):
+    # label A exists only from t = 0.42 on; the gap E_A - E_B = 0.47 - t
+    evaluated = []
+
+    def sample(_path, t):
+        evaluated.append(t)
+        table = {"A": 0.47 - t, "B": 0.0} if t >= 0.42 else {"B": 0.0}
+        return ScanSample(t=t, params={"alpha": t}, ok=True, error=None,
+                          quantum_label="A", classical_label="A",
+                          candidates=table, depths=table, orbit_labels=())
+
+    monkeypatch.setattr(catastrophe, "_evaluate_sample", sample)
+    path = butterfly_path(steps=2)
+    b = locate_boundary(path, (0.0, 1.0), QUANTUM, pair=("A", "B"))
+    # both ends, 9 probes, then the first refinement step is the midpoint of
+    # the probe bracket [0.4, 0.5], whose low end gap is +inf
+    assert evaluated[11] == pytest.approx(0.45, abs=1e-15)
+    assert b.location == pytest.approx(path.primary_value(0.47), abs=1e-12)
+    assert len(evaluated) <= 2 + 9 + 4 + 2
+
+
+def test_exchange_without_common_wells_stays_unrefined():
+    # the dominant cusp well moves between the axes at alpha = beta; the gap
+    # is +-inf on both sides and undefined in the degenerate ring
+    rep = scan_line(_corpus_line("fig1_cusp2d", ("alpha", 0.8, 1.6), 31))
+    assert {b.kind for b in rep.boundaries} == {QUANTUM, CLASSICAL}
+    for b in rep.boundaries:
+        assert b.params == {"unrefined": "gap undefined inside the bracket (no common wells)"}

@@ -9,6 +9,7 @@ threading.  Regenerate the fixture only for a deliberate output change:
     PYTHONPATH=src python3 tests/test_golden.py
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 
 import polydot
 from polydot import cli
+from polydot.catastrophe import DEFAULT_WIDTH_TOL
 
 GOLDEN = Path(__file__).parent / "golden"
 CORPUS = Path(polydot.__file__).parent / "corpus"
@@ -63,6 +65,21 @@ def test_golden_outputs(case, tmp_path, capsys):
     for name in expected:
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), \
             f"{case}/{name} differs from the golden file"
+
+
+def test_scan_line_boundaries_moved_within_refinement_tolerance():
+    # scan_line_butterfly1d was regenerated once, when false position
+    # replaced bisection; these are the bisection values it held before
+    bisection = {"quantum": (1.9786032632729622, 549.7820710708414),
+                 "classical": (2.0000000000002913, 576.0000006090366)}
+    span = 2.2 - 1.5
+    doc = json.loads((GOLDEN / "scan_line_butterfly1d" / "boundaries.json").read_text())
+    assert sorted(b["kind"] for b in doc["boundaries"]) == sorted(bisection)
+    for b in doc["boundaries"]:
+        location, slope = bisection[b["kind"]]
+        assert b["pair"] == ["axis_x_outer", "origin"]
+        assert abs(b["location"] - location) <= DEFAULT_WIDTH_TOL * span
+        assert b["gap_slope"] == pytest.approx(slope, rel=1e-6)
 
 
 if __name__ == "__main__":
