@@ -1,14 +1,18 @@
 """Shared helpers for the test suite: parameter draws, a hypothesis
 strategy over all families, a call counter, the loop reference of the
-Newton oracle and the bisection references of scan refinement."""
+Newton oracle, the bisection references of scan refinement and the
+whole-grid LOBPCG reference of the 3D eigensolve."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
-from polydot import catastrophe, potentials
+from polydot import catastrophe, oracle, potentials
 from polydot.errors import SplitBracket
 from polydot.stationary import StationaryPoint, classify
 
@@ -133,8 +137,8 @@ def _axis_shapes(draw, axes):
 
 
 @st.composite
-def any_family_spec(draw):
-    family = draw(st.sampled_from(potentials.FAMILIES))
+def any_family_spec(draw, families=potentials.FAMILIES):
+    family = draw(st.sampled_from(families))
     coef = st.floats(0.0, 4.0)
     cross = st.floats(-6.0, 6.0)
     if family == "cusp2d":
@@ -343,3 +347,24 @@ def scan_line_reference(path, gap_tol=1e-10, width_tol=1e-12):
         for label in sorted(changed):
             events.append(orbit_event_reference(path, s0.t, s1.t, label, width_tol))
     return boundaries, events
+
+
+def fd_eigensolve_lobpcg_reference(spec_or_callable, grid, k, dim=3, maxiter=2000):
+    """The 3D eigensolve on the whole grid: LOBPCG from k+3 random columns
+    with the diagonal preconditioner 1/(diag H - min V + 1), tol 1e-9, and
+    the residual gate of oracle.fd_eigensolve.  Returns (energies,
+    residuals, converged) of the lowest k pairs."""
+    H, v = oracle.hamiltonian(spec_or_callable, grid, dim)
+    vmin = float(v.min())
+    rng = np.random.default_rng(12345)
+    X = rng.standard_normal((H.shape[0], k + 3))
+    M = sp.diags(1.0 / np.maximum(H.diagonal() - vmin + 1.0, 1e-8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        vals, vecs = spla.lobpcg(H, X, M=M, tol=1e-9, maxiter=maxiter, largest=False)
+    order = np.argsort(vals[:k])
+    vals, vecs = vals[:k][order], vecs[:, :k][:, order]
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+    converged = bool(np.all(residuals <= 1e-8 * np.abs(vals) + 1e-10))
+    return vals, residuals, converged

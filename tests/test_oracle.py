@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
+from scipy.linalg import eigh_tridiagonal
 
 from polydot import potentials
 from polydot.errors import BudgetExceeded
@@ -15,11 +17,16 @@ from polydot.oracle import (
     newton_stationary,
     richardson_ground_energies,
 )
-from polydot.potentials import make_spec, spec_from_raw
+from polydot.potentials import characteristic_radius, make_spec, spec_from_raw
 from polydot.stationary import stationary_points
 from polydot.verify import _oracle_grid, corpus_specs
 
-from helpers import any_family_spec, count_calls, newton_stationary_reference
+from helpers import (
+    any_family_spec,
+    count_calls,
+    fd_eigensolve_lobpcg_reference,
+    newton_stationary_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +174,112 @@ def test_fd_3d_small_grid():
     sol = fd_eigensolve(lambda m: (m**2).sum(axis=-1),
                         GridSpec(extent=6.0, n=33), k=1, dim=3)
     assert sol.energies[0] == pytest.approx(3.0, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# 3D eigensolve: parity sectors against the whole-grid LOBPCG reference
+# ---------------------------------------------------------------------------
+
+SEPARABLE_AXES = (lambda x: x**2, lambda x: 1.7 * x**2 + 0.2 * x**4, lambda x: 2.3 * x**2)
+
+
+def separable(axis_fns):
+    return lambda mesh: sum(fn(mesh[..., i]) for i, fn in enumerate(axis_fns))
+
+
+def stencil_levels(axis_fns, grid, k):
+    """Lowest k sums of the per-axis tridiagonal stencil levels."""
+    sums = np.zeros(1)
+    for i, fn in enumerate(axis_fns):
+        x, dx = grid.axes(len(axis_fns))[i], grid.spacings(len(axis_fns))[i]
+        levels = eigh_tridiagonal(2.0 / dx**2 + fn(x), np.full(len(x) - 1, -1.0 / dx**2),
+                                  eigvals_only=True, select="i", select_range=(0, k - 1))
+        sums = (sums[:, None] + levels[None, :]).ravel()
+    return np.sort(sums)[:k]
+
+
+def count_solver_calls(monkeypatch):
+    calls = {"eigsh": 0, "lobpcg": 0}
+    for name in calls:
+        def wrapper(*args, _name=name, _fn=getattr(spla, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(spla, name, wrapper)
+    return calls
+
+
+def within_gate(energies, residuals):
+    return all(r <= 1e-8 * abs(e) + 1e-10 for e, r in zip(energies, residuals))
+
+
+def assert_matches_lobpcg_reference(spec_or_callable, grid, k, dim=None):
+    sol = fd_eigensolve(spec_or_callable, grid, k=k, dim=dim)
+    energies, residuals, converged = fd_eigensolve_lobpcg_reference(spec_or_callable, grid, k)
+    assert sol.energies == pytest.approx(energies, rel=1e-10, abs=0.0)
+    assert sol.converged == converged
+    assert within_gate(sol.energies, sol.residuals)
+    assert within_gate(energies, residuals)
+
+
+def test_fd3d_matches_lobpcg_reference_cusp3d_ordered():
+    assert_matches_lobpcg_reference(corpus_specs()["cusp3d_ordered"],
+                                    GridSpec(extent=2.4, n=19), 2)
+
+
+def test_fd3d_matches_lobpcg_reference_separable():
+    assert_matches_lobpcg_reference(separable(SEPARABLE_AXES),
+                                    GridSpec(extent=(5.0, 4.5, 4.0), n=17), 2, dim=3)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(any_family_spec(families=("cusp3d", "butterfly3d")))
+def test_fd3d_matches_lobpcg_reference_drawn(spec):
+    grid = GridSpec(extent=1.6 * characteristic_radius(spec), n=17)
+    assert_matches_lobpcg_reference(spec, grid, 2)
+
+
+@pytest.mark.parametrize("k", [4, 7])
+def test_fd3d_isotropic_harmonic_keeps_degenerate_copies(k):
+    # levels 1 + 3 + 3: the last three are one axis excited twice, all
+    # three in the all-even sector
+    grid = GridSpec(extent=6.0, n=21)
+    sol = fd_eigensolve(lambda m: (m**2).sum(axis=-1), grid, k=k, dim=3)
+    assert sol.converged
+    assert sol.energies == pytest.approx(
+        stencil_levels([lambda x: x**2] * 3, grid, k), rel=1e-10, abs=0.0)
+
+
+def test_fd3d_ground_state_solves_only_the_all_even_sector(monkeypatch):
+    grid = GridSpec(extent=6.0, n=21)
+    calls = count_solver_calls(monkeypatch)
+    sol = fd_eigensolve(lambda m: (m**2).sum(axis=-1), grid, k=1, dim=3)
+    assert calls == {"eigsh": 1, "lobpcg": 0}
+    assert sol.energies == pytest.approx(
+        stencil_levels([lambda x: x**2] * 3, grid, 1), rel=1e-10, abs=0.0)
+
+
+def test_fd3d_non_even_callable_takes_lobpcg(monkeypatch):
+    axis_fns = (lambda x: x**2 + 0.5 * x, lambda x: 1.7 * x**2, lambda x: 2.3 * x**2)
+    grid = GridSpec(extent=(5.0, 4.5, 4.0), n=17)
+    calls = count_solver_calls(monkeypatch)
+    sol = fd_eigensolve(separable(axis_fns), grid, k=2, dim=3)
+    assert calls == {"eigsh": 0, "lobpcg": 1}
+    assert sol.converged
+    assert sol.energies == pytest.approx(stencil_levels(axis_fns, grid, 2), rel=1e-8, abs=0.0)
+
+
+def test_fd3d_states_normalized_and_even(monkeypatch):
+    spec = corpus_specs()["cusp3d_ordered"]
+    calls = count_solver_calls(monkeypatch)
+    sol = fd_eigensolve(spec, GridSpec(extent=2.4, n=19), k=2)
+    # the all-even sector and the three with one odd axis; the other four
+    # lie above the second level
+    assert calls == {"eigsh": 4, "lobpcg": 0}
+    cell = np.prod(sol.grid.spacings(3))
+    for psi in sol.states:
+        assert np.sum(psi**2) * cell == pytest.approx(1.0, rel=1e-10)
+        for axis in (0, 1, 2):
+            assert np.max(np.abs(np.abs(psi) - np.abs(np.flip(psi, axis=axis)))) < 1e-8
 
 
 def test_grid_mesh_shapes():
