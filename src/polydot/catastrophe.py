@@ -25,12 +25,10 @@ import numpy as np
 from . import spectra
 from . import stationary as stat
 from .errors import NoMinimum, PolydotError, SplitBracket
-from .potentials import PotentialSpec, with_param
+from .potentials import _SHAPE_STEMS, PotentialSpec, with_param
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
-
-_SHAPE_STEMS = ("alpha", "beta", "gamma")
 
 DEFAULT_GAP_TOL = 1e-10
 DEFAULT_WIDTH_TOL = 1e-12
@@ -142,9 +140,14 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 
 def _evaluate_sample(path: ParamPath, t: float) -> ScanSample:
-    params = path.params_at(t)
+    return _sample(lambda: path.spec_at(t), t, path.params_at(t))
+
+
+def _sample(build, t: float, params: dict) -> ScanSample:
+    """Dominant labels of the spec that build() returns; a spec that cannot
+    be built or analysed gives a sample with ok False and the error text."""
     try:
-        spec = path.spec_at(t)
+        spec = build()
         points = stat.stationary_points(spec)
         orbit_labels = tuple(sorted(p.label for p in points))
     except (PolydotError, ValueError) as err:
@@ -306,7 +309,6 @@ def scan_line(
     gap_tol: float = DEFAULT_GAP_TOL,
     width_tol: float = DEFAULT_WIDTH_TOL,
     workers: int = 1,
-    refine_events: bool = True,
 ) -> ScanReport:
     """Sample the path, label every sample, refine every label change.
 
@@ -348,7 +350,7 @@ def scan_line(
                             params={"unrefined": str(err)},
                         )
                     )
-        if refine_events and s0.orbit_labels != s1.orbit_labels:
+        if s0.orbit_labels != s1.orbit_labels:
             gone = set(s0.orbit_labels) - set(s1.orbit_labels)
             new = set(s1.orbit_labels) - set(s0.orbit_labels)
             for label in sorted(gone | new):
@@ -495,21 +497,16 @@ def scan_grid(
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
 
-    def cell(i, j):
-        try:
-            s = with_param(with_param(spec, name_x, xs[i]), name_y, ys[j])
-            cands = spectra.ground_candidates(s)
-            return (spectra._lowest(cands.energies).label,
-                    spectra._lowest(cands.depths).label, "")
-        except (PolydotError, ValueError) as err:
-            return INVALID, INVALID, f"{type(err).__name__}: {err}"
-
     labels_q = np.empty((resolution, resolution), dtype=object)
     labels_c = np.empty((resolution, resolution), dtype=object)
     errors = np.empty((resolution, resolution), dtype=object)
-    for i in range(resolution):
-        for j in range(resolution):
-            labels_q[i, j], labels_c[i, j], errors[i, j] = cell(i, j)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            s = _sample(lambda: with_param(with_param(spec, name_x, x), name_y, y),
+                        math.nan, {name_x: x, name_y: y})
+            labels_q[i, j] = s.quantum_label if s.ok else INVALID
+            labels_c[i, j] = s.classical_label if s.ok else INVALID
+            errors[i, j] = s.error or ""
 
     boundaries = []
     for kind, grid in ((QUANTUM, labels_q), (CLASSICAL, labels_c)):

@@ -30,9 +30,13 @@ import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceeded
 from .potentials import PotentialSpec, evaluate, gradient, hessian
-from .stationary import StationaryPoint, classify_rows, orbit_members
+from .stationary import StationaryPoint, classify_points, orbit_members
 
 DEFAULT_BUDGET = 300_000  # grid unknowns (n^D); 64^3 fits
+_ARPACK_MAXITER = 10_000
+_LOBPCG_MAXITER = 2000
+# the lowest wall potential should lie this far above the top level found
+_WALL_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -175,24 +179,8 @@ def newton_stationary(
         fresh[i] = False
         fresh[np.max(np.abs(reps - reps[i]), axis=1) < dedup_tol] = False
 
-    reps = reps[kept]
-    # an (n, 1, D) stack gives bitwise the results of single-point calls
-    values = evaluate(spec, reps[:, None, :])[:, 0]
-    eigs = np.linalg.eigvalsh(hessian(spec, reps[:, None, :]))[:, 0]
-    out: list[StationaryPoint] = []
-    for rep, v, row, kind in zip(reps, values, eigs, classify_rows(eigs)):
-        coords = tuple(float(c) for c in rep)
-        out.append(
-            StationaryPoint(
-                location=coords,
-                subfamily="oracle",
-                value=float(v),
-                hessian_eigs=tuple(float(e) for e in row),
-                kind=kind,
-                multiplicity=2 ** sum(1 for c in coords if c > 0.0),
-                label="oracle",
-            )
-        )
+    out = classify_points(spec, [(tuple(rep.tolist()), "oracle", "oracle")
+                                 for rep in reps[kept]])
     out.sort(key=lambda p: (p.value, p.location))
     return out
 
@@ -279,21 +267,22 @@ def fd_eigensolve(
     k: int = 1,
     dim: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    maxiter: int | None = None,
-    boundary_margin: float = 10.0,
 ) -> EigenSolution:
     """Lowest k eigenpairs of -Laplacian + V on the grid.
 
-    1D/2D use ARPACK in shift-invert mode with the shift just below min V
-    (the operator spectrum is bounded below by min V, so this targets the
-    bottom).  In 3D, a V that is mirror-even on every axis (every
-    PotentialSpec) splits the operator into 2^3 parity sectors of about
-    n^3/8 unknowns each; each sector gets the same shift-invert call, and
-    a sector that cannot hold a level below the k-th found is skipped.
-    Only a 3D callable that is not mirror-even falls back to LOBPCG on the
-    whole grid with a diagonal preconditioner.  Residuals are always taken
-    against the whole-grid operator.  Non-converged solves are returned
-    flagged, not raised.
+    Each parity sector of the operator gets one ARPACK call in
+    shift-invert mode, with the shift just below min V (the operator
+    spectrum is bounded below by min V, so this targets the bottom).
+    1D/2D have one sector, the whole grid.  In 3D, a V that is
+    mirror-even on every axis (every PotentialSpec) splits the operator
+    into 2^3 sectors of about n^3/8 unknowns each; each asks for
+    min(k, unknowns - 1) pairs, and a sector that cannot hold a level
+    below the k-th found is skipped.  Only a 3D callable that is not
+    mirror-even falls back to LOBPCG on the whole grid with a diagonal
+    preconditioner.  Residuals are always taken against the whole-grid
+    operator.  ARPACK stops after 10000 iterations and LOBPCG after 2000;
+    non-converged solves are returned flagged, not raised.  A warning
+    notes a wall potential less than 10 above the top level found.
 
     Memory: the (2D+1)-point stencil holds n^D unknowns, and a 3D solve
     adds the LU factors of one sector at a time, whose fill grows faster
@@ -333,56 +322,47 @@ def fd_eigensolve(
     rng = np.random.default_rng(12345)
     shape = tuple(grid.axis_n(i) for i in range(dim))
     converged = True
-    if dim <= 2:
-        sigma = vmin - 1.0
-        try:
-            vals, vecs = spla.eigsh(
-                H, k=k, sigma=sigma, which="LM",
-                v0=rng.standard_normal(size),
-                maxiter=maxiter or 10_000,
-            )
-        except spla.ArpackNoConvergence as err:
-            vals, vecs = err.eigenvalues, err.eigenvectors
-            converged = False
-            notes.append(f"ARPACK stopped early with {len(vals)} of {k} pairs")
-    elif all(np.abs(v - np.flip(v, axis=ax)).max() <= 1e-12 * np.abs(v).max()
-             for ax in range(dim)):
-        # V is mirror-even on every axis (to rounding), so H is block
-        # diagonal in the 2^3 parity sectors; each sector is solved like
-        # 1D/2D, and any coupling left over shows in the residuals below.
-        # Making one more axis odd adds a positive semidefinite term (even
-        # n) or deletes the centre plane (odd n), so no level of a sector
-        # lies below the lowest level of a sector with one odd axis fewer.
-        # Sectors are visited by odd-axis count; one whose bound is not
-        # below the k-th lowest level found so far is not solved.
-        bases = [_mirror_bases(n) for n in shape]
+    if dim < 3 or all(np.abs(v - np.flip(v, axis=ax)).max() <= 1e-12 * np.abs(v).max()
+                      for ax in range(dim)):
+        # A 3D V mirror-even on every axis (to rounding) makes H block
+        # diagonal in the 2^3 parity sectors of the split axes; any coupling
+        # left over shows in the residuals below.  Making one more axis odd
+        # adds a positive semidefinite term (even n) or deletes the centre
+        # plane (odd n), so no level of a sector lies below the lowest
+        # level of a sector with one odd axis fewer.  Sectors are visited
+        # by odd-axis count; one whose bound is not below the k-th lowest
+        # level found so far is not solved.  1D/2D split no axis: their
+        # one sector is H itself.
+        bases = [_mirror_bases(n) for n in shape] if dim == 3 else []
         floor = {}  # lower bound on the lowest level of each sector
         found_vals, found_vecs = [], []
-        for odd in sorted(itertools.product((0, 1), repeat=3), key=sum):
-            parents = [odd[:a] + (0,) + odd[a + 1:] for a in range(3) if odd[a]]
+        for odd in sorted(itertools.product((0, 1), repeat=len(bases)), key=sum):
+            parents = [odd[:a] + (0,) + odd[a + 1:] for a in range(len(odd)) if odd[a]]
             floor[odd] = max((floor[p] for p in parents), default=-math.inf)
             found = np.sort(np.concatenate(found_vals)) if found_vals else ()
             if len(found) >= k and floor[odd] >= found[k - 1]:
                 continue
-            P = sp.kron(sp.kron(bases[0][odd[0]], bases[1][odd[1]]), bases[2][odd[2]],
-                        format="csr")
-            m = P.shape[1]
-            want = min(k, m - 1)
+            sector, P = H, None
+            if bases:
+                P = sp.kron(sp.kron(bases[0][odd[0]], bases[1][odd[1]]), bases[2][odd[2]],
+                            format="csr")
+                sector = (P.T @ H @ P).tocsc()
+            m = sector.shape[0]
+            want = min(k, m - 1) if bases else k
             try:
                 vals, vecs = spla.eigsh(
-                    (P.T @ H @ P).tocsc(), k=want, sigma=vmin - 1.0, which="LM",
-                    v0=rng.standard_normal(m),
-                    maxiter=maxiter or 10_000,
+                    sector, k=want, sigma=vmin - 1.0, which="LM",
+                    v0=rng.standard_normal(m), maxiter=_ARPACK_MAXITER,
                 )
             except spla.ArpackNoConvergence as err:
                 vals, vecs = err.eigenvalues, err.eigenvectors
                 converged = False
-                notes.append(f"ARPACK stopped early in parity sector {odd} "
-                             f"(1 = odd axis) with {len(vals)} of {want} pairs")
+                where = f" in parity sector {odd} (1 = odd axis)" if bases else ""
+                notes.append(f"ARPACK stopped early{where} with {len(vals)} of {want} pairs")
             if len(vals):
                 floor[odd] = float(np.min(vals))
             found_vals.append(vals)
-            found_vecs.append(P @ vecs)
+            found_vecs.append(vecs if P is None else P @ vecs)
         vals = np.concatenate(found_vals)
         keep = np.argsort(vals)[:k]
         vals, vecs = vals[keep], np.hstack(found_vecs)[:, keep]
@@ -393,7 +373,7 @@ def fd_eigensolve(
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             vals, vecs = spla.lobpcg(
-                H, X, M=M, tol=1e-9, maxiter=maxiter or 2000, largest=False,
+                H, X, M=M, tol=1e-9, maxiter=_LOBPCG_MAXITER, largest=False,
             )
         for item in caught:
             notes.append(f"lobpcg: {item.message}")
@@ -416,9 +396,9 @@ def fd_eigensolve(
             notes.append(f"pair {i} residual {r:.2e} above tolerance")
 
     e_top = float(vals.max()) if len(vals) else vmin
-    if boundary_min < e_top + boundary_margin:
+    if boundary_min < e_top + _WALL_MARGIN:
         notes.append(
-            f"boundary potential {boundary_min:g} is within {boundary_margin:g} "
+            f"boundary potential {boundary_min:g} is within {_WALL_MARGIN:g} "
             f"of the top computed energy {e_top:g}; enlarge the box"
         )
 

@@ -62,6 +62,19 @@ _AXIS_PAIR_KEYS = {
     "butterfly3d": (("a", "p"), ("b", "q"), ("c", "s")),
 }
 
+# per-axis (alpha^2, beta^2, gamma^2) shape keys, in the axis order of
+# _AXIS_PAIR_KEYS; the one axis of butterfly1d carries no suffix
+_SHAPE_KEYS = {
+    "butterfly1d": (("alpha_sq", "beta_sq", "gamma_sq"),),
+    "butterfly2d": (("alpha_x_sq", "beta_x_sq", "gamma_x_sq"),
+                    ("alpha_y_sq", "beta_y_sq", "gamma_y_sq")),
+    "butterfly3d": (("alpha_x_sq", "beta_x_sq", "gamma_x_sq"),
+                    ("alpha_y_sq", "beta_y_sq", "gamma_y_sq"),
+                    ("alpha_z_sq", "beta_z_sq", "gamma_z_sq")),
+}
+
+_SHAPE_STEMS = ("alpha", "beta", "gamma")
+
 _CROSS_KEYS = {"butterfly1d": (), "butterfly2d": ("u",), "butterfly3d": ("u", "v", "w")}
 
 _CONSISTENCY_TOL = 1e-9
@@ -171,15 +184,9 @@ def raw_to_shape(family: str, raw: dict) -> dict:
     if family.startswith("cusp"):
         return dict(raw)
     shape: dict = {}
-    for axis, (qk, ck) in zip(AXES, _AXIS_PAIR_KEYS[family]):
-        a, c = _axis_pair_values(family, raw, qk, ck)
-        al, be, ga = axis_shape_from_pair(a, c)
-        if family == "butterfly1d":
-            shape.update(alpha_sq=al, beta_sq=be, gamma_sq=ga)
-        else:
-            shape[f"alpha_{axis}_sq"] = al
-            shape[f"beta_{axis}_sq"] = be
-            shape[f"gamma_{axis}_sq"] = ga
+    for (ka, kb, kg), (qk, ck) in zip(_SHAPE_KEYS[family], _AXIS_PAIR_KEYS[family]):
+        shape[ka], shape[kb], shape[kg] = axis_shape_from_pair(
+            *_axis_pair_values(family, raw, qk, ck))
     for k in _CROSS_KEYS[family]:
         shape[k] = float(raw[k])
     return shape
@@ -191,17 +198,8 @@ def shape_to_raw(family: str, shape: dict) -> dict:
     if family.startswith("cusp"):
         return dict(shape)
     raw: dict = {}
-    for axis, (qk, ck) in zip(AXES, _AXIS_PAIR_KEYS[family]):
-        if family == "butterfly1d":
-            al, be, ga = _shape_triple(
-                shape.get("alpha_sq"), shape.get("beta_sq"), shape.get("gamma_sq")
-            )
-        else:
-            al, be, ga = _shape_triple(
-                shape.get(f"alpha_{axis}_sq"),
-                shape.get(f"beta_{axis}_sq"),
-                shape.get(f"gamma_{axis}_sq"),
-            )
+    for (ka, kb, kg), (qk, ck) in zip(_SHAPE_KEYS[family], _AXIS_PAIR_KEYS[family]):
+        al, be, _ga = _shape_triple(shape.get(ka), shape.get(kb), shape.get(kg))
         a, c = axis_pair_from_shape(al, be)
         if family == "butterfly1d":
             # signed coefficients of x^6 + a x^4 + c x^2
@@ -338,8 +336,7 @@ def make_spec(family: str, **params) -> PotentialSpec:
         return spec_from_raw(family, raw)
 
     raw_names = set(_RAW_KEYS[family]) - set(_CROSS_KEYS[family])
-    shape_stems = ("alpha", "beta", "gamma")
-    shape_given = [k for k in user if k.split("_")[0] in shape_stems]
+    shape_given = [k for k in user if k.split("_")[0] in _SHAPE_STEMS]
     raw_given = [k for k in user if k in raw_names]
     if shape_given and raw_given:
         raise ValueError(f"mixing raw {raw_given} and shape {shape_given} parameters")
@@ -367,22 +364,13 @@ def make_spec(family: str, **params) -> PotentialSpec:
                 return v if key.endswith("_sq") else v * v
         return None
 
-    axes = AXES[:dim] if family != "butterfly1d" else ("x",)
     shape = {}
-    for axis in axes:
-        al = pick("alpha", axis)
-        be = pick("beta", axis)
-        ga = pick("gamma", axis)
-        al, be, ga = _shape_triple(al, be, ga)
-        if family == "butterfly1d":
-            shape.update(alpha_sq=al, beta_sq=be, gamma_sq=ga)
-        else:
-            shape[f"alpha_{axis}_sq"] = al
-            shape[f"beta_{axis}_sq"] = be
-            shape[f"gamma_{axis}_sq"] = ga
+    for axis, (ka, kb, kg) in zip(AXES, _SHAPE_KEYS[family]):
+        shape[ka], shape[kb], shape[kg] = _shape_triple(
+            pick("alpha", axis), pick("beta", axis), pick("gamma", axis))
     shape.update(cross)
     for k in list(user):
-        if k.split("_")[0] in shape_stems:
+        if k.split("_")[0] in _SHAPE_STEMS:
             user.pop(k)
     if user:
         raise ValueError(f"unexpected parameters for {family}: {sorted(user)}")
@@ -441,7 +429,7 @@ def with_param(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
         return spec_from_raw(spec.family, raw)
 
     if spec.is_cusp:
-        stem_to_key = dict(zip(("alpha", "beta", "gamma"), _RAW_KEYS[spec.family]))
+        stem_to_key = dict(zip(_SHAPE_STEMS, _RAW_KEYS[spec.family]))
         if name in stem_to_key:
             raw = dict(spec.raw)
             raw[stem_to_key[name]] = value * value
@@ -449,36 +437,21 @@ def with_param(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
         raise ValueError(f"unknown parameter {name!r} for {spec.family}")
 
     stem, _, axis = name.partition("_")
-    if stem not in ("alpha", "beta", "gamma"):
+    if stem not in _SHAPE_STEMS:
         raise ValueError(f"unknown parameter {name!r} for {spec.family}")
     if spec.shape is None:
         raise NoRealShape(f"cannot vary shape parameter {name!r}: shape view undefined")
     if axis and axis not in AXES[: spec.dimension]:
         raise ValueError(f"{spec.family} has no axis {axis!r}")
-    if spec.family == "butterfly1d":
-        prefixes = ("",)
-    else:
-        prefixes = (f"{axis}_",) if axis else tuple(
-            f"{ax}_" for ax in AXES[: spec.dimension]
-        )
+    v2 = value * value
     shape = dict(spec.shape)
-    for prefix in prefixes:
-        al_key, be_key, ga_key = (
-            f"alpha_{prefix}sq", f"beta_{prefix}sq", f"gamma_{prefix}sq")
-        if stem == "alpha":
-            shape[al_key] = value * value
-            shape[ga_key] = value * value + 2.0 * shape[be_key]
-        elif stem == "beta":
-            shape[be_key] = value * value
-            shape[ga_key] = shape[al_key] + 2.0 * value * value
-        else:
-            be = 0.5 * (value * value - shape[al_key])
-            if be < 0.0:
-                raise NoRealShape(
-                    f"gamma^2 = {value * value:g} < alpha^2 = {shape[al_key]:g}"
-                )
-            shape[ga_key] = value * value
-            shape[be_key] = be
+    for ax, (ka, kb, kg) in zip(AXES, _SHAPE_KEYS[spec.family]):
+        if axis in ("", ax):
+            al, be = shape[ka], shape[kb]
+            shape[ka], shape[kb], shape[kg] = (
+                _shape_triple(v2, be) if stem == "alpha"
+                else _shape_triple(al, v2) if stem == "beta"
+                else _shape_triple(al, gamma_sq=v2))
     return spec_from_shape(spec.family, shape)
 
 
@@ -487,20 +460,23 @@ def with_param(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
 # ---------------------------------------------------------------------------
 
 def _prep_points(pts, dim):
-    arr = np.asarray(pts, dtype=float)
-    if dim == 1:
-        if arr.ndim == 0:
-            return arr.reshape(1, 1), "scalar"
-        if arr.ndim >= 2 and arr.shape[-1] == 1:
-            return arr, None
-        return arr[..., None], None
-    if arr.ndim == 0 or arr.shape[-1] != dim:
+    """Points as an (..., D) float stack, and whether pts was one point.
+
+    One point (a scalar in 1D, a (D,) vector otherwise) becomes a (1, D)
+    stack; the caller computes on it and returns row 0, so evaluate gives
+    a float, gradient a (D,) and hessian a (D, D) array.  A 1D stack may
+    omit its coordinate axis; every other stack passes through unchanged.
+    """
+    x = np.asarray(pts, dtype=float)
+    if dim == 1 and (x.ndim < 2 or x.shape[-1] != 1):
+        x = x[..., None]
+    elif x.ndim == 0 or x.shape[-1] != dim:
         raise ValueError(
-            f"dimension mismatch: expected points with last axis {dim}, got shape {arr.shape}"
+            f"dimension mismatch: expected points with last axis {dim}, got shape {x.shape}"
         )
-    if arr.ndim == 1:
-        return arr[None, :], "single"
-    return arr, None
+    if x.ndim == 1:
+        return x[None], True
+    return x, False
 
 
 def _cusp_coeffs(spec):
@@ -525,8 +501,9 @@ def _sextic_coeffs(spec):
 
 
 def evaluate(spec: PotentialSpec, pts) -> np.ndarray | float:
-    """V at the given point(s); last axis of pts indexes the coordinates."""
-    x, mode = _prep_points(pts, spec.dimension)
+    """V at the given point(s); last axis of pts indexes the coordinates.
+    One point gives a float (see :func:`_prep_points`)."""
+    x, single = _prep_points(pts, spec.dimension)
     s2 = x * x
     r2 = s2.sum(axis=-1)
     if spec.is_cusp:
@@ -536,14 +513,12 @@ def evaluate(spec: PotentialSpec, pts) -> np.ndarray | float:
         A, U, P = _sextic_coeffs(spec)
         cross = 0.5 * np.einsum("...i,ij,...j->...", s2, U, s2)
         v = r2 ** 3 - 3.0 * (s2 * s2) @ A - 3.0 * cross + 3.0 * s2 @ P
-    if mode is not None:
-        return float(v.reshape(-1)[0])
-    return v
+    return float(v[0]) if single else v
 
 
-def gradient(spec: PotentialSpec, pts) -> np.ndarray | float:
-    """Analytic gradient of V; shape = pts shape (with the point axis kept)."""
-    x, mode = _prep_points(pts, spec.dimension)
+def gradient(spec: PotentialSpec, pts) -> np.ndarray:
+    """Analytic gradient of V; appends a (D,) axis to the point batch."""
+    x, single = _prep_points(pts, spec.dimension)
     s2 = x * x
     r2 = s2.sum(axis=-1)[..., None]
     if spec.is_cusp:
@@ -553,16 +528,12 @@ def gradient(spec: PotentialSpec, pts) -> np.ndarray | float:
         A, U, P = _sextic_coeffs(spec)
         bracket = r2 * r2 - 2.0 * A * s2 - s2 @ U + P
         g = 6.0 * x * bracket
-    if mode == "scalar":
-        return float(g.reshape(-1)[0])
-    if mode == "single":
-        return g[0]
-    return g
+    return g[0] if single else g
 
 
-def hessian(spec: PotentialSpec, pts) -> np.ndarray | float:
+def hessian(spec: PotentialSpec, pts) -> np.ndarray:
     """Analytic Hessian of V; appends a (D, D) axis to the point batch."""
-    x, mode = _prep_points(pts, spec.dimension)
+    x, single = _prep_points(pts, spec.dimension)
     dim = spec.dimension
     s2 = x * x
     r2 = s2.sum(axis=-1)[..., None]
@@ -577,11 +548,7 @@ def hessian(spec: PotentialSpec, pts) -> np.ndarray | float:
         diag = 6.0 * bracket + 24.0 * s2 * (r2 - A)
         off = 12.0 * outer * (2.0 * r2[..., None] - U)
         h = off * (1.0 - eye) + eye * diag[..., None, :]
-    if mode == "scalar":
-        return float(h.reshape(-1)[0])
-    if mode == "single":
-        return h[0]
-    return h
+    return h[0] if single else h
 
 
 def characteristic_radius(spec: PotentialSpec) -> float:

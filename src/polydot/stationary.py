@@ -125,10 +125,36 @@ def classify_rows(eigs) -> list[str]:
             for d, lo, hi in zip(degenerate, minimum, maximum)]
 
 
+def classify_points(spec: PotentialSpec, reps) -> list[StationaryPoint]:
+    """A StationaryPoint for each (location, subfamily, label) triple.
+
+    Values, Hessians, their eigenvalues and the classification come from
+    one batched call each over the stack of locations.
+    """
+    # an (n, 1, D) stack sends every point through the same matmul core as a
+    # single-point call, so results are bitwise those of single-point
+    # evaluate/hessian calls; an (n, D) stack takes a BLAS gemv that rounds
+    # differently
+    locations = np.array([loc for loc, _sub, _label in reps])[:, None, :]
+    values = evaluate(spec, locations)[:, 0]
+    eigs = np.linalg.eigvalsh(hessian(spec, locations))[:, 0]
+    return [
+        StationaryPoint(
+            location=loc,
+            subfamily=subfamily,
+            value=float(value),
+            hessian_eigs=tuple(float(e) for e in row),
+            kind=kind,
+            multiplicity=2 ** sum(1 for c in loc if c > 0.0),
+            label=label,
+        )
+        for (loc, subfamily, label), value, row, kind
+        in zip(reps, values, eigs, classify_rows(eigs))
+    ]
+
+
 def gradient_at(spec, coords) -> np.ndarray:
-    if spec.dimension == 1:
-        return np.array([gradient(spec, float(coords[0]))])
-    return np.asarray(gradient(spec, tuple(coords)))
+    return gradient(spec, np.reshape(coords, (1, -1)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -146,39 +172,29 @@ def on_axis_roots(spec: PotentialSpec, axis: str) -> dict:
     names = spec.axis_names()
     if axis not in names:
         raise ValueError(f"{spec.family} has axes {names}, not {axis!r}")
-    idx = names.index(axis)
+    keys = ("x_sq",) if spec.is_cusp else ("x_minus_sq", "x_plus_sq")
+    return dict(zip(keys, (t for _suffix, t in _axis_roots(spec, names.index(axis)))))
+
+
+def _axis_roots(spec, idx):
+    """(label suffix, squared radius) of every on-axis root of axis number
+    idx, ascending: ("", alpha_j^2) for a cusp, ("_inner", a - s) and
+    ("_outer", a + s) with s = sqrt(a^2 - c) for a butterfly.  Both
+    butterfly roots are tagged "_double" when s <= 1e-12 max(1, |a|).
+    Raises NoRealShape when a^2 < c."""
     if spec.is_cusp:
-        k = float(spec.raw[potentials._RAW_KEYS[spec.family][idx]])
-        return {"x_sq": k}
+        return [("", float(spec.raw[potentials._RAW_KEYS[spec.family][idx]]))]
     a, c = axis_pairs(spec)[idx]
     disc = a * a - c
     if disc < 0.0:
         raise NoRealShape(
-            f"axis {axis}: a^2 = {a * a:g} < c = {c:g}, on-axis points complex"
+            f"axis {spec.axis_names()[idx]}: a^2 = {a * a:g} < c = {c:g}, "
+            "on-axis points complex"
         )
     root = math.sqrt(disc)
-    return {"x_minus_sq": a - root, "x_plus_sq": a + root}
-
-
-def _axis_roots_filtered(spec, idx):
-    """(label_suffix, squared_radius) pairs with positive radii only."""
-    if spec.is_cusp:
-        k = float(spec.raw[potentials._RAW_KEYS[spec.family][idx]])
-        return [("", k)] if k > _POSITIVITY_ATOL else []
-    a, c = axis_pairs(spec)[idx]
-    disc = a * a - c
-    if disc < 0.0:
-        raise NoRealShape(f"a^2 < c on axis index {idx}")
-    root = math.sqrt(disc)
-    lo, hi = a - root, a + root
     if root <= _POSITIVITY_ATOL * max(1.0, abs(a)):
-        return [("_double", hi)] if hi > _POSITIVITY_ATOL else []
-    out = []
-    if lo > _POSITIVITY_ATOL:
-        out.append(("_inner", lo))
-    if hi > _POSITIVITY_ATOL:
-        out.append(("_outer", hi))
-    return out
+        return [("_double", a - root), ("_double", a + root)]
+    return [("_inner", a - root), ("_outer", a + root)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +389,17 @@ def _representatives(spec: PotentialSpec) -> tuple[list, list]:
     warnings = []
     for idx, axis in enumerate(spec.axis_names()):
         try:
-            roots = _axis_roots_filtered(spec, idx)
+            roots = _axis_roots(spec, idx)
         except NoRealShape:
             a, c = axis_pairs(spec)[idx]
             warnings.append(
                 f"axis {axis}: no real on-axis points (a^2 = {a * a:g} < c = {c:g})"
             )
             continue
-        for suffix, t in roots:
+        # dict() keeps the outer root of a double pair under its one label
+        for suffix, t in dict(roots).items():
+            if t <= _POSITIVITY_ATOL:
+                continue
             coords = [0.0] * dim
             coords[idx] = math.sqrt(t)
             reps.append((tuple(coords), f"axis_{axis}", f"axis_{axis}{suffix}"))
@@ -405,26 +424,7 @@ def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
     are complex are skipped with a warning record rather than an error.
     """
     reps, warnings = _representatives(spec)
-    # an (n, 1, D) stack sends every point through the same matmul core as a
-    # single-point call, so results are bitwise those of single-point
-    # evaluate/hessian calls; an (n, D) stack takes a BLAS gemv that rounds
-    # differently
-    locations = np.array([loc for loc, _sub, _label in reps])[:, None, :]
-    values = evaluate(spec, locations)[:, 0]
-    eigs = np.linalg.eigvalsh(hessian(spec, locations))[:, 0]
-    points = [
-        StationaryPoint(
-            location=loc,
-            subfamily=subfamily,
-            value=float(value),
-            hessian_eigs=tuple(float(e) for e in row),
-            kind=kind,
-            multiplicity=2 ** sum(1 for c in loc if c > 0.0),
-            label=label,
-        )
-        for (loc, subfamily, label), value, row, kind
-        in zip(reps, values, eigs, classify_rows(eigs))
-    ]
+    points = classify_points(spec, reps)
     points.sort(key=lambda p: (p.value, p.label))
     return StationaryReport(points=tuple(points), warnings=tuple(warnings))
 

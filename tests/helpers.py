@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: parameter draws, a hypothesis
 strategy over all families, a call counter, the loop reference of the
-Newton oracle, the bisection references of scan refinement and the
-whole-grid LOBPCG reference of the 3D eigensolve."""
+Newton oracle, the bisection references of scan refinement, the
+whole-grid LOBPCG reference of the 3D eigensolve, and the per-axis
+references of parameter overrides and raster cells."""
 
 import math
 import sys
@@ -12,8 +13,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
-from polydot import catastrophe, oracle, potentials
-from polydot.errors import SplitBracket
+from polydot import catastrophe, oracle, potentials, spectra
+from polydot.errors import NoRealShape, PolydotError, SplitBracket
 from polydot.stationary import StationaryPoint, classify
 
 
@@ -206,8 +207,8 @@ def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6):
             continue
         taken.append(rep)
         coords = tuple(float(c) for c in rep)
-        h = hessian(spec, coords) if dim > 1 else np.array([[hessian(spec, coords[0])]])
-        eigs = np.linalg.eigvalsh(np.asarray(h))
+        h = np.reshape(hessian(spec, coords if dim > 1 else coords[0]), (dim, dim))
+        eigs = np.linalg.eigvalsh(h)
         v = potentials.evaluate(spec, coords if dim > 1 else coords[0])
         out.append(
             StationaryPoint(
@@ -368,3 +369,83 @@ def fd_eigensolve_lobpcg_reference(spec_or_callable, grid, k, dim=3, maxiter=200
     residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
     converged = bool(np.all(residuals <= 1e-8 * np.abs(vals) + 1e-10))
     return vals, residuals, converged
+
+
+def with_param_reference(spec, name, value):
+    """potentials.with_param with the shape algebra written out per axis:
+    raw names move in raw space, cusp stems set the squared axis constant,
+    and a butterfly stem sets its squared value on one axis (suffixed name)
+    or on every axis, recomputing gamma^2 = alpha^2 + 2 beta^2 or, when
+    gamma is set, beta^2 = (gamma^2 - alpha^2)/2."""
+    value = float(value)
+    if name in potentials._RAW_KEYS[spec.family]:
+        raw = dict(spec.raw)
+        raw[name] = value
+        return potentials.spec_from_raw(spec.family, raw)
+
+    if spec.is_cusp:
+        stem_to_key = dict(zip(("alpha", "beta", "gamma"), potentials._RAW_KEYS[spec.family]))
+        if name in stem_to_key:
+            raw = dict(spec.raw)
+            raw[stem_to_key[name]] = value * value
+            return potentials.spec_from_raw(spec.family, raw)
+        raise ValueError(f"unknown parameter {name!r} for {spec.family}")
+
+    stem, _, axis = name.partition("_")
+    if stem not in ("alpha", "beta", "gamma"):
+        raise ValueError(f"unknown parameter {name!r} for {spec.family}")
+    if spec.shape is None:
+        raise NoRealShape(f"cannot vary shape parameter {name!r}: shape view undefined")
+    if axis and axis not in potentials.AXES[: spec.dimension]:
+        raise ValueError(f"{spec.family} has no axis {axis!r}")
+    if spec.family == "butterfly1d":
+        prefixes = ("",)
+    else:
+        prefixes = (f"{axis}_",) if axis else tuple(
+            f"{ax}_" for ax in potentials.AXES[: spec.dimension]
+        )
+    shape = dict(spec.shape)
+    for prefix in prefixes:
+        al_key, be_key, ga_key = (
+            f"alpha_{prefix}sq", f"beta_{prefix}sq", f"gamma_{prefix}sq")
+        if stem == "alpha":
+            shape[al_key] = value * value
+            shape[ga_key] = value * value + 2.0 * shape[be_key]
+        elif stem == "beta":
+            shape[be_key] = value * value
+            shape[ga_key] = shape[al_key] + 2.0 * value * value
+        else:
+            be = 0.5 * (value * value - shape[al_key])
+            if be < 0.0:
+                raise NoRealShape(
+                    f"gamma^2 = {value * value:g} < alpha^2 = {shape[al_key]:g}"
+                )
+            shape[ga_key] = value * value
+            shape[be_key] = be
+    return potentials.spec_from_shape(spec.family, shape)
+
+
+def scan_grid_cells_reference(spec, vary_x, vary_y, resolution):
+    """(labels_quantum, labels_classical, errors) of catastrophe.scan_grid,
+    one cell at a time: the dominant quantum and classical labels of the
+    spec at (x, y), or "<invalid>" twice and the error text when building
+    or analysing that spec fails."""
+    name_x, x_lo, x_hi = vary_x
+    name_y, y_lo, y_hi = vary_y
+    xs = np.linspace(x_lo, x_hi, resolution)
+    ys = np.linspace(y_lo, y_hi, resolution)
+    out = [np.empty((resolution, resolution), dtype=object) for _ in range(3)]
+    for i in range(resolution):
+        for j in range(resolution):
+            try:
+                s = potentials.with_param(
+                    potentials.with_param(spec, name_x, xs[i]), name_y, ys[j])
+                cands = spectra.ground_candidates(s)
+                cell = (spectra._lowest(cands.energies).label,
+                        spectra._lowest(cands.depths).label, "")
+            except (PolydotError, ValueError) as err:
+                cell = (catastrophe.INVALID, catastrophe.INVALID,
+                        f"{type(err).__name__}: {err}")
+            for grid, entry in zip(out, cell):
+                grid[i, j] = entry
+    return tuple(out)

@@ -21,7 +21,7 @@ from polydot.errors import SplitBracket
 from polydot.potentials import make_spec
 from polydot.verify import bisect_small_coupling_threshold, corpus_specs
 
-from helpers import count_calls, scan_line_reference
+from helpers import count_calls, scan_grid_cells_reference, scan_line_reference
 
 
 def butterfly_path(beta=2.0, lo=1.5, hi=2.2, steps=71):
@@ -66,8 +66,7 @@ def test_cusp_sweep_has_no_boundary():
 def test_scan_records_invalid_samples_not_fatal():
     # gamma dips below alpha along the path: NoRealShape samples recorded
     base = make_spec("butterfly1d", alpha=1.5, beta=1.0)
-    rep = scan_line(ParamPath(spec=base, varied=(("gamma", 2.5, 1.2),), steps=21),
-                    refine_events=False)
+    rep = scan_line(ParamPath(spec=base, varied=(("gamma", 2.5, 1.2),), steps=21))
     bad = [s for s in rep.samples if not s.ok]
     assert bad and all("NoRealShape" in s.error for s in bad)
     good = [s for s in rep.samples if s.ok]
@@ -221,8 +220,7 @@ def test_raster_line_slice_agreement():
     j = 7
     line = scan_line(
         ParamPath(spec=make_spec("butterfly1d", alpha=0.6, beta=float(dmap.ys[j])),
-                  varied=(("alpha", 0.6, 2.4),), steps=res),
-        refine_events=False)
+                  varied=(("alpha", 0.6, 2.4),), steps=res))
     assert [s.quantum_label for s in line.samples] == \
         [dmap.labels_quantum[i, j] for i in range(res)]
 
@@ -390,3 +388,17 @@ def test_exchange_without_common_wells_stays_unrefined():
     assert {b.kind for b in rep.boundaries} == {QUANTUM, CLASSICAL}
     for b in rep.boundaries:
         assert b.params == {"unrefined": "gap undefined inside the bracket (no common wells)"}
+
+
+@pytest.mark.parametrize("vary_x, vary_y, resolution", [
+    (("alpha", 0.5, 2.5), ("beta", 0.5, 2.5), 41),  # the README raster
+    (("alpha", 0.5, 2.0), ("gamma", 0.8, 2.5), 17),  # gamma < alpha in a corner
+], ids=["readme", "gamma_below_alpha"])
+def test_scan_grid_cells_match_reference(vary_x, vary_y, resolution):
+    spec = make_spec("butterfly1d", alpha=1.0, beta=1.0)
+    dmap = scan_grid(spec, vary_x, vary_y, resolution=resolution, workers=1)
+    ref = scan_grid_cells_reference(spec, vary_x, vary_y, resolution)
+    for got, want in zip((dmap.labels_quantum, dmap.labels_classical, dmap.errors), ref):
+        assert got.tolist() == want.tolist()
+    if vary_y[0] == "gamma":
+        assert any(e.startswith("NoRealShape") for e in dmap.errors.ravel())

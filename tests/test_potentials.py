@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polydot import potentials
-from polydot.errors import NoRealShape
+from polydot.errors import NoRealShape, PolydotError
 from polydot.potentials import (
     evaluate,
     gradient,
@@ -19,7 +21,7 @@ from polydot.potentials import (
     with_param,
 )
 
-from helpers import DRAWERS, random_points
+from helpers import DRAWERS, any_family_spec, random_points, with_param_reference
 
 
 def _ev(spec, x):
@@ -185,6 +187,45 @@ def test_batched_evaluation_shapes():
     assert hessian(spec, pts).shape == (4, 5, 2, 2)
 
 
+# form -> batch shape of the results; () is one point, a scalar in 1D, and
+# (n, D) is (n, 1) in 1D
+_POINT_FORMS = {"single": (), "(n, D)": (5,), "(a, b, D)": (3, 4), "(n,) 1D": (5,)}
+
+
+def _points_of_form(form, dim, rng):
+    if form == "single":
+        return float(rng.uniform(-1.5, 1.5)) if dim == 1 else rng.uniform(-1.5, 1.5, dim)
+    if form == "(n,) 1D":
+        return rng.uniform(-1.5, 1.5, 5)
+    return rng.uniform(-1.5, 1.5, _POINT_FORMS[form] + (dim,))
+
+
+@pytest.mark.parametrize("family", sorted(DRAWERS))
+def test_point_contract_table(family):
+    """evaluate/gradient/hessian keep the batch shape of a stack and drop
+    it for one point; a single point is bitwise row 0 of its (1, D) stack."""
+    rng = np.random.default_rng(31)
+    spec = DRAWERS[family](rng)
+    dim = spec.dimension
+    for form, batch in _POINT_FORMS.items():
+        if form == "(n,) 1D" and dim != 1:
+            continue
+        pts = _points_of_form(form, dim, rng)
+        v, g, h = (fn(spec, pts) for fn in (evaluate, gradient, hessian))
+        if batch == ():
+            assert type(v) is float, form
+        else:
+            assert isinstance(v, np.ndarray) and v.shape == batch, form
+        for arr, shape in ((g, batch + (dim,)), (h, batch + (dim, dim))):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64, form
+            assert arr.shape == shape, form
+        if batch == ():
+            stack = np.reshape(pts, (1, dim))
+            assert v == evaluate(spec, stack)[0]
+            assert np.array_equal(g, gradient(spec, stack)[0])
+            assert np.array_equal(h, hessian(spec, stack)[0])
+
+
 def test_dimension_mismatch_rejected():
     spec = make_spec("cusp2d", alpha=1.4, beta=1.0)
     with pytest.raises(ValueError, match="dimension"):
@@ -319,3 +360,30 @@ def test_with_param_gamma_below_alpha_is_no_real_shape():
     spec = make_spec("butterfly1d", alpha=1.5, beta=1.0)
     with pytest.raises(NoRealShape):
         with_param(spec, "gamma", 1.0)
+
+
+# every name with_param may be given: raw keys of all families, cusp stems,
+# butterfly stems bare and axis-suffixed, and names no family accepts
+_PARAM_NAMES = (
+    "a", "b", "c", "d", "u", "v", "w", "p", "q", "s", "alpha_sq", "beta_sq", "gamma_sq",
+    "alpha", "beta", "gamma",
+    *(f"{stem}_{axis}" for stem in ("alpha", "beta", "gamma") for axis in "xyz"),
+    "delta", "alpha_w", "gamma_x_sq",
+)
+
+
+def _outcome(fn, spec, name, value):
+    try:
+        return repr(fn(spec, name, value))
+    except (PolydotError, ValueError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(any_family_spec(), st.floats(-3.0, 3.0))
+@example(make_spec("butterfly1d", alpha=1.5, beta=1.0), 1.0)  # gamma < alpha
+@example(make_spec("butterfly3d", alpha=1.2, beta=0.7), 0.5)
+def test_with_param_matches_reference_drawn(spec, value):
+    for name in _PARAM_NAMES:
+        assert (_outcome(with_param, spec, name, value)
+                == _outcome(with_param_reference, spec, name, value)), name
