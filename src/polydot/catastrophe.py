@@ -7,12 +7,16 @@ dominant well changes.  Two kinds are tracked side by side:
 * quantum   - the lowest harmonic ground candidate (value plus zero-point
   energy) changes.
 
-Scans sample a line or raster in parameter space, label every sample by its
-dominant well under both definitions, and refine each label change by
-Illinois false position on the signed candidate gap, started from the probe
-interval where the gap changes sign.  Appearances/disappearances of whole
-stationary orbits along a line are refined by bisection on orbit presence,
-read from the root formulas alone, and reported as events.
+Scans sample a line or raster in parameter space and label every sample by
+its dominant well under both definitions.  Each sample's spec and orbit
+representatives come from the root formulas one at a time; values,
+Hessians, eigenvalues, ground candidates and labels are then computed for
+all samples of a line, or all cells of a raster, as one stack.  Each label
+change is refined by Illinois false position on the signed candidate gap,
+started from the probe interval where the gap changes sign; each probe is
+the one-sample case of the same evaluation.  Appearances/disappearances of
+whole stationary orbits along a line are refined by bisection on orbit
+presence, read from the root formulas alone, and reported as events.
 """
 
 from __future__ import annotations
@@ -139,29 +143,66 @@ class ScanReport:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _evaluate_sample(path: ParamPath, t: float) -> ScanSample:
-    return _sample(lambda: path.spec_at(t), t, path.params_at(t))
-
-
-def _sample(build, t: float, params: dict) -> ScanSample:
-    """Dominant labels of the spec that build() returns; a spec that cannot
-    be built or analysed gives a sample with ok False and the error text."""
+def _prepare(build):
+    """(spec, orbit representatives, None) of the spec that build() returns,
+    or (None, None, error text) when it cannot be built or enumerated."""
     try:
         spec = build()
-        points = stat.stationary_points(spec)
-        orbit_labels = tuple(sorted(p.label for p in points))
+        return spec, stat._representatives(spec)[0], None
     except (PolydotError, ValueError) as err:
-        return ScanSample(t, params, False, f"{type(err).__name__}: {err}",
-                          None, None, {}, {}, ())
-    try:
-        cands = spectra.ground_candidates(spec, stationary=points)
-    except NoMinimum as err:
-        return ScanSample(t, params, False, f"NoMinimum: {err}",
-                          None, None, {}, {}, orbit_labels)
-    energies = cands.energies
-    depths = cands.depths
-    return ScanSample(t, params, True, None, spectra._lowest(energies).label,
-                      spectra._lowest(depths).label, energies, depths, orbit_labels)
+        return None, None, f"{type(err).__name__}: {err}"
+
+
+def _sample(prepared) -> list[tuple]:
+    """Dominant labels of prepared samples (see :func:`_prepare`), all
+    evaluated as one stack.
+
+    Values, Hessians, eigenvalues and kinds of every representative of
+    every sample come from one :func:`stationary.classify_points` call, and
+    ground candidates and depths from one candidate step.  Returns per
+    sample the ScanSample fields after t and params: (ok, error,
+    quantum_label, classical_label, candidates, depths, orbit_labels).
+    """
+    live = [(spec, reps) for spec, reps, error in prepared if error is None]
+    tables = iter(())
+    if live:
+        specs, reps = zip(*live)
+        try:
+            values, eigs, kinds = stat.classify_points(specs, reps)
+        except np.linalg.LinAlgError as err:
+            if len(prepared) > 1:  # find the sample at fault
+                return [_sample([p])[0] for p in prepared]
+            return [_failed(f"{type(err).__name__}: {err}")]
+        labels = [label for r in reps for _loc, _sub, label in r]
+        counts = [len(r) for r in reps]
+        # each sample's points in (value, label) order, as enumerate_stationary sorts
+        order = np.lexsort((labels, values, np.repeat(np.arange(len(reps)), counts)))
+        tables = iter(spectra._candidate_tables(
+            specs[0].family, [labels[i] for i in order], values[order], eigs[order],
+            [kinds[i] for i in order], counts))
+    out = []
+    for _spec, reps, error in prepared:
+        if error is not None:
+            out.append(_failed(error))
+            continue
+        orbit_labels = tuple(sorted(label for _loc, _sub, label in reps))
+        table = next(tables)
+        if isinstance(table, NoMinimum):
+            out.append(_failed(f"NoMinimum: {table}", orbit_labels))
+            continue
+        _kept, energies, depths, _warnings = table
+        out.append((True, None, spectra._lowest_label(energies),
+                    spectra._lowest_label(depths), energies, depths, orbit_labels))
+    return out
+
+
+def _failed(error: str, orbit_labels: tuple = ()) -> tuple:
+    return (False, error, None, None, {}, {}, orbit_labels)
+
+
+def _evaluate_sample(path: ParamPath, t: float) -> ScanSample:
+    """One sample of the path: the one-sample case of :func:`_sample`."""
+    return ScanSample(t, path.params_at(t), *_sample([_prepare(lambda: path.spec_at(t))])[0])
 
 
 def _gap(sample: ScanSample, kind: str, pair) -> float:
@@ -314,18 +355,22 @@ def scan_line(
 
     Invalid samples (shape constraint violations, no minimum, degenerate
     couplings) are recorded per sample, excluded from bracketing, and never
-    fatal.  Samples are evaluated serially in parameter order; workers is
-    accepted for compatibility and does not change the result.  An
-    interrupt (Ctrl-C) during sampling yields a partial report marked in the
-    header instead of an exception.
+    fatal.  The specs of the samples are built in parameter order, then all
+    samples are evaluated as one stack; workers is accepted for
+    compatibility and does not change the result.  An interrupt (Ctrl-C)
+    while the specs are built yields a partial report of the samples built
+    so far, marked in the header, instead of an exception.
     """
-    samples = []
+    ts = np.linspace(0.0, 1.0, path.steps)
+    prepared = []
     partial = False
     try:
-        for t in np.linspace(0.0, 1.0, path.steps):
-            samples.append(_evaluate_sample(path, t))
+        for t in ts:
+            prepared.append(_prepare(lambda: path.spec_at(t)))
     except KeyboardInterrupt:
         partial = True
+    samples = [ScanSample(t, path.params_at(t), *row)
+               for t, row in zip(ts, _sample(prepared))]
 
     boundaries = []
     events = []
@@ -488,8 +533,9 @@ def scan_grid(
     """Raster of quantum and classical dominant labels over two parameters,
     with marching-squares polylines along every label's region boundary.
     Per-cell failures are recorded as the distinguished label "<invalid>".
-    Cells are evaluated serially; workers is accepted for compatibility and
-    does not change the result."""
+    The cells' specs are built one at a time and all cells are evaluated
+    as one stack; workers is accepted for compatibility and does not change
+    the result."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     name_x, x_lo, x_hi = vary_x
@@ -497,16 +543,15 @@ def scan_grid(
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
 
-    labels_q = np.empty((resolution, resolution), dtype=object)
-    labels_c = np.empty((resolution, resolution), dtype=object)
-    errors = np.empty((resolution, resolution), dtype=object)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            s = _sample(lambda: with_param(with_param(spec, name_x, x), name_y, y),
-                        math.nan, {name_x: x, name_y: y})
-            labels_q[i, j] = s.quantum_label if s.ok else INVALID
-            labels_c[i, j] = s.classical_label if s.ok else INVALID
-            errors[i, j] = s.error or ""
+    rows = _sample([_prepare(lambda: with_param(with_param(spec, name_x, x), name_y, y))
+                    for x in xs for y in ys])
+    labels_q, labels_c, errors = (np.empty((resolution, resolution), dtype=object)
+                                  for _ in range(3))
+    for cell, (ok, error, quantum, classical, *_tables) in enumerate(rows):
+        i, j = divmod(cell, resolution)
+        labels_q[i, j] = quantum if ok else INVALID
+        labels_c[i, j] = classical if ok else INVALID
+        errors[i, j] = error or ""
 
     boundaries = []
     for kind, grid in ((QUANTUM, labels_q), (CLASSICAL, labels_c)):

@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceeded
 from .potentials import PotentialSpec, evaluate, gradient, hessian
-from .stationary import StationaryPoint, classify_points, orbit_members
+from .stationary import StationaryPoint, classify_points, orbit_members, point_list
 
 DEFAULT_BUDGET = 300_000  # grid unknowns (n^D); 64^3 fits
 _ARPACK_MAXITER = 10_000
@@ -179,8 +179,8 @@ def newton_stationary(
         fresh[i] = False
         fresh[np.max(np.abs(reps - reps[i]), axis=1) < dedup_tol] = False
 
-    out = classify_points(spec, [(tuple(rep.tolist()), "oracle", "oracle")
-                                 for rep in reps[kept]])
+    reps = [(tuple(rep.tolist()), "oracle", "oracle") for rep in reps[kept]]
+    out = point_list(reps, *classify_points([spec], [reps]))
     out.sort(key=lambda p: (p.value, p.location))
     return out
 
@@ -277,12 +277,14 @@ def fd_eigensolve(
     mirror-even on every axis (every PotentialSpec) splits the operator
     into 2^3 sectors of about n^3/8 unknowns each; each asks for
     min(k, unknowns - 1) pairs, and a sector that cannot hold a level
-    below the k-th found is skipped.  Only a 3D callable that is not
-    mirror-even falls back to LOBPCG on the whole grid with a diagonal
-    preconditioner.  Residuals are always taken against the whole-grid
-    operator.  ARPACK stops after 10000 iterations and LOBPCG after 2000;
-    non-converged solves are returned flagged, not raised.  A warning
-    notes a wall potential less than 10 above the top level found.
+    below the k-th found is skipped.  A k above what the sectors can
+    return (unknowns - 1 in 1D/2D, unknowns - 8 in 3D) raises ValueError
+    before any solve.  Only a 3D callable that is not mirror-even falls
+    back to LOBPCG on the whole grid with a diagonal preconditioner.
+    Residuals are always taken against the whole-grid operator.  ARPACK
+    stops after 10000 iterations and LOBPCG after 2000; non-converged
+    solves are returned flagged, not raised.  A warning notes a wall
+    potential less than 10 above the top level found.
 
     Memory: the (2D+1)-point stencil holds n^D unknowns, and a 3D solve
     adds the LU factors of one sector at a time, whose fill grows faster
@@ -302,6 +304,12 @@ def fd_eigensolve(
                 f"eigensolver grids need at least 16 points per axis, got {grid.axis_n(i)}"
             )
     size = grid.size(dim)
+    # ARPACK returns at most unknowns - 1 pairs of each sector
+    pairs = size - (8 if dim == 3 else 1)
+    if k > pairs:
+        raise ValueError(
+            f"k = {k} exceeds the {pairs} pairs a {dim}D solve on {size} unknowns returns"
+        )
     if size > budget:
         raise BudgetExceeded(
             f"grid has {size} unknowns > budget {budget}; "

@@ -27,6 +27,7 @@ a_j^2 >= c_j > 0, see :class:`~polydot.errors.NoRealShape`).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -479,82 +480,116 @@ def _prep_points(pts, dim):
     return x, False
 
 
-def _cusp_coeffs(spec):
-    return np.array([spec.raw[k] for k in _RAW_KEYS[spec.family]])
+# (i, j) of each cross coupling in the coupling matrix, in _CROSS_KEYS order
+_CROSS_INDEX = {"butterfly1d": (), "butterfly2d": ((0, 1),),
+                "butterfly3d": ((0, 1), (0, 2), (1, 2))}
 
 
-def _sextic_coeffs(spec):
-    """(A, U, P) with V = r^6 - 3 sum A_j x_j^4 - 3 sum_{i<j} U_ij x_i^2 x_j^2
-    + 3 sum P_j x_j^2."""
-    dim = spec.dimension
-    pairs = axis_pairs(spec)
-    A = np.array([p[0] for p in pairs])
-    P = np.array([p[1] for p in pairs])
-    U = np.zeros((dim, dim))
-    if spec.family == "butterfly2d":
-        U[0, 1] = U[1, 0] = spec.raw["u"]
-    elif spec.family == "butterfly3d":
-        U[0, 1] = U[1, 0] = spec.raw["u"]
-        U[0, 2] = U[2, 0] = spec.raw["v"]
-        U[1, 2] = U[2, 1] = spec.raw["w"]
-    return A, U, P
+def _coefficients(specs) -> tuple:
+    """Coefficient arrays of specs of one family, one row per spec.
+
+    A cusp gives (k,) with k of shape (S, D), V = r^4 - 2 sum_j k_j x_j^2.
+    A butterfly gives (A, U, P) with A, P of shape (S, D) and U of shape
+    (S, D, D), V = r^6 - 3 sum_j A_j x_j^4 - 3 sum_{i<j} U_ij x_i^2 x_j^2
+    + 3 sum_j P_j x_j^2.
+    """
+    family = specs[0].family
+    if family.startswith("cusp"):
+        return (np.array([[s.raw[k] for k in _RAW_KEYS[family]] for s in specs]),)
+    pairs = np.array([axis_pairs(s) for s in specs])
+    dim = pairs.shape[1]
+    U = np.zeros((len(specs), dim, dim))
+    for key, (i, j) in zip(_CROSS_KEYS[family], _CROSS_INDEX[family]):
+        U[:, i, j] = U[:, j, i] = [s.raw[key] for s in specs]
+    return pairs[..., 0], U, pairs[..., 1]
+
+
+def _shared(spec) -> tuple:
+    """Coefficient arrays of one spec, shared by every point of a stack."""
+    return tuple(c[0] for c in _coefficients([spec]))
+
+
+def _dot(s, c):
+    """s @ c over the coordinate axis.  Shared coefficients ((D,) or
+    (D, D)) take one product for the whole stack; per-point coefficients
+    ((n, 1, D) or (n, 1, D, D), for an (n, 1, D) stack) take one (1, D)
+    product per point, the product of a single-point call."""
+    if c.ndim <= 2:
+        return s @ c
+    if c.ndim == s.ndim:
+        return (s[..., None, :] @ c[..., None])[..., 0, 0]
+    return (s[..., None, :] @ c)[..., 0, :]
+
+
+# The evaluation core.  coeffs is the tuple of _coefficients, shared by
+# every point ((D,) and (D, D) arrays) or per point, with the leading axes
+# of the point stack.  Scalars multiply before a product, as in
+# (3.0 * (s2 * s2)) @ A; scaling the product instead rounds differently.
+
+def _value(x, coeffs):
+    s2 = x * x
+    r2 = s2.sum(axis=-1)
+    if len(coeffs) == 1:
+        return r2 * r2 - 2.0 * _dot(s2, coeffs[0])
+    A, U, P = coeffs
+    # sum_ij s_i U_ij s_j in the order einsum("...i,ij,...j") adds, i-major;
+    # the zero diagonal adds nothing
+    cross = 0.0
+    for i, j in itertools.permutations(range(x.shape[-1]), 2):
+        cross = cross + (s2[..., i] * U[..., i, j]) * s2[..., j]
+    return (r2 ** 3 - _dot(3.0 * (s2 * s2), A) - 3.0 * (0.5 * cross)
+            + _dot(3.0 * s2, P))
+
+
+def _gradient(x, coeffs):
+    s2 = x * x
+    r2 = s2.sum(axis=-1)[..., None]
+    if len(coeffs) == 1:
+        return 4.0 * x * (r2 - coeffs[0])
+    A, U, P = coeffs
+    return 6.0 * x * (r2 * r2 - 2.0 * A * s2 - _dot(s2, U) + P)
+
+
+def _hessian(x, coeffs):
+    s2 = x * x
+    r2 = s2.sum(axis=-1)[..., None]
+    outer = x[..., :, None] * x[..., None, :]
+    eye = np.eye(x.shape[-1])
+    if len(coeffs) == 1:
+        return 8.0 * outer + eye * (4.0 * (r2 - coeffs[0]))[..., None, :]
+    A, U, P = coeffs
+    bracket = r2 * r2 - 2.0 * A * s2 - _dot(s2, U) + P
+    diag = 6.0 * bracket + 24.0 * s2 * (r2 - A)
+    off = 12.0 * outer * (2.0 * r2[..., None] - U)
+    return off * (1.0 - eye) + eye * diag[..., None, :]
 
 
 def evaluate(spec: PotentialSpec, pts) -> np.ndarray | float:
     """V at the given point(s); last axis of pts indexes the coordinates.
     One point gives a float (see :func:`_prep_points`)."""
     x, single = _prep_points(pts, spec.dimension)
-    s2 = x * x
-    r2 = s2.sum(axis=-1)
-    if spec.is_cusp:
-        k = _cusp_coeffs(spec)
-        v = r2 * r2 - 2.0 * (s2 @ k)
-    else:
-        A, U, P = _sextic_coeffs(spec)
-        cross = 0.5 * np.einsum("...i,ij,...j->...", s2, U, s2)
-        v = r2 ** 3 - 3.0 * (s2 * s2) @ A - 3.0 * cross + 3.0 * s2 @ P
+    v = _value(x, _shared(spec))
     return float(v[0]) if single else v
 
 
 def gradient(spec: PotentialSpec, pts) -> np.ndarray:
     """Analytic gradient of V; appends a (D,) axis to the point batch."""
     x, single = _prep_points(pts, spec.dimension)
-    s2 = x * x
-    r2 = s2.sum(axis=-1)[..., None]
-    if spec.is_cusp:
-        k = _cusp_coeffs(spec)
-        g = 4.0 * x * (r2 - k)
-    else:
-        A, U, P = _sextic_coeffs(spec)
-        bracket = r2 * r2 - 2.0 * A * s2 - s2 @ U + P
-        g = 6.0 * x * bracket
+    g = _gradient(x, _shared(spec))
     return g[0] if single else g
 
 
 def hessian(spec: PotentialSpec, pts) -> np.ndarray:
     """Analytic Hessian of V; appends a (D, D) axis to the point batch."""
     x, single = _prep_points(pts, spec.dimension)
-    dim = spec.dimension
-    s2 = x * x
-    r2 = s2.sum(axis=-1)[..., None]
-    outer = x[..., :, None] * x[..., None, :]
-    eye = np.eye(dim)
-    if spec.is_cusp:
-        k = _cusp_coeffs(spec)
-        h = 8.0 * outer + eye * (4.0 * (r2 - k))[..., None, :]
-    else:
-        A, U, P = _sextic_coeffs(spec)
-        bracket = r2 * r2 - 2.0 * A * s2 - s2 @ U + P
-        diag = 6.0 * bracket + 24.0 * s2 * (r2 - A)
-        off = 12.0 * outer * (2.0 * r2[..., None] - U)
-        h = off * (1.0 - eye) + eye * diag[..., None, :]
+    h = _hessian(x, _shared(spec))
     return h[0] if single else h
 
 
 def characteristic_radius(spec: PotentialSpec) -> float:
     """Largest on-axis stationary radius scale; used for default grids."""
     if spec.is_cusp:
-        k = max(_cusp_coeffs(spec).max(), 0.0)
+        k = max(max(spec.raw.values()), 0.0)
         return math.sqrt(k) if k > 0 else 1.0
     best = 0.0
     for a, c in axis_pairs(spec):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateWell, NoMinimum
 from .potentials import PotentialSpec
-from .stationary import MINIMUM, StationaryPoint, enumerate_stationary
+from .stationary import DEGENERATE, MINIMUM, StationaryPoint, enumerate_stationary
 
 _DEGENERATE_REL_TOL = 1e-9
 _TIE_REL_TOL = 1e-12
@@ -43,7 +43,7 @@ class HarmonicWell:
 
     @property
     def ground_estimate(self) -> float:
-        return self.v0 + sum(self.frequencies)
+        return self.v0 + float(_zero_point(self.frequencies))
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,33 @@ class DominantMinimum:
     tied: tuple[str, ...]
 
 
+def _frequencies(h) -> np.ndarray:
+    """Mode frequencies omega_i = sqrt(h_i / 2) of stiffnesses h."""
+    return np.sqrt(np.asarray(h, dtype=float) / 2.0)
+
+
+def _zero_point(omegas) -> np.ndarray:
+    """Zero-point energy sum_i omega_i over the last axis, added left to
+    right from 0.0 as the built-in sum() does."""
+    omegas = np.asarray(omegas, dtype=float)
+    total = np.zeros(omegas.shape[:-1])
+    for i in range(omegas.shape[-1]):
+        total = total + omegas[..., i]
+    return total
+
+
+def _flat(h) -> np.ndarray:
+    """Rows of stiffnesses with one at or below 1e-9 times the row's
+    largest magnitude (a vanishing stiffness)."""
+    h = np.asarray(h, dtype=float)
+    tol = _DEGENERATE_REL_TOL * np.abs(h).max(axis=-1, initial=0.0)
+    return (h <= tol[..., None]).any(axis=-1)
+
+
+def _flat_text(label, h) -> str:
+    return f"well {label} has a vanishing stiffness (eigs {list(h)})"
+
+
 def harmonic_expand(
     spec: PotentialSpec,
     minimum: StationaryPoint,
@@ -91,12 +118,9 @@ def harmonic_expand(
     """
     if minimum.kind != MINIMUM:
         raise ValueError(f"harmonic_expand needs a minimum, got {minimum.kind}")
-    h = np.asarray(minimum.hessian_eigs, dtype=float)
-    tol = _DEGENERATE_REL_TOL * float(np.max(np.abs(h))) if h.size else 0.0
-    if np.any(h <= tol):
-        raise DegenerateWell(
-            f"well {minimum.label} has a vanishing stiffness (eigs {h.tolist()})"
-        )
+    h = minimum.hessian_eigs
+    if _flat(h):
+        raise DegenerateWell(_flat_text(minimum.label, h))
     if stationary is None:
         stationary = list(enumerate_stationary(spec).points)
     barriers = [
@@ -108,7 +132,7 @@ def harmonic_expand(
         minimum=minimum,
         v0=minimum.value,
         stiffnesses=tuple(float(e) for e in h),
-        frequencies=tuple(math.sqrt(float(e) / 2.0) for e in h),
+        frequencies=tuple(_frequencies(h).tolist()),
         confinement_margin=margin,
     )
 
@@ -136,6 +160,46 @@ def levels(well: HarmonicWell, e_max: float) -> list[LevelEstimate]:
     return out
 
 
+def _candidate_tables(family, labels, values, eigs, kinds, counts) -> list:
+    """The candidate step over many enumerations of one family.
+
+    The enumerations are stacked: counts[i] consecutive entries of labels,
+    values (N,), eigs (N, D) and kinds belong to enumeration i.  Each
+    minimum orbit gets the ground candidate v0 + sum_i sqrt(h_i / 2);
+    degenerate (flat-direction) minima are skipped with a warning record.
+    Returns per enumeration (kept, energies, depths, warnings): the stack
+    indices of the minima kept, and the label -> candidate and label -> v0
+    tables in stack order.  An enumeration without a candidate gives the
+    NoMinimum error instead.
+    """
+    with np.errstate(invalid="ignore"):  # saddles and maxima: no frequencies
+        energies = (values + _zero_point(_frequencies(eigs))).tolist()
+    depths = values.tolist()
+    flat = _flat(eigs).tolist()
+    out = []
+    stop = 0
+    for count in counts:
+        start, stop = stop, stop + count
+        kept, table_e, table_v, warnings = [], {}, {}, []
+        for i in range(start, stop):
+            if kinds[i] != MINIMUM:
+                continue
+            if flat[i]:
+                warnings.append(_flat_text(labels[i], eigs[i].tolist()))
+            else:
+                kept.append(i)
+                table_e[labels[i]] = energies[i]
+                table_v[labels[i]] = depths[i]
+        warnings += [
+            f"degenerate stationary orbit {labels[i]} (flat direction); "
+            "no harmonic candidate attached"
+            for i in range(start, stop) if kinds[i] == DEGENERATE
+        ]
+        out.append((kept, table_e, table_v, warnings) if kept
+                   else NoMinimum(f"{family} spec has no confining minimum"))
+    return out
+
+
 def ground_candidates(
     spec: PotentialSpec,
     stationary: list[StationaryPoint] | None = None,
@@ -148,33 +212,33 @@ def ground_candidates(
     """
     if stationary is None:
         stationary = list(enumerate_stationary(spec).points)
-    minima = [p for p in stationary if p.kind == MINIMUM]
-    wells = {}
-    warnings = []
-    for p in minima:
-        try:
-            wells[p.label] = harmonic_expand(spec, p, stationary)
-        except DegenerateWell as err:
-            warnings.append(str(err))
-    degenerate = [p for p in stationary if p.kind == "degenerate"]
-    for p in degenerate:
-        warnings.append(
-            f"degenerate stationary orbit {p.label} (flat direction); "
-            "no harmonic candidate attached"
-        )
-    if not wells:
-        raise NoMinimum(f"{spec.family} spec has no confining minimum")
+    (table,) = _candidate_tables(
+        spec.family, [p.label for p in stationary], np.array([p.value for p in stationary]),
+        np.reshape([p.hessian_eigs for p in stationary], (len(stationary), spec.dimension)),
+        [p.kind for p in stationary], [len(stationary)])
+    if isinstance(table, NoMinimum):
+        raise table
+    kept, _energies, _depths, warnings = table
+    wells = {stationary[i].label: harmonic_expand(spec, stationary[i], stationary)
+             for i in kept}
     return GroundCandidates(wells=wells, warnings=tuple(warnings))
+
+
+def _lowest_label(table: dict) -> str:
+    """Label of the entry of a label -> value table that is lowest by
+    (value, label)."""
+    return min(table, key=lambda label: (table[label], label))
 
 
 def _lowest(table: dict) -> DominantMinimum:
     """Entry of a label -> value table that is lowest by (value, label);
     near-ties are reported, not silently broken."""
-    ordered = sorted(table.items(), key=lambda kv: (kv[1], kv[0]))
-    best_label, best = ordered[0]
+    best_label = _lowest_label(table)
+    best = table[best_label]
     scale = max(1.0, abs(best))
     tied = tuple(
-        label for label, v in ordered if abs(v - best) <= _TIE_REL_TOL * scale
+        label for label, v in sorted(table.items(), key=lambda kv: (kv[1], kv[0]))
+        if abs(v - best) <= _TIE_REL_TOL * scale
     )
     return DominantMinimum(label=best_label, energy=best, tied=tied)
 

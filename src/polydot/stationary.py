@@ -24,7 +24,7 @@ import numpy as np
 
 from . import potentials
 from .errors import DegenerateCoupling, NoRealShape
-from .potentials import PotentialSpec, axis_pairs, evaluate, gradient, hessian
+from .potentials import PotentialSpec, axis_pairs, gradient
 
 MINIMUM = "minimum"
 MAXIMUM = "maximum"
@@ -125,31 +125,43 @@ def classify_rows(eigs) -> list[str]:
             for d, lo, hi in zip(degenerate, minimum, maximum)]
 
 
-def classify_points(spec: PotentialSpec, reps) -> list[StationaryPoint]:
-    """A StationaryPoint for each (location, subfamily, label) triple.
+def classify_points(specs, reps) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Values, Hessian eigenvalues and kinds of the orbit representatives
+    of many specs of one family.
 
-    Values, Hessians, their eigenvalues and the classification come from
-    one batched call each over the stack of locations.
+    reps[i] holds the (location, subfamily, label) triples of specs[i].
+    Every representative takes the coefficients of its own spec; values,
+    Hessians, their eigenvalues and the classification then come from one
+    batched call each over the stack of all of them.  Returns (values,
+    eigs, kinds) of shapes (N,), (N, D) and N, in the order of reps.
     """
-    # an (n, 1, D) stack sends every point through the same matmul core as a
-    # single-point call, so results are bitwise those of single-point
-    # evaluate/hessian calls; an (n, D) stack takes a BLAS gemv that rounds
-    # differently
-    locations = np.array([loc for loc, _sub, _label in reps])[:, None, :]
-    values = evaluate(spec, locations)[:, 0]
-    eigs = np.linalg.eigvalsh(hessian(spec, locations))[:, 0]
+    owner = np.repeat(np.arange(len(specs)), [len(r) for r in reps])
+    # an (N, 1, D) stack with per-point coefficients takes one (1, D)
+    # product per point, as a single-point call does, so results are
+    # bitwise those of single-point evaluate/hessian calls; an (N, D) stack
+    # takes a BLAS gemv that rounds differently
+    x = np.array([loc for r in reps for loc, _sub, _label in r])[:, None, :]
+    coeffs = tuple(c[owner][:, None] for c in potentials._coefficients(specs))
+    values = potentials._value(x, coeffs)[:, 0]
+    eigs = np.linalg.eigvalsh(potentials._hessian(x, coeffs))[:, 0]
+    return values, eigs, classify_rows(eigs)
+
+
+def point_list(reps, values, eigs, kinds) -> list[StationaryPoint]:
+    """A StationaryPoint for each (location, subfamily, label) triple of
+    one spec, from its :func:`classify_points` output."""
     return [
         StationaryPoint(
             location=loc,
             subfamily=subfamily,
-            value=float(value),
-            hessian_eigs=tuple(float(e) for e in row),
+            value=value,
+            hessian_eigs=tuple(row),
             kind=kind,
             multiplicity=2 ** sum(1 for c in loc if c > 0.0),
             label=label,
         )
         for (loc, subfamily, label), value, row, kind
-        in zip(reps, values, eigs, classify_rows(eigs))
+        in zip(reps, values.tolist(), eigs.tolist(), kinds)
     ]
 
 
@@ -418,13 +430,13 @@ def _representatives(spec: PotentialSpec) -> tuple[list, list]:
 def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
     """Complete closed-form stationary set, classified and sorted by value.
 
-    The root formulas give one representative per orbit; values, Hessians,
-    their eigenvalues and the classification then come from one batched
-    call each over the stack of representatives.  Axes whose on-axis roots
-    are complex are skipped with a warning record rather than an error.
+    The root formulas give one representative per orbit, classified by
+    :func:`classify_points` as a stack of one spec.  Axes whose on-axis
+    roots are complex are skipped with a warning record rather than an
+    error.
     """
     reps, warnings = _representatives(spec)
-    points = classify_points(spec, reps)
+    points = point_list(reps, *classify_points([spec], [reps]))
     points.sort(key=lambda p: (p.value, p.label))
     return StationaryReport(points=tuple(points), warnings=tuple(warnings))
 

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: parameter draws, a hypothesis
 strategy over all families, a call counter, the loop reference of the
 Newton oracle, the bisection references of scan refinement, the
-whole-grid LOBPCG reference of the 3D eigensolve, and the per-axis
-references of parameter overrides and raster cells."""
+whole-grid LOBPCG reference of the 3D eigensolve, the per-axis
+references of parameter overrides and raster cells, and the single-point
+reference of one scan sample."""
 
 import math
 import sys
@@ -13,9 +14,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
-from polydot import catastrophe, oracle, potentials, spectra
+from polydot import catastrophe, oracle, potentials, spectra, stationary
 from polydot.errors import NoRealShape, PolydotError, SplitBracket
-from polydot.stationary import StationaryPoint, classify
+from polydot.stationary import MINIMUM, StationaryPoint, classify
 
 
 def draw_cusp2d(rng):
@@ -449,3 +450,40 @@ def scan_grid_cells_reference(spec, vary_x, vary_y, resolution):
             for grid, entry in zip(out, cell):
                 grid[i, j] = entry
     return tuple(out)
+
+
+def scan_sample_reference(build, t, params):
+    """One catastrophe.ScanSample from single-point calls: each orbit
+    representative of the spec that build() returns gets its own evaluate,
+    hessian and eigvalsh call and classify; each minimum without a
+    vanishing stiffness (|h| <= 1e-9 max |h|) gets the candidate
+    v0 + sum(sqrt(h_i / 2)), in (value, label) order.  A spec that cannot be
+    built or analysed gives ok False and the error text, a spec without a
+    candidate the NoMinimum text."""
+    def failed(error, orbit_labels):
+        return catastrophe.ScanSample(t, params, False, error, None, None, {}, {}, orbit_labels)
+
+    try:
+        spec = build()
+        dim = spec.dimension
+        points = []
+        for loc, _subfamily, label in stationary._representatives(spec)[0]:
+            x = loc if dim > 1 else loc[0]
+            eigs = np.linalg.eigvalsh(np.reshape(potentials.hessian(spec, x), (dim, dim)))
+            points.append((float(potentials.evaluate(spec, x)), label,
+                           [float(e) for e in eigs], classify(eigs)))
+    except (PolydotError, ValueError) as err:
+        return failed(f"{type(err).__name__}: {err}", ())
+    points.sort(key=lambda p: (p[0], p[1]))
+    orbit_labels = tuple(sorted(label for _v, label, _e, _k in points))
+    energies, depths = {}, {}
+    for value, label, eigs, kind in points:
+        if kind != MINIMUM or any(e <= 1e-9 * max(abs(h) for h in eigs) for e in eigs):
+            continue
+        energies[label] = value + sum(math.sqrt(e / 2.0) for e in eigs)
+        depths[label] = value
+    if not energies:
+        return failed(f"NoMinimum: {spec.family} spec has no confining minimum", orbit_labels)
+    return catastrophe.ScanSample(t, params, True, None, spectra._lowest(energies).label,
+                                  spectra._lowest(depths).label, energies, depths,
+                                  orbit_labels)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydot import catastrophe, potentials, spectra, stationary
@@ -21,7 +21,13 @@ from polydot.errors import SplitBracket
 from polydot.potentials import make_spec
 from polydot.verify import bisect_small_coupling_threshold, corpus_specs
 
-from helpers import count_calls, scan_grid_cells_reference, scan_line_reference
+from helpers import (
+    any_family_spec,
+    count_calls,
+    scan_grid_cells_reference,
+    scan_line_reference,
+    scan_sample_reference,
+)
 
 
 def butterfly_path(beta=2.0, lo=1.5, hi=2.2, steps=71):
@@ -73,6 +79,20 @@ def test_scan_records_invalid_samples_not_fatal():
     assert good
 
 
+def test_sample_with_overflowing_hessian_is_recorded_not_fatal():
+    # near 1e308 the Hessian overflows to nan and eigvalsh raises for the
+    # whole stack; each sample is then evaluated alone
+    base = make_spec("cusp3d", alpha=1.0, beta=1.2, gamma=0.5)
+    path = ParamPath(spec=base, varied=(("alpha_sq", 1.0, 1e308),), steps=3)
+    with np.errstate(all="ignore"):
+        rep = scan_line(path)
+        ref = tuple(scan_sample_reference(lambda t=t: path.spec_at(t), t, path.params_at(t))
+                    for t in np.linspace(0.0, 1.0, 3))
+    assert repr(rep.samples) == repr(ref)
+    assert [s.error for s in rep.samples] == \
+        [None] + ["LinAlgError: Eigenvalues did not converge"] * 2
+
+
 def test_butterfly2d_coupling_sweep_orbit_appearance():
     # in-plane orbits appear where the quadratic discriminant crosses zero:
     # for this symmetric shape at u = 4 sqrt(c) - 2a = 2.99 exactly
@@ -84,11 +104,14 @@ def test_butterfly2d_coupling_sweep_orbit_appearance():
 
 
 def test_scan_line_enumerates_once_per_sample(monkeypatch):
-    calls = count_calls(monkeypatch, stationary.enumerate_stationary)
+    # the samples of a line are classified as one stack of 31 specs
+    enumerations = count_calls(monkeypatch, stationary.enumerate_stationary)
+    batches = count_calls(monkeypatch, stationary.classify_points)
     base = make_spec("cusp2d", alpha=1.1, beta=1.0)
     rep = scan_line(ParamPath(spec=base, varied=(("alpha", 1.1, 2.0),), steps=31))
     assert rep.boundaries == () and rep.events == ()
-    assert len(calls) == 31
+    assert enumerations == []
+    assert len(batches) == 1 and len(batches[0][0]) == 31
 
 
 def test_workers_do_not_change_results():
@@ -337,10 +360,12 @@ def test_refinement_matches_bisection_reference_drawn(beta, below, above, steps)
 
 
 def test_readme_line_refines_each_boundary_in_few_evaluations(monkeypatch):
-    calls = count_calls(monkeypatch, catastrophe._evaluate_sample)
+    # the 71 samples are one stack; every single-sample evaluation is a
+    # refinement probe
+    probes = count_calls(monkeypatch, catastrophe._evaluate_sample)
     rep = scan_line(butterfly_path())
     assert len(rep.boundaries) == 2 and rep.events == ()
-    assert (len(calls) - 71) / len(rep.boundaries) <= 15
+    assert len(probes) / len(rep.boundaries) <= 15
 
 
 def test_event_refinement_uses_root_algebra_only(monkeypatch):
@@ -390,15 +415,113 @@ def test_exchange_without_common_wells_stays_unrefined():
         assert b.params == {"unrefined": "gap undefined inside the bracket (no common wells)"}
 
 
-@pytest.mark.parametrize("vary_x, vary_y, resolution", [
-    (("alpha", 0.5, 2.5), ("beta", 0.5, 2.5), 41),  # the README raster
-    (("alpha", 0.5, 2.0), ("gamma", 0.8, 2.5), 17),  # gamma < alpha in a corner
-], ids=["readme", "gamma_below_alpha"])
-def test_scan_grid_cells_match_reference(vary_x, vary_y, resolution):
-    spec = make_spec("butterfly1d", alpha=1.0, beta=1.0)
+RASTERS = {
+    "readme": (lambda: make_spec("butterfly1d", alpha=1.0, beta=1.0),
+               ("alpha", 0.5, 2.5), ("beta", 0.5, 2.5), 41),
+    # gamma < alpha in a corner: NoRealShape cells
+    "gamma_below_alpha": (lambda: make_spec("butterfly1d", alpha=1.0, beta=1.0),
+                          ("alpha", 0.5, 2.0), ("gamma", 0.8, 2.5), 17),
+    # the benchmark's 3D raster
+    "butterfly3d": (lambda: corpus_specs()["butterfly3d_ordered"],
+                    ("gamma_x", 1.8, 2.5), ("gamma_y", 1.7, 2.3), 11),
+    # alpha = beta on the diagonal: a degenerate ring and no minimum
+    "cusp2d_exchange": (lambda: make_spec("cusp2d", alpha=1.0, beta=1.0),
+                        ("alpha", 0.5, 1.5), ("beta", 0.5, 1.5), 11),
+    # u = 2a on the diagonal and u = 2b on one column: no in-plane solve
+    "butterfly2d_u_2a": (lambda: make_spec("butterfly2d", a=1.0, b=1.5, c=0.5, d=1.0, u=0.0),
+                         ("a", 1.0, 2.0), ("u", 2.0, 4.0), 11),
+}
+
+
+@pytest.mark.parametrize("name", list(RASTERS))
+def test_scan_grid_cells_match_reference(name):
+    build, vary_x, vary_y, resolution = RASTERS[name]
+    spec = build()
     dmap = scan_grid(spec, vary_x, vary_y, resolution=resolution, workers=1)
     ref = scan_grid_cells_reference(spec, vary_x, vary_y, resolution)
     for got, want in zip((dmap.labels_quantum, dmap.labels_classical, dmap.errors), ref):
         assert got.tolist() == want.tolist()
-    if vary_y[0] == "gamma":
-        assert any(e.startswith("NoRealShape") for e in dmap.errors.ravel())
+    errors = [e.split(":")[0] for e in dmap.errors.ravel() if e]
+    expected = {"cusp2d_exchange": ["NoMinimum"] * 11,
+                "butterfly2d_u_2a": ["DegenerateCoupling"] * 21}
+    if name == "gamma_below_alpha":
+        assert errors and set(errors) == {"NoRealShape"}
+    else:
+        assert errors == expected.get(name, [])
+
+
+# ---------------------------------------------------------------------------
+# line samples against single-point references
+# ---------------------------------------------------------------------------
+
+_STEMS = {"cusp2d": ("alpha", "beta"), "cusp3d": ("alpha", "beta", "gamma")}
+
+
+@st.composite
+def scan_paths(draw):
+    """A line of 2-12 samples through a drawn spec of any family, along a raw
+    coefficient or a shape parameter (axis-suffixed or broadcast)."""
+    spec = draw(any_family_spec())
+    names = list(potentials._RAW_KEYS[spec.family])
+    if spec.is_cusp:
+        names += _STEMS[spec.family]
+    else:
+        stems = ("alpha", "beta", "gamma")
+        names += list(stems)
+        if spec.dimension > 1:
+            names += [f"{s}_{ax}" for s in stems for ax in spec.axis_names()]
+    name = draw(st.sampled_from(names))
+    start = draw(st.floats(-3.0, 6.0))
+    end = draw(st.floats(-3.0, 6.0).filter(lambda v: v != start))
+    try:
+        return ParamPath(spec=spec, varied=((name, start, end),),
+                         steps=draw(st.integers(2, 12)))
+    except ValueError:  # a negative cusp coefficient at the start
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scan_paths(), st.floats(0.0, 1.0))
+def test_scan_line_samples_match_single_point_reference(path, t):
+    rep = scan_line(path)
+    ref = tuple(scan_sample_reference(lambda t=t: path.spec_at(t), t, path.params_at(t))
+                for t in np.linspace(0.0, 1.0, path.steps))
+    assert repr(rep.samples) == repr(ref)
+    # a refinement probe is the one-sample case of the same evaluation
+    assert repr(catastrophe._evaluate_sample(path, t)) == \
+        repr(scan_sample_reference(lambda: path.spec_at(t), t, path.params_at(t)))
+
+
+def test_scan_line_orders_tied_orbits_by_label():
+    # at alpha = beta = 0.75 the outer wells and the origin both sit at
+    # V = 0 exactly; the tables list them in (value, label) order
+    path = ParamPath(spec=make_spec("butterfly1d", alpha=0.5, beta=0.75),
+                     varied=(("alpha", 0.5, 1.0),), steps=3)
+    rep = scan_line(path)
+    ref = tuple(scan_sample_reference(lambda t=t: path.spec_at(t), t, path.params_at(t))
+                for t in np.linspace(0.0, 1.0, 3))
+    assert repr(rep.samples) == repr(ref)
+    tie = rep.samples[1]
+    assert tie.depths == {"axis_x_outer": 0.0, "origin": 0.0}
+    assert list(tie.depths) == ["axis_x_outer", "origin"]
+
+
+@pytest.mark.parametrize("k", [1, 12, 31])
+def test_interrupted_scan_keeps_the_samples_before_it(monkeypatch, k):
+    # sampling is interruptible; refinement, which builds specs after the
+    # last sample, is not
+    path = REFERENCE_LINES["butterfly3d_w"]()
+    full = scan_line(path)
+    builds = []
+    spec_at = ParamPath.spec_at
+
+    def interrupting(self, t):
+        builds.append(t)
+        if len(builds) == k:
+            raise KeyboardInterrupt
+        return spec_at(self, t)
+
+    monkeypatch.setattr(ParamPath, "spec_at", interrupting)
+    rep = scan_line(path)
+    assert rep.header["partial"] is True and full.header["partial"] is False
+    assert repr(rep.samples) == repr(full.samples[:k - 1])

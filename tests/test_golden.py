@@ -41,6 +41,16 @@ COMMANDS = {
         ["scan", "--family", "butterfly1d", "--alpha", "1", "--beta", "1",
          "--vary", "alpha:0.5:2.5", "--vary", "beta:0.5:2.5",
          "--resolution", "41"], 0),
+    "scan_line_fig2_butterfly2d": (
+        ["scan", "--spec", str(CORPUS / "fig2_butterfly2d.json"),
+         "--vary", "u:-6:4.5", "--steps", "41"], 0),
+    "scan_line_butterfly3d_ordered": (
+        ["scan", "--spec", str(CORPUS / "butterfly3d_ordered.json"),
+         "--vary", "w:-2:3", "--steps", "31"], 0),
+    "scan_raster_butterfly3d_ordered": (
+        ["scan", "--spec", str(CORPUS / "butterfly3d_ordered.json"),
+         "--vary", "gamma_x:1.8:2.5", "--vary", "gamma_y:1.7:2.3",
+         "--resolution", "11"], 0),
     "grid_butterfly2d": (
         ["grid", "--family", "butterfly2d", "--alpha", "1", "--gamma", "1.9",
          "--u", "-5.3333333", "--grid-L", "3", "--grid-n", "121",

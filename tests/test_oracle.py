@@ -282,6 +282,22 @@ def test_fd3d_states_normalized_and_even(monkeypatch):
             assert np.max(np.abs(np.abs(psi) - np.abs(np.flip(psi, axis=axis)))) < 1e-8
 
 
+def test_fd_rejects_more_pairs_than_the_solver_returns(monkeypatch):
+    # one sector returns at most unknowns - 1 pairs, the eight parity
+    # sectors of a 3D solve at most unknowns - 8; more is refused up front
+    calls = count_solver_calls(monkeypatch)
+    spec = make_spec("butterfly1d", alpha=1.0, beta=1.0)
+    grid = GridSpec(extent=3.0, n=16)
+    with pytest.raises(ValueError, match="k = 16 .* 15"):
+        fd_eigensolve(spec, grid, k=16)
+    assert calls == {"eigsh": 0, "lobpcg": 0}
+    assert len(fd_eigensolve(spec, grid, k=15).energies) == 15
+    for k in (16**3 - 7, 16**3):
+        with pytest.raises(ValueError, match=f"k = {k} .* {16**3 - 8}"):
+            fd_eigensolve(corpus_specs()["cusp3d_ordered"], grid, k=k)
+    assert calls == {"eigsh": 1, "lobpcg": 0}
+
+
 def test_grid_mesh_shapes():
     g = GridSpec(extent=2.0, n=16)
     assert g.mesh(2).shape == (16, 16, 2)
