@@ -11,16 +11,18 @@ Scans sample a line or raster in parameter space and label every sample by
 its dominant well under both definitions.  Each sample's spec and orbit
 representatives come from the root formulas one at a time; values,
 Hessians, eigenvalues, ground candidates and labels are then computed for
-all samples of a line, or all cells of a raster, as one stack.  Each label
-change is refined by Illinois false position on the signed candidate gap,
-started from the probe interval where the gap changes sign; each probe is
-the one-sample case of the same evaluation.  Appearances/disappearances of
+the samples of a line, or the cells of a raster, as stacks of up to 64.
+Each label change is refined by Illinois false position on the signed
+candidate gap, started from the probe interval where the gap changes sign;
+each probe is one spec's enumeration and ground candidates, the same
+arithmetic on a stack of one.  Appearances/disappearances of
 whole stationary orbits along a line are refined by bisection on orbit
 presence, read from the root formulas alone, and reported as events.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +38,9 @@ CLASSICAL = "classical"
 
 DEFAULT_GAP_TOL = 1e-10
 DEFAULT_WIDTH_TOL = 1e-12
+# samples evaluated as one stack: bounds a raster's working memory at any
+# resolution, and what an interrupt during an evaluation loses
+_STACK = 64
 
 
 @dataclass(frozen=True)
@@ -200,9 +205,43 @@ def _failed(error: str, orbit_labels: tuple = ()) -> tuple:
     return (False, error, None, None, {}, {}, orbit_labels)
 
 
+def _sample_stacks(builds):
+    """Rows of :func:`_sample` for each build() of an iterable, evaluated in
+    stacks of at most _STACK samples.  An interrupt while a spec is built
+    first yields the rows of the samples built before it in its stack."""
+    builds = iter(builds)
+    while True:
+        prepared = []
+        try:
+            for build in itertools.islice(builds, _STACK):
+                prepared.append(_prepare(build))
+        except KeyboardInterrupt:
+            yield from _sample(prepared)
+            raise
+        if not prepared:
+            return
+        yield from _sample(prepared)
+
+
 def _evaluate_sample(path: ParamPath, t: float) -> ScanSample:
-    """One sample of the path: the one-sample case of :func:`_sample`."""
-    return ScanSample(t, path.params_at(t), *_sample([_prepare(lambda: path.spec_at(t))])[0])
+    """One sample of the path, as a refinement probe takes it: from the
+    one-spec functions stationary_points and ground_candidates, which run
+    the arithmetic of :func:`_sample` on a stack of one spec, so a probe
+    agrees bitwise with a scan sample at the same t."""
+    params = path.params_at(t)
+    try:
+        spec = path.spec_at(t)
+        points = stat.stationary_points(spec)
+    except (PolydotError, ValueError) as err:
+        return ScanSample(t, params, *_failed(f"{type(err).__name__}: {err}"))
+    orbit_labels = tuple(sorted(p.label for p in points))
+    try:
+        cands = spectra.ground_candidates(spec, stationary=points)
+    except NoMinimum as err:
+        return ScanSample(t, params, *_failed(f"NoMinimum: {err}", orbit_labels))
+    energies, depths = cands.energies, cands.depths
+    return ScanSample(t, params, True, None, spectra._lowest_label(energies),
+                      spectra._lowest_label(depths), energies, depths, orbit_labels)
 
 
 def _gap(sample: ScanSample, kind: str, pair) -> float:
@@ -355,22 +394,22 @@ def scan_line(
 
     Invalid samples (shape constraint violations, no minimum, degenerate
     couplings) are recorded per sample, excluded from bracketing, and never
-    fatal.  The specs of the samples are built in parameter order, then all
-    samples are evaluated as one stack; workers is accepted for
+    fatal.  The specs of the samples are built in parameter order, and the
+    samples are evaluated as stacks of up to 64; workers is accepted for
     compatibility and does not change the result.  An interrupt (Ctrl-C)
-    while the specs are built yields a partial report of the samples built
-    so far, marked in the header, instead of an exception.
+    during sampling yields a partial report, marked in the header, instead
+    of an exception: it keeps every sample built before the interrupt, or,
+    when the interrupt falls in the evaluation of a stack, the samples of
+    the stacks before it.
     """
     ts = np.linspace(0.0, 1.0, path.steps)
-    prepared = []
+    samples = []
     partial = False
     try:
-        for t in ts:
-            prepared.append(_prepare(lambda: path.spec_at(t)))
+        for t, row in zip(ts, _sample_stacks(lambda t=t: path.spec_at(t) for t in ts)):
+            samples.append(ScanSample(t, path.params_at(t), *row))
     except KeyboardInterrupt:
         partial = True
-    samples = [ScanSample(t, path.params_at(t), *row)
-               for t, row in zip(ts, _sample(prepared))]
 
     boundaries = []
     events = []
@@ -533,8 +572,9 @@ def scan_grid(
     """Raster of quantum and classical dominant labels over two parameters,
     with marching-squares polylines along every label's region boundary.
     Per-cell failures are recorded as the distinguished label "<invalid>".
-    The cells' specs are built one at a time and all cells are evaluated
-    as one stack; workers is accepted for compatibility and does not change
+    The cells' specs are built one at a time and the cells are evaluated
+    as stacks of up to 64, so working memory beyond the label arrays does
+    not grow with the resolution; workers is accepted for compatibility and does not change
     the result."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
@@ -543,8 +583,8 @@ def scan_grid(
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
 
-    rows = _sample([_prepare(lambda: with_param(with_param(spec, name_x, x), name_y, y))
-                    for x in xs for y in ys])
+    rows = _sample_stacks(lambda x=x, y=y: with_param(with_param(spec, name_x, x), name_y, y)
+                          for x in xs for y in ys)
     labels_q, labels_c, errors = (np.empty((resolution, resolution), dtype=object)
                                   for _ in range(3))
     for cell, (ok, error, quantum, classical, *_tables) in enumerate(rows):

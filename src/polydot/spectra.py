@@ -233,12 +233,11 @@ def _lowest_label(table: dict) -> str:
 def _lowest(table: dict) -> DominantMinimum:
     """Entry of a label -> value table that is lowest by (value, label);
     near-ties are reported, not silently broken."""
-    best_label = _lowest_label(table)
-    best = table[best_label]
+    ordered = sorted(table.items(), key=lambda kv: (kv[1], kv[0]))
+    best_label, best = ordered[0]
     scale = max(1.0, abs(best))
     tied = tuple(
-        label for label, v in sorted(table.items(), key=lambda kv: (kv[1], kv[0]))
-        if abs(v - best) <= _TIE_REL_TOL * scale
+        label for label, v in ordered if abs(v - best) <= _TIE_REL_TOL * scale
     )
     return DominantMinimum(label=best_label, energy=best, tied=tied)
 

@@ -360,12 +360,14 @@ def test_refinement_matches_bisection_reference_drawn(beta, below, above, steps)
 
 
 def test_readme_line_refines_each_boundary_in_few_evaluations(monkeypatch):
-    # the 71 samples are one stack; every single-sample evaluation is a
-    # refinement probe
+    # the 71 samples are evaluated as stacks; every single-sample evaluation
+    # is a refinement probe, and each takes one ground_candidates call
     probes = count_calls(monkeypatch, catastrophe._evaluate_sample)
+    candidates = count_calls(monkeypatch, spectra.ground_candidates)
     rep = scan_line(butterfly_path())
     assert len(rep.boundaries) == 2 and rep.events == ()
     assert len(probes) / len(rep.boundaries) <= 15
+    assert len(candidates) == len(probes)
 
 
 def test_event_refinement_uses_root_algebra_only(monkeypatch):
@@ -525,3 +527,33 @@ def test_interrupted_scan_keeps_the_samples_before_it(monkeypatch, k):
     rep = scan_line(path)
     assert rep.header["partial"] is True and full.header["partial"] is False
     assert repr(rep.samples) == repr(full.samples[:k - 1])
+
+
+@pytest.mark.parametrize("k, kept", [(1, 0), (3, 16)])
+def test_interrupted_stack_keeps_the_stacks_before_it(monkeypatch, k, kept):
+    # stacks of 8: an interrupt in the k-th evaluation keeps the samples of
+    # the k - 1 stacks before it, which equal those of a default-size run
+    path = REFERENCE_LINES["butterfly3d_w"]()
+    full = scan_line(path)
+    monkeypatch.setattr(catastrophe, "_STACK", 8)
+    evaluations = []
+    classify_points = stationary.classify_points
+
+    def interrupting(specs, reps):
+        evaluations.append(len(specs))
+        if len(evaluations) == k:
+            raise KeyboardInterrupt
+        return classify_points(specs, reps)
+
+    monkeypatch.setattr(stationary, "classify_points", interrupting)
+    rep = scan_line(path)
+    assert rep.header["partial"] is True
+    assert repr(rep.samples) == repr(full.samples[:kept])
+
+
+def test_raster_is_evaluated_in_bounded_stacks(monkeypatch):
+    # 11 x 11 cells take two stacks of at most 64 specs each
+    batches = count_calls(monkeypatch, stationary.classify_points)
+    spec = make_spec("butterfly1d", alpha=1.0, beta=1.0)
+    scan_grid(spec, ("alpha", 0.5, 2.5), ("beta", 0.5, 2.5), resolution=11)
+    assert [len(specs) for specs, _reps in batches] == [64, 57]
