@@ -13,11 +13,11 @@ representatives come from the root formulas one at a time; values,
 Hessians, eigenvalues, ground candidates and labels are then computed for
 the samples of a line, or the cells of a raster, as stacks of up to 64.
 Each label change is refined by Illinois false position on the signed
-candidate gap, started from the probe interval where the gap changes sign;
-each probe is one spec's enumeration and ground candidates, the same
-arithmetic on a stack of one.  Appearances/disappearances of
-whole stationary orbits along a line are refined by bisection on orbit
-presence, read from the root formulas alone, and reported as events.
+candidate gap from the probe interval where it changes sign, bisecting
+while an end gap is +-inf; each probe is one spec's enumeration and ground
+candidates, the same arithmetic on a stack of one.  Orbits appearing or
+vanishing along a line are reported as events, refined by the same loop
+on orbit presence read from the root formulas as a gap of -inf or +inf.
 """
 
 from __future__ import annotations
@@ -259,6 +259,39 @@ def _gap(sample: ScanSample, kind: str, pair) -> float:
     return ea - eb
 
 
+def _refine(f, t_lo, g_lo, t_hi, g_hi, span, gap_tol, width_tol) -> float:
+    """Root of f in a bracket where it changes sign: Illinois false position,
+    bisecting while an end value is +-inf, until |f| < gap_tol or the next
+    point's bracket is narrower than width_tol in the first varied parameter
+    (span is its range), for at most 200 steps.  A nan value raises."""
+    kept = 0  # Illinois: +1/-1 when the last step kept the low/high end
+    for _ in range(200):
+        if math.isinf(g_lo) or math.isinf(g_hi):
+            t_mid = 0.5 * (t_lo + t_hi)
+        else:
+            t_mid = t_lo - g_lo * (t_hi - t_lo) / (g_hi - g_lo)
+        if (t_hi - t_lo) * span < width_tol:
+            return t_mid
+        g_mid = f(t_mid)
+        if math.isnan(g_mid):
+            raise ValueError("gap undefined inside the bracket (no common wells)")
+        if abs(g_mid) < gap_tol:
+            return t_mid
+        # halving the value at an end kept twice in a row stops false
+        # position from creeping towards the root from one side only
+        if (g_mid < 0.0) == (g_lo < 0.0):
+            t_lo, g_lo = t_mid, g_mid
+            if kept < 0:
+                g_hi *= 0.5
+            kept = -1
+        else:
+            t_hi, g_hi = t_mid, g_mid
+            if kept > 0:
+                g_lo *= 0.5
+            kept = 1
+    return 0.5 * (t_lo + t_hi)
+
+
 def locate_boundary(
     path: ParamPath,
     bracket: tuple[float, float],
@@ -311,32 +344,7 @@ def locate_boundary(
     (t_lo, g_lo), (t_hi, g_hi) = flips[0]
 
     span = path.primary_span
-    kept = 0  # Illinois: +1/-1 when the last step kept the low/high end
-    for _ in range(200):
-        if math.isinf(g_lo) or math.isinf(g_hi):
-            t_mid = 0.5 * (t_lo + t_hi)
-        else:
-            t_mid = t_lo - g_lo * (t_hi - t_lo) / (g_hi - g_lo)
-        g_mid = gap(t_mid)
-        if math.isnan(g_mid):
-            raise ValueError("gap undefined inside the bracket (no common wells)")
-        if abs(g_mid) < gap_tol or (t_hi - t_lo) * span < width_tol:
-            t_lo = t_hi = t_mid
-            break
-        # halving the gap at an end kept twice in a row stops false position
-        # from creeping towards the root from one side only
-        if (g_mid < 0.0) == (g_lo < 0.0):
-            t_lo, g_lo = t_mid, g_mid
-            if kept < 0:
-                g_hi *= 0.5
-            kept = -1
-        else:
-            t_hi, g_hi = t_mid, g_mid
-            if kept > 0:
-                g_lo *= 0.5
-            kept = 1
-    t_star = 0.5 * (t_lo + t_hi)
-
+    t_star = _refine(gap, t_lo, g_lo, t_hi, g_hi, span, gap_tol, width_tol)
     dt = max(1e-7, 10.0 * width_tol / max(span, 1e-300))
     t_plus, t_minus = min(t_star + dt, 1.0), max(t_star - dt, 0.0)
     g_plus, g_minus = gap(t_plus), gap(t_minus)
@@ -355,8 +363,8 @@ def locate_boundary(
 
 
 def _locate_orbit_event(path, t_lo, t_hi, label, width_tol):
-    """Binary search on orbit-label presence (boolean, no signed gap),
-    read from the root formulas alone."""
+    """Bisection on orbit-label presence, read from the root formulas alone:
+    a point with the presence of t_lo counts as gap -inf, any other as +inf."""
 
     def present(t):
         try:
@@ -366,16 +374,8 @@ def _locate_orbit_event(path, t_lo, t_hi, label, width_tol):
         return any(rep_label == label for _loc, _sub, rep_label in reps)
 
     p_lo = present(t_lo)
-    span = path.primary_span
-    for _ in range(200):
-        if (t_hi - t_lo) * span < width_tol:
-            break
-        t_mid = 0.5 * (t_lo + t_hi)
-        if present(t_mid) == p_lo:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    t_star = 0.5 * (t_lo + t_hi)
+    t_star = _refine(lambda t: -math.inf if present(t) == p_lo else math.inf,
+                     t_lo, -math.inf, t_hi, math.inf, path.primary_span, 0.0, width_tol)
     return OrbitEvent(
         label=label,
         change="appears" if not p_lo else "disappears",
@@ -397,50 +397,50 @@ def scan_line(
     fatal.  The specs of the samples are built in parameter order, and the
     samples are evaluated as stacks of up to 64; workers is accepted for
     compatibility and does not change the result.  An interrupt (Ctrl-C)
-    during sampling yields a partial report, marked in the header, instead
-    of an exception: it keeps every sample built before the interrupt, or,
+    yields a partial report, marked in the header, instead of an exception.
+    During sampling it keeps every sample built before the interrupt, or,
     when the interrupt falls in the evaluation of a stack, the samples of
-    the stacks before it.
+    the stacks before it, and refines nothing.  During refinement it keeps
+    every sample, and the boundaries and events refined before it.
     """
     ts = np.linspace(0.0, 1.0, path.steps)
     samples = []
+    boundaries = []
+    events = []
     partial = False
     try:
         for t, row in zip(ts, _sample_stacks(lambda t=t: path.spec_at(t) for t in ts)):
             samples.append(ScanSample(t, path.params_at(t), *row))
+        for s0, s1 in zip(samples, samples[1:]):
+            if not (s0.ok and s1.ok):
+                continue
+            for kind, l0, l1 in (
+                (QUANTUM, s0.quantum_label, s1.quantum_label),
+                (CLASSICAL, s0.classical_label, s1.classical_label),
+            ):
+                if l0 != l1:
+                    try:
+                        boundaries.append(
+                            locate_boundary(path, (s0.t, s1.t), kind, (l0, l1),
+                                            gap_tol, width_tol, ends=(s0, s1))
+                        )
+                    except (SplitBracket, ValueError) as err:
+                        boundaries.append(
+                            CatastropheBoundary(
+                                kind=kind, pair=(l0, l1),
+                                location=path.primary_value(0.5 * (s0.t + s1.t)),
+                                params={"unrefined": str(err)},
+                            )
+                        )
+            if s0.orbit_labels != s1.orbit_labels:
+                gone = set(s0.orbit_labels) - set(s1.orbit_labels)
+                new = set(s1.orbit_labels) - set(s0.orbit_labels)
+                for label in sorted(gone | new):
+                    events.append(
+                        _locate_orbit_event(path, s0.t, s1.t, label, width_tol)
+                    )
     except KeyboardInterrupt:
         partial = True
-
-    boundaries = []
-    events = []
-    for s0, s1 in zip(samples, samples[1:]):
-        if not (s0.ok and s1.ok):
-            continue
-        for kind, l0, l1 in (
-            (QUANTUM, s0.quantum_label, s1.quantum_label),
-            (CLASSICAL, s0.classical_label, s1.classical_label),
-        ):
-            if l0 != l1:
-                try:
-                    boundaries.append(
-                        locate_boundary(path, (s0.t, s1.t), kind, (l0, l1),
-                                        gap_tol, width_tol, ends=(s0, s1))
-                    )
-                except (SplitBracket, ValueError) as err:
-                    boundaries.append(
-                        CatastropheBoundary(
-                            kind=kind, pair=(l0, l1),
-                            location=path.primary_value(0.5 * (s0.t + s1.t)),
-                            params={"unrefined": str(err)},
-                        )
-                    )
-        if s0.orbit_labels != s1.orbit_labels:
-            gone = set(s0.orbit_labels) - set(s1.orbit_labels)
-            new = set(s1.orbit_labels) - set(s0.orbit_labels)
-            for label in sorted(gone | new):
-                events.append(
-                    _locate_orbit_event(path, s0.t, s1.t, label, width_tol)
-                )
 
     header = {
         "space": path.space,

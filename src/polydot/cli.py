@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import reports, spectra, verify
 from .catastrophe import CLASSICAL, QUANTUM, ParamPath, scan_grid, scan_line
 from .errors import PolydotError
-from .oracle import GridSpec, fd_eigensolve, match_stationary, newton_stationary
+from .oracle import fd_eigensolve
 from .potentials import (
     FAMILIES,
     characteristic_radius,
@@ -135,8 +136,8 @@ def cmd_analyze(args) -> int:
 def cmd_spectrum(args) -> int:
     spec = _load_spec(args)
     cands = spectra.ground_candidates(spec)
-    dominant = spectra.dominant_minimum(spec)
-    classical = spectra.classical_argmin(spec)
+    dominant = spectra._lowest(cands.energies)
+    classical = spectra._lowest(cands.depths)
     if args.e_max is not None:
         e_max = args.e_max
     else:
@@ -273,25 +274,21 @@ def cmd_oracle(args) -> int:
     spec = _load_spec(args)
     out = _out_dir(args)
     formats = _formats(args)
-    L = args.grid_L or 1.6 * characteristic_radius(spec)
-    seeds = GridSpec(extent=L, n={1: 64, 2: 21, 3: 17}[spec.dimension])
-    found = newton_stationary(spec, seeds)
-    closed = enumerate_stationary(spec).points
-    missing, spurious = match_stationary(list(closed), found, 1e-8,
-                                         10.0 * characteristic_radius(spec))
+    found, missing, spurious = verify.oracle_agreement(spec, args.grid_L)
     result = {
         "spec": spec.to_dict(),
         "newton": {
-            "orbits": [reports.point_dict(p) for p in found],
-            "missing_vs_closed_form": [reports.point_dict(p) for p in missing],
-            "spurious_vs_closed_form": [reports.point_dict(p) for p in spurious],
+            "orbits": [reports.record_dict(p) for p in found],
+            "missing_vs_closed_form": [reports.record_dict(p) for p in missing],
+            "spurious_vs_closed_form": [reports.record_dict(p) for p in spurious],
         },
     }
     print(f"newton search: {len(found)} orbits "
           f"({len(missing)} missing, {len(spurious)} spurious vs closed form)")
     if args.k:
         n = args.grid_n or {1: 2001, 2: 201, 3: 33}[spec.dimension]
-        sol = fd_eigensolve(spec, GridSpec(extent=L, n=n), k=args.k)
+        sol = fd_eigensolve(spec, replace(verify._oracle_grid(spec, args.grid_L), n=n),
+                            k=args.k)
         result["eigensolve"] = reports.eigensolution_dict(sol)
         if "csv" in formats:
             mesh = sol.grid.mesh(sol.dim)

@@ -1,5 +1,6 @@
 """Machine-readable report writers (JSON + CSV).
 
+A result record's JSON object is its dataclass fields (:func:`record_dict`).
 All writers are deterministic: keys are sorted, floats use their shortest
 round-trip repr, and no timestamps are embedded, so identical inputs give
 byte-identical files.
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from .catastrophe import QUANTUM, ScanReport, SubdomainMap
 from .oracle import EigenSolution
 from .potentials import PotentialSpec
 from .spectra import GroundCandidates, HarmonicWell
-from .stationary import StationaryPoint, StationaryReport
+from .stationary import StationaryReport
 
 
 def write_json(path, obj) -> None:
@@ -41,26 +43,21 @@ def _num(x):
     return x
 
 
+def record_dict(record, *omit) -> dict:
+    """A result record's fields by name, less the names in omit: no file
+    carries a scan sample's t, or an eigensolution's states and grid,
+    whose extent and n are written instead."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in omit}
+
+
 # ---------------------------------------------------------------------------
 # stationary points
 # ---------------------------------------------------------------------------
 
-def point_dict(p: StationaryPoint) -> dict:
-    return {
-        "location": list(p.location),
-        "subfamily": p.subfamily,
-        "label": p.label,
-        "value": p.value,
-        "kind": p.kind,
-        "hessian_eigs": list(p.hessian_eigs),
-        "multiplicity": p.multiplicity,
-    }
-
-
 def stationary_report_dict(spec: PotentialSpec, report: StationaryReport) -> dict:
     return {
         "spec": spec.to_dict(),
-        "points": [point_dict(p) for p in report.points],
+        "points": [record_dict(p) for p in report.points],
         "warnings": list(report.warnings),
         "n_orbits": len(report.points),
         "n_points": sum(p.multiplicity for p in report.points),
@@ -136,38 +133,9 @@ def scan_report_dict(report: ScanReport) -> dict:
     return {
         "header": report.header,
         "base_spec": report.path.spec.to_dict(),
-        "samples": [
-            {
-                "params": s.params,
-                "ok": s.ok,
-                "error": s.error,
-                "quantum_label": s.quantum_label,
-                "classical_label": s.classical_label,
-                "candidates": s.candidates,
-                "depths": s.depths,
-                "orbit_labels": list(s.orbit_labels),
-            }
-            for s in report.samples
-        ],
-        "boundaries": [
-            {
-                "kind": b.kind,
-                "pair": list(b.pair),
-                "location": b.location,
-                "params": b.params,
-                "gap_slope": b.gap_slope,
-            }
-            for b in report.boundaries
-        ],
-        "events": [
-            {
-                "label": e.label,
-                "change": e.change,
-                "location": e.location,
-                "params": e.params,
-            }
-            for e in report.events
-        ],
+        "samples": [record_dict(s, "t") for s in report.samples],
+        "boundaries": [record_dict(b) for b in report.boundaries],
+        "events": [record_dict(e) for e in report.events],
     }
 
 
@@ -240,16 +208,7 @@ def potential_line_rows(xs, values, clip=None):
 
 
 def eigensolution_dict(sol: EigenSolution) -> dict:
-    return {
-        "dim": sol.dim,
-        "extent": sol.grid.extent if not isinstance(sol.grid.extent, (tuple, list))
-        else list(sol.grid.extent),
-        "n": sol.grid.n if not isinstance(sol.grid.n, (tuple, list)) else list(sol.grid.n),
-        "energies": list(sol.energies),
-        "residuals": list(sol.residuals),
-        "converged": sol.converged,
-        "warnings": list(sol.warnings),
-    }
+    return {**record_dict(sol, "grid", "states"), **record_dict(sol.grid)}
 
 
 def eigensolution_csv_rows(sol: EigenSolution, potential_values=None):

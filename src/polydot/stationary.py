@@ -326,7 +326,10 @@ def _coupling_matrix(raw):
 def _bulk_tagged(spec):
     raw = spec.raw
     M = _coupling_matrix(raw)
-    scale = max(1.0, float(np.max(np.abs(M)))) ** 3
+    try:
+        scale = max(1.0, float(np.max(np.abs(M)))) ** 3
+    except OverflowError:  # an entry above ~5.6e102: every det counts as singular
+        scale = math.inf
     det = float(np.linalg.det(M))
     if abs(det) <= 1e-12 * scale:
         raise DegenerateCoupling(

@@ -49,10 +49,22 @@ def corpus_specs() -> dict:
     return out
 
 
-def _oracle_grid(spec) -> GridSpec:
-    L = 1.6 * potentials.characteristic_radius(spec)
+def _oracle_grid(spec, extent=None) -> GridSpec:
+    """The Newton seed grid, of half-width extent (by default 1.6
+    characteristic radii)."""
+    L = extent or 1.6 * potentials.characteristic_radius(spec)
     n = {1: 64, 2: 21, 3: 17}[spec.dimension]
     return GridSpec(extent=L, n=n)
+
+
+def oracle_agreement(spec, extent=None) -> tuple[list, list, list]:
+    """(found, missing, spurious) of the Newton search from the seed grid
+    against the closed form, matched within ten characteristic radii."""
+    found = newton_stationary(spec, _oracle_grid(spec, extent))
+    radius = 10.0 * potentials.characteristic_radius(spec)
+    missing, spurious = match_stationary(stationary.stationary_points(spec), found,
+                                         ORACLE_DIFF_TOL, radius)
+    return found, missing, spurious
 
 
 def _culprit(spec, point) -> str:
@@ -67,10 +79,7 @@ def suite_stationary_oracle_agreement(rng) -> dict:
     failures = []
     checked = 0
     for name, spec in corpus_specs().items():
-        closed = stationary.stationary_points(spec)
-        found = newton_stationary(spec, _oracle_grid(spec))
-        radius = 10.0 * potentials.characteristic_radius(spec)
-        missing, spurious = match_stationary(closed, found, ORACLE_DIFF_TOL, radius)
+        _found, missing, spurious = oracle_agreement(spec)
         checked += 1
         for p in missing:
             failures.append(

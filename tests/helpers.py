@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: parameter draws, a hypothesis
 strategy over all families, a call counter, the loop reference of the
 Newton oracle, the bisection references of scan refinement, the
-whole-grid LOBPCG reference of the 3D eigensolve, the per-axis
-references of parameter overrides and raster cells, and the single-point
-reference of one scan sample."""
+whole-grid LOBPCG reference of the 3D eigensolve, the hand-written
+reference of an eigensolution's report, the per-axis references of
+parameter overrides and raster cells, and the single-point reference of
+one scan sample."""
 
 import math
 import sys
@@ -349,6 +350,21 @@ def scan_line_reference(path, gap_tol=1e-10, width_tol=1e-12):
         for label in sorted(changed):
             events.append(orbit_event_reference(path, s0.t, s1.t, label, width_tol))
     return boundaries, events
+
+
+def eigensolution_dict_reference(sol):
+    """reports.eigensolution_dict with every field written out by hand:
+    the grid's extent and n, lists for tuples, and no states."""
+    return {
+        "dim": sol.dim,
+        "extent": sol.grid.extent if not isinstance(sol.grid.extent, (tuple, list))
+        else list(sol.grid.extent),
+        "n": sol.grid.n if not isinstance(sol.grid.n, (tuple, list)) else list(sol.grid.n),
+        "energies": list(sol.energies),
+        "residuals": list(sol.residuals),
+        "converged": sol.converged,
+        "warnings": list(sol.warnings),
+    }
 
 
 def fd_eigensolve_lobpcg_reference(spec_or_callable, grid, k, dim=3, maxiter=2000):

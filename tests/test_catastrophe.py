@@ -17,13 +17,16 @@ from polydot.catastrophe import (
     scan_grid,
     scan_line,
 )
-from polydot.errors import SplitBracket
+from polydot.errors import DegenerateCoupling, SplitBracket
 from polydot.potentials import make_spec
 from polydot.verify import bisect_small_coupling_threshold, corpus_specs
 
 from helpers import (
     any_family_spec,
     count_calls,
+    draw_butterfly2d,
+    draw_butterfly3d,
+    orbit_event_reference,
     scan_grid_cells_reference,
     scan_line_reference,
     scan_sample_reference,
@@ -91,6 +94,16 @@ def test_sample_with_overflowing_hessian_is_recorded_not_fatal():
     assert repr(rep.samples) == repr(ref)
     assert [s.error for s in rep.samples] == \
         [None] + ["LinAlgError: Eigenvalues did not converge"] * 2
+
+
+def test_sample_with_huge_coupling_is_recorded_not_fatal():
+    # the cube of a coupling-matrix entry above ~5.6e102 overflows a float
+    spec = corpus_specs()["butterfly3d_ordered"]
+    with np.errstate(over="ignore"), pytest.raises(DegenerateCoupling):
+        stationary.enumerate_stationary(potentials.with_param(spec, "u", 1e200))
+    with np.errstate(over="ignore"):
+        rep = scan_line(ParamPath(spec=spec, varied=(("u", 1e100, 1e200),), steps=5))
+    assert [s.error.split(":")[0] for s in rep.samples] == ["DegenerateCoupling"] * 5
 
 
 def test_butterfly2d_coupling_sweep_orbit_appearance():
@@ -387,6 +400,42 @@ def test_event_refinement_uses_root_algebra_only(monkeypatch):
     assert len(probes) <= 40
 
 
+EVENT_LINES = {  # (family, varied parameter, range its ends are drawn from)
+    ("butterfly2d", "u"): (-4.0, 4.0),
+    ("butterfly3d", "u"): (-3.0, 3.0),
+    ("butterfly3d", "w"): (-3.0, 3.0),
+    ("butterfly3d", "gamma_x"): (0.5, 3.0),
+}
+
+
+@st.composite
+def event_lines(draw):
+    family, name = draw(st.sampled_from(sorted(EVENT_LINES)))
+    lo, hi = EVENT_LINES[family, name]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = draw_butterfly2d(rng) if family == "butterfly2d" else draw_butterfly3d(rng)
+    start = draw(st.floats(lo, hi))
+    end = draw(st.floats(lo, hi).filter(lambda v: abs(v - start) > 0.1))
+    return ParamPath(spec=spec, varied=((name, start, end),), steps=draw(st.integers(5, 21)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(event_lines())
+def test_orbit_events_match_presence_bisection_reference(path):
+    ts = np.linspace(0.0, 1.0, path.steps)
+    labels = [catastrophe._evaluate_sample(path, t).orbit_labels for t in ts]
+    for t0, t1, l0, l1 in zip(ts, ts[1:], labels, labels[1:]):
+        for label in sorted(set(l0) ^ set(l1)):
+            with pytest.MonkeyPatch.context() as mp:
+                probes = count_calls(mp, stationary._representatives)
+                event = catastrophe._locate_orbit_event(path, t0, t1, label,
+                                                        DEFAULT_WIDTH_TOL)
+                used = len(probes)
+                want = orbit_event_reference(path, t0, t1, label, DEFAULT_WIDTH_TOL)
+            assert repr(event) == repr(want)
+            assert used <= len(probes) - used
+
+
 def test_infinite_end_gap_is_bisected_until_finite(monkeypatch):
     # label A exists only from t = 0.42 on; the gap E_A - E_B = 0.47 - t
     evaluated = []
@@ -510,8 +559,7 @@ def test_scan_line_orders_tied_orbits_by_label():
 
 @pytest.mark.parametrize("k", [1, 12, 31])
 def test_interrupted_scan_keeps_the_samples_before_it(monkeypatch, k):
-    # sampling is interruptible; refinement, which builds specs after the
-    # last sample, is not
+    # an interrupt while the specs are built keeps the samples before it
     path = REFERENCE_LINES["butterfly3d_w"]()
     full = scan_line(path)
     builds = []
@@ -527,6 +575,33 @@ def test_interrupted_scan_keeps_the_samples_before_it(monkeypatch, k):
     rep = scan_line(path)
     assert rep.header["partial"] is True and full.header["partial"] is False
     assert repr(rep.samples) == repr(full.samples[:k - 1])
+
+
+@pytest.mark.parametrize("line, target, k", [
+    ("butterfly3d_w", (ParamPath, "spec_at"), 40),  # inside event refinement
+    ("readme", (catastrophe, "_evaluate_sample"), 20),  # inside the second boundary
+], ids=["event", "boundary"])
+def test_interrupted_refinement_keeps_what_came_before(monkeypatch, line, target, k):
+    path = REFERENCE_LINES[line]()
+    full = scan_line(path)
+    calls = []
+    owner, name = target
+    fn = getattr(owner, name)
+
+    def interrupting(*args):
+        calls.append(args)
+        if len(calls) == k:
+            raise KeyboardInterrupt
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, interrupting)
+    rep = scan_line(path)
+    assert rep.header["partial"] is True
+    assert repr(rep.samples) == repr(full.samples)
+    assert repr(rep.boundaries) == repr(full.boundaries[:len(rep.boundaries)])
+    assert repr(rep.events) == repr(full.events[:len(rep.events)])
+    lost = len(full.boundaries) - len(rep.boundaries) + len(full.events) - len(rep.events)
+    assert lost >= 1
 
 
 @pytest.mark.parametrize("k, kept", [(1, 0), (3, 16)])

@@ -6,6 +6,8 @@ import pytest
 from polydot import cli, stationary, verify
 from polydot.potentials import spec_from_dict
 
+from helpers import count_calls
+
 
 def run(argv):
     return cli.main([str(a) for a in argv])
@@ -89,6 +91,13 @@ def test_spectrum_outputs(tmp_path):
     assert rows[0] == ["label", "energy", "quantum_numbers"]
     energies = [float(r[1]) for r in rows[1:]]
     assert energies == sorted(energies)
+
+
+def test_spectrum_enumerates_once(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, stationary.enumerate_stationary)
+    assert run(["spectrum", "--family", "butterfly1d", "--alpha", 1.9,
+                "--beta", 2, "--out", tmp_path]) == 0
+    assert len(calls) == 1
 
 
 def test_spectrum_warns_on_thin_margin(tmp_path, capsys):

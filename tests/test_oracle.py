@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from scipy.linalg import eigh_tridiagonal
 
-from polydot import potentials
+from polydot import potentials, reports
 from polydot.errors import BudgetExceeded
 from polydot.oracle import (
     GridSpec,
@@ -24,6 +25,7 @@ from polydot.verify import _oracle_grid, corpus_specs
 from helpers import (
     any_family_spec,
     count_calls,
+    eigensolution_dict_reference,
     fd_eigensolve_lobpcg_reference,
     newton_stationary_reference,
 )
@@ -343,3 +345,27 @@ def test_localization_orbit_input_deep_outer_regime():
     assert w.weights["axis_x_outer"] > 0.9
     assert min_orbit_distance(wells) == pytest.approx(
         math.sqrt(spec.shape["gamma_sq"]), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# eigensolution report against its hand-written reference
+# ---------------------------------------------------------------------------
+
+EIGEN_REPORTS = {
+    "spec_1d": lambda: fd_eigensolve(make_spec("butterfly1d", alpha=1.9, beta=2.0),
+                                     GridSpec(extent=4.0, n=401), k=2),
+    "callable_2d_tuple_grid": lambda: fd_eigensolve(
+        separable(SEPARABLE_AXES[:2]), GridSpec(extent=(6.0, 5.0), n=(41, 37)), k=3, dim=2),
+    "spec_3d": lambda: fd_eigensolve(corpus_specs()["cusp3d_ordered"],
+                                     GridSpec(extent=2.4, n=16), k=2),
+}
+
+
+@pytest.mark.parametrize("name", list(EIGEN_REPORTS))
+def test_eigensolution_dict_matches_reference(name):
+    sol = EIGEN_REPORTS[name]()
+
+    def text(d):  # as reports.write_json writes it
+        return json.dumps(d, sort_keys=True, indent=2)
+
+    assert text(reports.eigensolution_dict(sol)) == text(eigensolution_dict_reference(sol))
