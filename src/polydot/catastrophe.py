@@ -575,9 +575,12 @@ def scan_grid(
     The cells' specs are built one at a time and the cells are evaluated
     as stacks of up to 64, so working memory beyond the label arrays does
     not grow with the resolution; workers is accepted for compatibility and does not change
-    the result."""
+    the result.  Raises ValueError, before any sampling, for a resolution
+    below 2 or an axis a line scan would reject (see :class:`ParamPath`)."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    for vary in (vary_x, vary_y):
+        ParamPath(spec=spec, varied=(vary,), steps=2)
     name_x, x_lo, x_hi = vary_x
     name_y, y_lo, y_hi = vary_y
     xs = np.linspace(x_lo, x_hi, resolution)

@@ -217,8 +217,11 @@ def cmd_scan(args) -> int:
         return 0
     if len(varied) != 2:
         raise CliError("scan supports one --vary (line) or two (raster)")
-    dmap = scan_grid(spec, varied[0], varied[1], resolution=args.resolution,
-                     workers=args.workers)
+    try:
+        dmap = scan_grid(spec, varied[0], varied[1], resolution=args.resolution,
+                         workers=args.workers)
+    except ValueError as err:
+        raise CliError(str(err))
     if "csv" in formats:
         reports.write_csv(out / "raster_quantum.csv",
                           reports.raster_csv_rows(dmap, QUANTUM))
@@ -253,7 +256,10 @@ def cmd_grid(args) -> int:
         axis = axis.strip()
         if axis not in ("x", "y", "z") or not value:
             raise CliError("--slice wants AXIS=VALUE, e.g. z=0")
-        fixed = float(value)
+        try:
+            fixed = float(value)
+        except ValueError:
+            raise CliError(f"--slice value must be a number, got {value!r}")
         others = [i for i, name in enumerate(("x", "y", "z")) if name != axis]
         mesh = np.zeros((n, n, 3))
         mesh[..., others[0]] = xs[:, None]
@@ -287,8 +293,11 @@ def cmd_oracle(args) -> int:
           f"({len(missing)} missing, {len(spurious)} spurious vs closed form)")
     if args.k:
         n = args.grid_n or {1: 2001, 2: 201, 3: 33}[spec.dimension]
-        sol = fd_eigensolve(spec, replace(verify._oracle_grid(spec, args.grid_L), n=n),
-                            k=args.k)
+        try:
+            sol = fd_eigensolve(spec, replace(verify._oracle_grid(spec, args.grid_L), n=n),
+                                k=args.k)
+        except ValueError as err:
+            raise CliError(str(err))
         result["eigensolve"] = reports.eigensolution_dict(sol)
         if "csv" in formats:
             mesh = sol.grid.mesh(sol.dim)

@@ -78,6 +78,10 @@ _SHAPE_STEMS = ("alpha", "beta", "gamma")
 
 _CROSS_KEYS = {"butterfly1d": (), "butterfly2d": ("u",), "butterfly3d": ("u", "v", "w")}
 
+# (key, (i, j)) of every cross coupling, in plane order xy, xz, yz
+_CROSS_PLANES = {family: tuple(zip(keys, itertools.combinations(range(_DIMENSION[family]), 2)))
+                 for family, keys in _CROSS_KEYS.items()}
+
 _CONSISTENCY_TOL = 1e-9
 
 
@@ -185,9 +189,8 @@ def raw_to_shape(family: str, raw: dict) -> dict:
     if family.startswith("cusp"):
         return dict(raw)
     shape: dict = {}
-    for (ka, kb, kg), (qk, ck) in zip(_SHAPE_KEYS[family], _AXIS_PAIR_KEYS[family]):
-        shape[ka], shape[kb], shape[kg] = axis_shape_from_pair(
-            *_axis_pair_values(family, raw, qk, ck))
+    for (ka, kb, kg), (a, c) in zip(_SHAPE_KEYS[family], _pairs(family, raw)):
+        shape[ka], shape[kb], shape[kg] = axis_shape_from_pair(a, c)
     for k in _CROSS_KEYS[family]:
         shape[k] = float(raw[k])
     return shape
@@ -227,19 +230,23 @@ def reparametrize(direction: str, family: str, params: dict) -> dict:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _axis_pair_values(family, raw, quartic_key, quadratic_key):
-    """(a, c) of the on-axis quartic t^2 - 2 a t + c for one axis."""
+def _pairs(family, raw):
+    """Per-axis (a, c) of the on-axis quartic t^2 - 2 a t + c of a butterfly
+    raw coefficient set."""
     if family == "butterfly1d":
-        return -float(raw["a"]) / 3.0, float(raw["c"]) / 3.0
-    return float(raw[quartic_key]), float(raw[quadratic_key])
+        return [(-float(raw["a"]) / 3.0, float(raw["c"]) / 3.0)]
+    return [(float(raw[qk]), float(raw[ck])) for qk, ck in _AXIS_PAIR_KEYS[family]]
 
 
 def axis_pairs(spec: PotentialSpec) -> list[tuple[float, float]]:
     """Per-axis (a, c) stationarity pairs for butterfly specs."""
-    return [
-        _axis_pair_values(spec.family, spec.raw, qk, ck)
-        for qk, ck in _AXIS_PAIR_KEYS[spec.family]
-    ]
+    return _pairs(spec.family, spec.raw)
+
+
+def couplings(spec: PotentialSpec) -> list[tuple[int, int, float]]:
+    """(i, j, u_ij) of every cross coupling of a butterfly spec, in plane
+    order xy, xz, yz (the coefficient of -3 x_i^2 x_j^2)."""
+    return [(i, j, spec.raw[key]) for key, (i, j) in _CROSS_PLANES[spec.family]]
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +311,6 @@ def spec_from_shape(family: str, shape: dict) -> PotentialSpec:
     return spec_from_raw(family, shape_to_raw(family, shape))
 
 
-_CUSP_USER = (("alpha", "alpha_sq"), ("beta", "beta_sq"), ("gamma", "gamma_sq"))
-
-
 def make_spec(family: str, **params) -> PotentialSpec:
     """Build a spec from user-facing parameters.
 
@@ -319,11 +323,10 @@ def make_spec(family: str, **params) -> PotentialSpec:
     """
     _check_family(family)
     user = {k: float(v) for k, v in params.items() if v is not None}
-    dim = _DIMENSION[family]
 
     if family.startswith("cusp"):
         raw = {}
-        for (plain, sq), _axis in zip(_CUSP_USER, range(dim)):
+        for plain, sq in zip(_SHAPE_STEMS, _RAW_KEYS[family]):
             if plain in user and sq in user:
                 raise ValueError(f"give {plain} or {sq}, not both")
             if sq in user:
@@ -480,11 +483,6 @@ def _prep_points(pts, dim):
     return x, False
 
 
-# (i, j) of each cross coupling in the coupling matrix, in _CROSS_KEYS order
-_CROSS_INDEX = {"butterfly1d": (), "butterfly2d": ((0, 1),),
-                "butterfly3d": ((0, 1), (0, 2), (1, 2))}
-
-
 def _coefficients(specs) -> tuple:
     """Coefficient arrays of specs of one family, one row per spec.
 
@@ -499,7 +497,7 @@ def _coefficients(specs) -> tuple:
     pairs = np.array([axis_pairs(s) for s in specs])
     dim = pairs.shape[1]
     U = np.zeros((len(specs), dim, dim))
-    for key, (i, j) in zip(_CROSS_KEYS[family], _CROSS_INDEX[family]):
+    for key, (i, j) in _CROSS_PLANES[family]:
         U[:, i, j] = U[:, j, i] = [s.raw[key] for s in specs]
     return pairs[..., 0], U, pairs[..., 1]
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import potentials
 from .errors import DegenerateCoupling, NoRealShape
-from .potentials import PotentialSpec, axis_pairs, gradient
+from .potentials import AXES, PotentialSpec, axis_pairs, couplings, gradient
 
 MINIMUM = "minimum"
 MAXIMUM = "maximum"
@@ -184,19 +184,20 @@ def on_axis_roots(spec: PotentialSpec, axis: str) -> dict:
     names = spec.axis_names()
     if axis not in names:
         raise ValueError(f"{spec.family} has axes {names}, not {axis!r}")
-    keys = ("x_sq",) if spec.is_cusp else ("x_minus_sq", "x_plus_sq")
-    return dict(zip(keys, (t for _suffix, t in _axis_roots(spec, names.index(axis)))))
+    keys, pairs = ((("x_sq",), None) if spec.is_cusp
+                   else (("x_minus_sq", "x_plus_sq"), axis_pairs(spec)))
+    return dict(zip(keys, (t for _suffix, t in _axis_roots(spec, names.index(axis), pairs))))
 
 
-def _axis_roots(spec, idx):
+def _axis_roots(spec, idx, pairs):
     """(label suffix, squared radius) of every on-axis root of axis number
-    idx, ascending: ("", alpha_j^2) for a cusp, ("_inner", a - s) and
-    ("_outer", a + s) with s = sqrt(a^2 - c) for a butterfly.  Both
-    butterfly roots are tagged "_double" when s <= 1e-12 max(1, |a|).
+    idx, ascending: ("", alpha_j^2) for a cusp (pairs None), ("_inner", a - s)
+    and ("_outer", a + s) with (a, c) = pairs[idx] and s = sqrt(a^2 - c) for
+    a butterfly, both tagged "_double" when s <= 1e-12 max(1, |a|).
     Raises NoRealShape when a^2 < c."""
-    if spec.is_cusp:
+    if pairs is None:
         return [("", float(spec.raw[potentials._RAW_KEYS[spec.family][idx]]))]
-    a, c = axis_pairs(spec)[idx]
+    a, c = pairs[idx]
     disc = a * a - c
     if disc < 0.0:
         raise NoRealShape(
@@ -266,26 +267,12 @@ def _positive_quadratic_roots(q2, q1, q0):
     ]
 
 
-def _off_axis_tagged(a, b, c, d, u):
-    """In-plane stationary squared coordinates for the sextic block
-    (a, b, u; c, d): list of (X^2, Y^2, R^2, branch), R^2 ascending."""
-    aux = _quadratic_aux(a, b, c, d, u)
-    out = []
-    for r2, tag in _positive_quadratic_roots(aux.z_of_u, -aux.uzp1, aux.w_of_u):
-        r4 = r2 * r2
-        x2 = (r4 - u * r2 + c) / (2.0 * a - u)
-        y2 = (r4 - u * r2 + d) / (2.0 * b - u)
-        if x2 > _POSITIVITY_ATOL and y2 > _POSITIVITY_ATOL:
-            out.append((x2, y2, r2, tag))
-    return out
-
-
 def quadratic_aux(spec: PotentialSpec) -> QuadraticAux:
     """In-plane auxiliary quantities (w(u), z(u), uz+1, discriminant)."""
     if spec.family != "butterfly2d":
         raise ValueError("quadratic_aux applies to butterfly2d specs")
-    r = spec.raw
-    return _quadratic_aux(r["a"], r["b"], r["c"], r["d"], r["u"])
+    ((a, c), (b, d)), ((_i, _j, u),) = axis_pairs(spec), couplings(spec)
+    return _quadratic_aux(a, b, c, d, u)
 
 
 def off_axis_roots_2d(spec: PotentialSpec) -> list[tuple[float, float, float]]:
@@ -297,37 +284,48 @@ def off_axis_roots_2d(spec: PotentialSpec) -> list[tuple[float, float, float]]:
     """
     if spec.family != "butterfly2d":
         raise ValueError("off_axis_roots_2d applies to butterfly2d specs")
-    r = spec.raw
-    return [
-        (x2, y2, r2)
-        for x2, y2, r2, _tag in _off_axis_tagged(r["a"], r["b"], r["c"], r["d"], r["u"])
-    ]
+    return [(x2, y2, r2) for (x2, y2), r2, _sub, _tag in _off_axis(spec, axis_pairs(spec))]
 
 
 # ---------------------------------------------------------------------------
-# off-axis roots, 3D (three planar blocks + bulk)
+# off-axis roots: one planar block per coupled plane, plus the 3D bulk
 # ---------------------------------------------------------------------------
 
-_PLANES = (  # (subfamily, coordinate indices, (quartic, quartic, cross, quad, quad) keys)
-    ("plane_xy", (0, 1), ("a", "b", "u", "p", "q")),
-    ("plane_xz", (0, 2), ("a", "c", "v", "p", "s")),
-    ("plane_yz", (1, 2), ("b", "c", "w", "q", "s")),
-)
+def _off_axis(spec, pairs):
+    """Every off-axis root of a butterfly spec with axis pairs ``pairs``:
+    ([squared coordinates], R^2, subfamily, branch) tuples.  Each coupled
+    plane (i, j) is the in-plane solve on its block (pairs[i], pairs[j],
+    u_ij) with the other coordinates zero; in 3D the bulk roots follow."""
+    cross, n = couplings(spec), len(pairs)
+    out = []
+    for i, j, u in cross:
+        (a, c), (b, d) = pairs[i], pairs[j]
+        subfamily = f"plane_{AXES[i]}{AXES[j]}"
+        aux = _quadratic_aux(a, b, c, d, u)
+        for r2, tag in _positive_quadratic_roots(aux.z_of_u, -aux.uzp1, aux.w_of_u):
+            r4 = r2 * r2
+            x2 = (r4 - u * r2 + c) / (2.0 * a - u)
+            y2 = (r4 - u * r2 + d) / (2.0 * b - u)
+            if x2 > _POSITIVITY_ATOL and y2 > _POSITIVITY_ATOL:
+                sq = [0.0] * n
+                sq[i], sq[j] = x2, y2
+                out.append((sq, r2, subfamily, tag))
+    if n == 3:
+        out.extend((sq, r2, "bulk", tag) for sq, r2, tag in _bulk_tagged(pairs, cross))
+    return out
 
 
-def _coupling_matrix(raw):
-    return np.array([
-        [2.0 * raw["a"], raw["u"], raw["v"]],
-        [raw["u"], 2.0 * raw["b"], raw["w"]],
-        [raw["v"], raw["w"], 2.0 * raw["c"]],
-    ])
-
-
-def _bulk_tagged(spec):
-    raw = spec.raw
-    M = _coupling_matrix(raw)
+def _bulk_tagged(pairs, cross):
+    """([X^2, Y^2, Z^2], R^2, branch) of every bulk root of the 3D block with
+    axis pairs ``pairs`` and couplings ``cross`` (see :func:`bulk_roots_3d`)."""
+    M = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    for i, (a, _c) in enumerate(pairs):
+        M[i][i] = 2.0 * a
+    for i, j, u in cross:
+        M[i][j] = M[j][i] = u
+    M = np.array(M)
     try:
-        scale = max(1.0, float(np.max(np.abs(M)))) ** 3
+        scale = max(1.0, float(np.abs(M).max())) ** 3
     except OverflowError:  # an entry above ~5.6e102: every det counts as singular
         scale = math.inf
     det = float(np.linalg.det(M))
@@ -337,12 +335,12 @@ def _bulk_tagged(spec):
             "the bulk linear solve is undefined"
         )
     g = np.linalg.solve(M, np.ones(3))
-    h = np.linalg.solve(M, np.array([raw["p"], raw["q"], raw["s"]]))
+    h = np.linalg.solve(M, np.array([c for _a, c in pairs]))
     out = []
     for r2, tag in _positive_quadratic_roots(float(g.sum()), -1.0, float(h.sum())):
         sq = g * r2 * r2 + h
-        if np.all(sq > _POSITIVITY_ATOL):
-            out.append((float(sq[0]), float(sq[1]), float(sq[2]), r2, tag))
+        if (sq > _POSITIVITY_ATOL).all():
+            out.append((sq.tolist(), r2, tag))
     return out
 
 
@@ -356,7 +354,9 @@ def bulk_roots_3d(spec: PotentialSpec) -> list[tuple[float, float, float, float]
     G and H are the summed solution weights.  Returns
     (X^2, Y^2, Z^2, R^2) for every admissible root, R^2 ascending.
     """
-    return [entry[:4] for entry in _bulk_tagged(spec)]
+    if spec.family != "butterfly3d":
+        raise ValueError("bulk_roots_3d applies to butterfly3d specs")
+    return [(*sq, r2) for sq, r2, _tag in _bulk_tagged(axis_pairs(spec), couplings(spec))]
 
 
 def off_axis_roots_3d(spec: PotentialSpec) -> list[tuple]:
@@ -369,23 +369,7 @@ def off_axis_roots_3d(spec: PotentialSpec) -> list[tuple]:
     """
     if spec.family != "butterfly3d":
         raise ValueError("off_axis_roots_3d applies to butterfly3d specs")
-    return [entry[:5] for entry in _off_axis_tagged_3d(spec)]
-
-
-def _off_axis_tagged_3d(spec):
-    raw = spec.raw
-    out = []
-    for subfamily, idx, (k1, k2, kc, kq1, kq2) in _PLANES:
-        for x2, y2, r2, tag in _off_axis_tagged(
-            raw[k1], raw[k2], raw[kq1], raw[kq2], raw[kc]
-        ):
-            sq = [0.0, 0.0, 0.0]
-            sq[idx[0]] = x2
-            sq[idx[1]] = y2
-            out.append((sq[0], sq[1], sq[2], r2, subfamily, tag))
-    for x2, y2, z2, r2, tag in _bulk_tagged(spec):
-        out.append((x2, y2, z2, r2, "bulk", tag))
-    return out
+    return [(*sq, r2, sub) for sq, r2, sub, _tag in _off_axis(spec, axis_pairs(spec))]
 
 
 # ---------------------------------------------------------------------------
@@ -402,31 +386,25 @@ def _representatives(spec: PotentialSpec) -> tuple[list, list]:
     dim = spec.dimension
     reps = [((0.0,) * dim, "origin", "origin")]
     warnings = []
-    for idx, axis in enumerate(spec.axis_names()):
+    pairs = None if spec.is_cusp else axis_pairs(spec)
+    for idx, axis in enumerate(AXES[:dim]):
         try:
-            roots = _axis_roots(spec, idx)
+            roots = _axis_roots(spec, idx, pairs)
         except NoRealShape:
-            a, c = axis_pairs(spec)[idx]
+            a, c = pairs[idx]
             warnings.append(
                 f"axis {axis}: no real on-axis points (a^2 = {a * a:g} < c = {c:g})"
             )
             continue
-        # dict() keeps the outer root of a double pair under its one label
-        for suffix, t in dict(roots).items():
-            if t <= _POSITIVITY_ATOL:
-                continue
-            coords = [0.0] * dim
-            coords[idx] = math.sqrt(t)
-            reps.append((tuple(coords), f"axis_{axis}", f"axis_{axis}{suffix}"))
+        subfamily, before, after = f"axis_{axis}", (0.0,) * idx, (0.0,) * (dim - idx - 1)
+        # a double pair is one orbit, kept as its outer root
+        for suffix, t in roots[1:] if roots[0][0] == "_double" else roots:
+            if t > _POSITIVITY_ATOL:
+                reps.append((before + (math.sqrt(t),) + after, subfamily, subfamily + suffix))
 
-    if spec.family == "butterfly2d":
-        r = spec.raw
-        for x2, y2, _r2, tag in _off_axis_tagged(r["a"], r["b"], r["c"], r["d"], r["u"]):
-            reps.append(((math.sqrt(x2), math.sqrt(y2)), "plane_xy", f"plane_xy_{tag}"))
-    elif spec.family == "butterfly3d":
-        for x2, y2, z2, _r2, subfamily, tag in _off_axis_tagged_3d(spec):
-            reps.append(((math.sqrt(x2), math.sqrt(y2), math.sqrt(z2)),
-                         subfamily, f"{subfamily}_{tag}"))
+    if dim > 1 and pairs:
+        for sq, _r2, subfamily, tag in _off_axis(spec, pairs):
+            reps.append((tuple(map(math.sqrt, sq)), subfamily, f"{subfamily}_{tag}"))
     return reps, warnings
 
 

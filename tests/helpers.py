@@ -503,3 +503,177 @@ def scan_sample_reference(build, t, params):
     return catastrophe.ScanSample(t, params, True, None, spectra._lowest(energies).label,
                                   spectra._lowest(depths).label, energies, depths,
                                   orbit_labels)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form root algebra read from raw coefficient keys
+# ---------------------------------------------------------------------------
+
+# (subfamily, coordinate indices, (quartic, quartic, cross, quad, quad) keys)
+_PLANE_KEYS = (
+    ("plane_xy", (0, 1), ("a", "b", "u", "p", "q")),
+    ("plane_xz", (0, 2), ("a", "c", "v", "p", "s")),
+    ("plane_yz", (1, 2), ("b", "c", "w", "q", "s")),
+)
+
+
+def _off_axis_tagged_reference(a, b, c, d, u):
+    aux = stationary._quadratic_aux(a, b, c, d, u)
+    out = []
+    for r2, tag in stationary._positive_quadratic_roots(aux.z_of_u, -aux.uzp1, aux.w_of_u):
+        r4 = r2 * r2
+        x2 = (r4 - u * r2 + c) / (2.0 * a - u)
+        y2 = (r4 - u * r2 + d) / (2.0 * b - u)
+        if x2 > 1e-12 and y2 > 1e-12:
+            out.append((x2, y2, r2, tag))
+    return out
+
+
+def _axis_roots_reference(spec, idx):
+    if spec.is_cusp:
+        return [("", float(spec.raw[potentials._RAW_KEYS[spec.family][idx]]))]
+    a, c = potentials.axis_pairs(spec)[idx]
+    disc = a * a - c
+    if disc < 0.0:
+        raise NoRealShape(
+            f"axis {spec.axis_names()[idx]}: a^2 = {a * a:g} < c = {c:g}, "
+            "on-axis points complex"
+        )
+    root = math.sqrt(disc)
+    if root <= 1e-12 * max(1.0, abs(a)):
+        return [("_double", a - root), ("_double", a + root)]
+    return [("_inner", a - root), ("_outer", a + root)]
+
+
+def _bulk_tagged_reference(raw):
+    M = np.array([
+        [2.0 * raw["a"], raw["u"], raw["v"]],
+        [raw["u"], 2.0 * raw["b"], raw["w"]],
+        [raw["v"], raw["w"], 2.0 * raw["c"]],
+    ])
+    try:
+        scale = max(1.0, float(np.max(np.abs(M)))) ** 3
+    except OverflowError:
+        scale = math.inf
+    det = float(np.linalg.det(M))
+    if abs(det) <= 1e-12 * scale:
+        raise stationary.DegenerateCoupling(
+            f"coupling matrix is singular (det = {det:g}); "
+            "the bulk linear solve is undefined"
+        )
+    g = np.linalg.solve(M, np.ones(3))
+    h = np.linalg.solve(M, np.array([raw["p"], raw["q"], raw["s"]]))
+    out = []
+    for r2, tag in stationary._positive_quadratic_roots(float(g.sum()), -1.0, float(h.sum())):
+        sq = g * r2 * r2 + h
+        if np.all(sq > 1e-12):
+            out.append((float(sq[0]), float(sq[1]), float(sq[2]), r2, tag))
+    return out
+
+
+def _off_axis_tagged_3d_reference(raw):
+    out = []
+    for subfamily, idx, (k1, k2, kc, kq1, kq2) in _PLANE_KEYS:
+        for x2, y2, r2, tag in _off_axis_tagged_reference(
+                raw[k1], raw[k2], raw[kq1], raw[kq2], raw[kc]):
+            sq = [0.0, 0.0, 0.0]
+            sq[idx[0]] = x2
+            sq[idx[1]] = y2
+            out.append((sq[0], sq[1], sq[2], r2, subfamily, tag))
+    for x2, y2, z2, r2, tag in _bulk_tagged_reference(raw):
+        out.append((x2, y2, z2, r2, "bulk", tag))
+    return out
+
+
+def representatives_reference(spec):
+    """stationary._representatives with every coefficient read by its raw
+    key: each axis re-reads the axis pairs, butterfly2d solves its plane
+    from raw["a"] ... raw["u"], and butterfly3d walks a table of per-plane
+    key tuples and builds the coupling matrix key by key.  The library's
+    own _quadratic_aux and _positive_quadratic_roots solve the quadratics."""
+    dim = spec.dimension
+    reps = [((0.0,) * dim, "origin", "origin")]
+    warnings = []
+    for idx, axis in enumerate(spec.axis_names()):
+        try:
+            roots = _axis_roots_reference(spec, idx)
+        except NoRealShape:
+            a, c = potentials.axis_pairs(spec)[idx]
+            warnings.append(
+                f"axis {axis}: no real on-axis points (a^2 = {a * a:g} < c = {c:g})"
+            )
+            continue
+        for suffix, t in dict(roots).items():
+            if t <= 1e-12:
+                continue
+            coords = [0.0] * dim
+            coords[idx] = math.sqrt(t)
+            reps.append((tuple(coords), f"axis_{axis}", f"axis_{axis}{suffix}"))
+    r = spec.raw
+    if spec.family == "butterfly2d":
+        for x2, y2, _r2, tag in _off_axis_tagged_reference(r["a"], r["b"], r["c"], r["d"], r["u"]):
+            reps.append(((math.sqrt(x2), math.sqrt(y2)), "plane_xy", f"plane_xy_{tag}"))
+    elif spec.family == "butterfly3d":
+        for x2, y2, z2, _r2, subfamily, tag in _off_axis_tagged_3d_reference(r):
+            reps.append(((math.sqrt(x2), math.sqrt(y2), math.sqrt(z2)),
+                         subfamily, f"{subfamily}_{tag}"))
+    return reps, warnings
+
+
+def on_axis_roots_reference(spec, axis):
+    names = spec.axis_names()
+    if axis not in names:
+        raise ValueError(f"{spec.family} has axes {names}, not {axis!r}")
+    keys = ("x_sq",) if spec.is_cusp else ("x_minus_sq", "x_plus_sq")
+    return dict(zip(keys, (t for _suffix, t in _axis_roots_reference(spec, names.index(axis)))))
+
+
+def quadratic_aux_reference(spec):
+    if spec.family != "butterfly2d":
+        raise ValueError("quadratic_aux applies to butterfly2d specs")
+    r = spec.raw
+    return stationary._quadratic_aux(r["a"], r["b"], r["c"], r["d"], r["u"])
+
+
+def off_axis_roots_2d_reference(spec):
+    if spec.family != "butterfly2d":
+        raise ValueError("off_axis_roots_2d applies to butterfly2d specs")
+    r = spec.raw
+    return [(x2, y2, r2) for x2, y2, r2, _tag
+            in _off_axis_tagged_reference(r["a"], r["b"], r["c"], r["d"], r["u"])]
+
+
+def off_axis_roots_3d_reference(spec):
+    if spec.family != "butterfly3d":
+        raise ValueError("off_axis_roots_3d applies to butterfly3d specs")
+    return [entry[:5] for entry in _off_axis_tagged_3d_reference(spec.raw)]
+
+
+def bulk_roots_3d_reference(spec):
+    return [entry[:4] for entry in _bulk_tagged_reference(spec.raw)]
+
+
+def coefficients_reference(specs):
+    """potentials._coefficients with each cross coupling placed by its raw
+    key: u at (0, 1), v at (0, 2), w at (1, 2)."""
+    family = specs[0].family
+    if family.startswith("cusp"):
+        return (np.array([[s.raw[k] for k in potentials._RAW_KEYS[family]] for s in specs]),)
+    pairs = np.array([potentials.axis_pairs(s) for s in specs])
+    dim = pairs.shape[1]
+    U = np.zeros((len(specs), dim, dim))
+    for key, (i, j) in zip(("u", "v", "w"), ((0, 1), (0, 2), (1, 2))):
+        if key in specs[0].raw:
+            U[:, i, j] = U[:, j, i] = [s.raw[key] for s in specs]
+    return pairs[..., 0], U, pairs[..., 1]
+
+
+#: the raw-key reference of each root-algebra function, by library name
+ROOT_ALGEBRA_REFERENCES = {
+    "_representatives": representatives_reference,
+    "on_axis_roots": on_axis_roots_reference,
+    "quadratic_aux": quadratic_aux_reference,
+    "off_axis_roots_2d": off_axis_roots_2d_reference,
+    "off_axis_roots_3d": off_axis_roots_3d_reference,
+    "bulk_roots_3d": bulk_roots_3d_reference,
+}

@@ -626,6 +626,21 @@ def test_interrupted_stack_keeps_the_stacks_before_it(monkeypatch, k, kept):
     assert repr(rep.samples) == repr(full.samples[:kept])
 
 
+def test_raster_rejects_an_axis_a_line_scan_rejects(monkeypatch):
+    # an unknown name fails before any cell is sampled, as it does for a line
+    spec = make_spec("butterfly1d", alpha=1.0, beta=1.0)
+    builds = count_calls(monkeypatch, potentials.with_param)
+    for vary_x, vary_y, message in (
+            (("foo", 0.5, 2.5), ("beta", 0.5, 2.5), "unknown parameter 'foo'"),
+            (("alpha", 0.5, 2.5), ("bar", 0.5, 2.5), "unknown parameter 'bar'"),
+            (("alpha", 1.0, 1.0), ("beta", 0.5, 2.5), "does not vary")):
+        with pytest.raises(ValueError, match=message):
+            ParamPath(spec=spec, varied=(vary_x, vary_y), steps=3)
+        with pytest.raises(ValueError, match=message):
+            scan_grid(spec, vary_x, vary_y, resolution=3)
+    assert len(builds) == 6  # the first endpoint of each checked axis, never a cell
+
+
 def test_raster_is_evaluated_in_bounded_stacks(monkeypatch):
     # 11 x 11 cells take two stacks of at most 64 specs each
     batches = count_calls(monkeypatch, stationary.classify_points)

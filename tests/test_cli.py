@@ -168,6 +168,18 @@ def test_scan_raster_outputs(tmp_path):
     assert {b["kind"] for b in polys["boundaries"]} <= {"quantum", "classical"}
 
 
+def test_scan_raster_usage_errors_exit_1(tmp_path, capsys):
+    base = ["scan", "--family", "butterfly1d", "--alpha", 1, "--beta", 1, "--out", tmp_path]
+    assert run(base + ["--vary", "alpha:0.5:2.5", "--vary", "beta:0.5:2.5",
+                       "--resolution", 1]) == 1
+    assert run(base + ["--vary", "foo:0.5:2.5", "--vary", "beta:0.5:2.5",
+                       "--resolution", 3]) == 1
+    err = capsys.readouterr().err
+    assert "error: resolution must be >= 2" in err
+    assert "error: unknown parameter 'foo' for butterfly1d" in err
+    assert not list(tmp_path.glob("raster_*"))
+
+
 def test_grid_zero_size_window_rejected(tmp_path):
     code = run(["grid", "--family", "cusp2d", "--alpha", 1.4, "--beta", 1,
                 "--grid-L", 0, "--out", tmp_path])
@@ -204,6 +216,22 @@ def test_grid_3d_slice(tmp_path):
     assert code == 0
     rows = read_csv(tmp_path / "grid.csv")
     assert len(rows) == 22
+
+
+def test_grid_slice_value_not_a_number_exit_1(tmp_path, capsys):
+    code = run(["grid", "--family", "cusp3d", "--alpha", 1.4, "--beta", 1.2,
+                "--gamma", 1, "--slice", "z=abc", "--out", tmp_path])
+    assert code == 1
+    assert "error: --slice value must be a number, got 'abc'" in capsys.readouterr().err
+
+
+def test_oracle_eigensolver_usage_errors_exit_1(tmp_path, capsys):
+    base = ["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--out", tmp_path]
+    assert run(base + ["--k", 2, "--grid-n", 8]) == 1
+    assert run(base + ["--k", 400, "--grid-n", 20]) == 1
+    err = capsys.readouterr().err
+    assert "error: eigensolver grids need at least 16 points per axis, got 8" in err
+    assert "error: k = 400 exceeds the 399 pairs a 2D solve on 400 unknowns returns" in err
 
 
 def test_oracle_command(tmp_path):

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from polydot import potentials, stationary
 from polydot.errors import DegenerateCoupling, NoRealShape
@@ -27,7 +28,9 @@ from polydot.verify import corpus_specs
 
 from helpers import (
     DRAWERS,
+    ROOT_ALGEBRA_REFERENCES,
     any_family_spec,
+    coefficients_reference,
     draw_butterfly2d_with_roots,
     draw_butterfly3d_ordered,
 )
@@ -238,6 +241,11 @@ def test_bulk_strong_coupling_reduced_quadratic():
     assert got[1] == pytest.approx(expected[1], rel=1e-12)
 
 
+def test_bulk_roots_need_a_butterfly3d_spec():
+    with pytest.raises(ValueError, match="butterfly3d"):
+        bulk_roots_3d(make_spec("butterfly2d", **FIG2))
+
+
 def test_singular_coupling_matrix_raises():
     spec = spec_from_raw("butterfly3d",
                          dict(a=1.0, b=1.0, c=1.0, u=2.0, v=2.0, w=2.0,
@@ -434,3 +442,50 @@ def test_batched_enumeration_matches_single_point_calls_drawn(spec):
     except DegenerateCoupling:
         assume(False)
     assert_matches_single_point_calls(spec, points)
+
+
+# ---------------------------------------------------------------------------
+# the root algebra against its raw-key reference, at any scale
+# ---------------------------------------------------------------------------
+
+def outcome(fn, *args):
+    """repr of fn(*args), every float at full precision, or the type and
+    message of what it raises."""
+    try:
+        out = fn(*args)
+    except Exception as err:  # the error is the outcome
+        return f"{type(err).__name__}: {err}"
+    if isinstance(out, stationary.QuadraticAux):
+        return repr((out.w_of_u, out.z_of_u, out.uzp1, out.disc))
+    if isinstance(out, tuple) and isinstance(out[0], np.ndarray):
+        return repr([c.tolist() for c in out])
+    return repr(out)
+
+
+@st.composite
+def scaled_family_spec(draw):
+    """A spec of any family with every raw coefficient times 10^e, e drawn
+    from U(-8, 8) or 0."""
+    spec = draw(any_family_spec())
+    scale = 10.0 ** draw(st.one_of(st.just(0.0), st.floats(-8.0, 8.0)))
+    return spec_from_raw(spec.family, {k: v * scale for k, v in spec.raw.items()})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(scaled_family_spec())
+@example(spec_from_raw("butterfly2d", dict(a=1.0, b=1.5, c=0.5, d=1.0, u=2.0)))
+@example(make_spec("butterfly3d", alpha=1.2, beta=0.0, u=0.3, v=-0.2))
+@example(spec_from_raw("butterfly3d", dict(a=1.0, b=1.0, c=1.0, u=2.0, v=2.0, w=2.0,
+                                           p=1.0, q=1.0, s=1.0)))
+@example(spec_from_raw("butterfly3d", dict(a=1e-7, b=2e-7, c=1e-7, u=0.0, v=1e-7, w=0.0,
+                                           p=1e-14, q=1e-14, s=1e-14)))
+def test_root_algebra_matches_raw_key_reference(spec):
+    for name, reference in ROOT_ALGEBRA_REFERENCES.items():
+        if name == "bulk_roots_3d" and spec.family != "butterfly3d":
+            continue
+        axes = potentials.AXES if name == "on_axis_roots" else (None,)
+        for axis in axes:
+            args = (spec,) if axis is None else (spec, axis)
+            assert outcome(getattr(stationary, name), *args) == outcome(reference, *args), name
+    stack = [spec, spec_from_raw(spec.family, {k: 2.0 * v for k, v in spec.raw.items()})]
+    assert outcome(potentials._coefficients, stack) == outcome(coefficients_reference, stack)
