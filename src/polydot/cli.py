@@ -11,8 +11,10 @@ verify    run the verification suites -> verify.json (exit 3 on failure)
 
 Specs come either from inline flags (--family plus parameters) or from a
 JSON file (--spec).  Outputs land in --out (or $POLYDOT_OUT, default
-./polydot_out); --json/--csv restrict the formats.  All outputs are
-deterministic for a fixed configuration and seed.
+./polydot_out).  A command that writes JSON and CSV writes only one of
+them under --json or --csv alone; grid, verify and oracle without --k
+always write their one file.  All outputs are deterministic for a fixed
+configuration and seed.
 """
 
 from __future__ import annotations
@@ -48,35 +50,20 @@ class CliError(Exception):
     """Usage-level failure; maps to exit code 1."""
 
 
-def _add_spec_flags(parser):
-    group = parser.add_argument_group("potential spec")
-    group.add_argument("--family", choices=FAMILIES, help="potential family")
-    for flag in _SPEC_FLAGS:
-        group.add_argument(f"--{flag}", type=float, default=None)
-    group.add_argument("--spec", metavar="FILE", help="JSON spec file")
-
-
-def _add_output_flags(parser):
-    group = parser.add_argument_group("output")
-    group.add_argument("--out", default=None,
-                       help="output directory (default $POLYDOT_OUT or ./polydot_out)")
-    group.add_argument("--json", action="store_true", help="write JSON outputs only")
-    group.add_argument("--csv", action="store_true", help="write CSV outputs only")
-
-
-def _formats(args):
-    if args.json and not args.csv:
-        return {"json"}
-    if args.csv and not args.json:
-        return {"csv"}
-    return {"json", "csv"}
-
-
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("POLYDOT_OUT") or "polydot_out"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _write(args, files):
+    """Write each output file, {name: make}, with make() building its
+    content.  --json or --csv alone keeps only that format when the command
+    writes both; a command with one format always writes it."""
+    suffixes = {Path(name).suffix for name in files}
+    if len(suffixes) > 1 and args.json != args.csv:
+        suffixes = {".json" if args.json else ".csv"}
+    out = Path(args.out or os.environ.get("POLYDOT_OUT") or "polydot_out")
+    out.mkdir(parents=True, exist_ok=True)
+    for name, make in files.items():
+        suffix = Path(name).suffix
+        if suffix in suffixes:
+            write = reports.write_json if suffix == ".json" else reports.write_csv
+            write(out / name, make())
 
 
 def _load_spec(args):
@@ -113,13 +100,10 @@ def _load_spec(args):
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
     report = enumerate_stationary(spec)
-    out = _out_dir(args)
-    formats = _formats(args)
-    if "json" in formats:
-        reports.write_json(out / "stationary.json",
-                           reports.stationary_report_dict(spec, report))
-    if "csv" in formats:
-        reports.write_csv(out / "stationary.csv", reports.stationary_csv_rows(report))
+    _write(args, {
+        "stationary.json": lambda: reports.stationary_report_dict(spec, report),
+        "stationary.csv": lambda: reports.stationary_csv_rows(report),
+    })
     print(f"{spec.family}: {len(report.points)} orbit entries, "
           f"{sum(p.multiplicity for p in report.points)} stationary points")
     for p in report.points:
@@ -146,17 +130,11 @@ def cmd_spectrum(args) -> int:
     levels_by_label = {
         label: spectra.levels(well, e_max) for label, well in cands.wells.items()
     }
-    out = _out_dir(args)
-    formats = _formats(args)
-    if "json" in formats:
-        reports.write_json(
-            out / "spectrum.json",
-            reports.spectrum_report_dict(spec, cands, dominant, classical,
-                                         levels_by_label, e_max),
-        )
-    if "csv" in formats:
-        reports.write_csv(out / "spectrum.csv",
-                          reports.spectrum_csv_rows(levels_by_label))
+    _write(args, {
+        "spectrum.json": lambda: reports.spectrum_report_dict(
+            spec, cands, dominant, classical, levels_by_label, e_max),
+        "spectrum.csv": lambda: reports.spectrum_csv_rows(levels_by_label),
+    })
     print(f"dominant well: {dominant.label} (E0 ~ {dominant.energy:.10g})")
     if len(dominant.tied) > 1:
         print(f"  tie between: {', '.join(dominant.tied)}")
@@ -192,21 +170,18 @@ def cmd_scan(args) -> int:
     varied = _parse_vary(args.vary)
     if not varied:
         raise CliError("scan needs at least one --vary NAME:START:END")
-    out = _out_dir(args)
-    formats = _formats(args)
     if len(varied) == 1:
         try:
             path = ParamPath(spec=spec, varied=tuple(varied), steps=args.steps)
         except ValueError as err:
             raise CliError(str(err))
-        report = scan_line(path, gap_tol=args.tol, workers=args.workers)
-        if "csv" in formats:
-            reports.write_csv(out / "scan.csv", reports.scan_csv_rows(report))
-        if "json" in formats:
-            d = reports.scan_report_dict(report)
-            reports.write_json(out / "scan.json", d)
-            reports.write_json(out / "boundaries.json",
-                               {k: d[k] for k in ("header", "boundaries", "events")})
+        report = scan_line(path, gap_tol=args.tol)
+        d = reports.scan_report_dict(report)
+        _write(args, {
+            "scan.csv": lambda: reports.scan_csv_rows(report),
+            "scan.json": lambda: d,
+            "boundaries.json": lambda: {k: d[k] for k in ("header", "boundaries", "events")},
+        })
         print(f"scan over {varied[0][0]}: {len(report.samples)} samples, "
               f"{len(report.boundaries)} boundaries, {len(report.events)} orbit events")
         for b in report.boundaries:
@@ -218,18 +193,14 @@ def cmd_scan(args) -> int:
     if len(varied) != 2:
         raise CliError("scan supports one --vary (line) or two (raster)")
     try:
-        dmap = scan_grid(spec, varied[0], varied[1], resolution=args.resolution,
-                         workers=args.workers)
+        dmap = scan_grid(spec, varied[0], varied[1], resolution=args.resolution)
     except ValueError as err:
         raise CliError(str(err))
-    if "csv" in formats:
-        reports.write_csv(out / "raster_quantum.csv",
-                          reports.raster_csv_rows(dmap, QUANTUM))
-        reports.write_csv(out / "raster_classical.csv",
-                          reports.raster_csv_rows(dmap, CLASSICAL))
-    if "json" in formats:
-        reports.write_json(out / "raster_polylines.json",
-                           reports.raster_polylines_dict(dmap))
+    _write(args, {
+        "raster_quantum.csv": lambda: reports.raster_csv_rows(dmap, QUANTUM),
+        "raster_classical.csv": lambda: reports.raster_csv_rows(dmap, CLASSICAL),
+        "raster_polylines.json": lambda: reports.raster_polylines_dict(dmap),
+    })
     labels = sorted(set(map(str, dmap.labels_quantum.ravel())))
     print(f"raster {args.resolution}x{args.resolution}: quantum labels {labels}")
     return 0
@@ -244,11 +215,9 @@ def cmd_grid(args) -> int:
     L = args.grid_L or 1.6 * characteristic_radius(spec)
     n = args.grid_n or 201
     xs = np.linspace(-L, L, n)
-    out = _out_dir(args)
     if spec.dimension == 1:
         values = evaluate(spec, xs)
-        reports.write_csv(out / "grid.csv",
-                          reports.potential_line_rows(xs, values, clip=args.clip))
+        _write(args, {"grid.csv": lambda: reports.potential_line_rows(xs, values, clip=args.clip)})
         print(f"wrote grid.csv ({n} points, window [{-L:g}, {L:g}])")
         return 0
     if spec.dimension == 3:
@@ -269,8 +238,7 @@ def cmd_grid(args) -> int:
     else:
         mesh = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
         values = evaluate(spec, mesh)
-    reports.write_csv(out / "grid.csv",
-                      reports.potential_grid_rows(xs, xs, values, clip=args.clip))
+    _write(args, {"grid.csv": lambda: reports.potential_grid_rows(xs, xs, values, clip=args.clip)})
     print(f"wrote grid.csv ({n}x{n} window [{-L:g}, {L:g}]"
           + (f", clip V <= {args.clip:g}" if args.clip is not None else "") + ")")
     return 0
@@ -278,9 +246,17 @@ def cmd_grid(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = _load_spec(args)
-    out = _out_dir(args)
-    formats = _formats(args)
+    sol = None
+    if args.k:
+        n = args.grid_n or {1: 2001, 2: 201, 3: 33}[spec.dimension]
+        try:
+            sol = fd_eigensolve(spec, replace(verify._oracle_grid(spec, args.grid_L), n=n),
+                                k=args.k)
+        except ValueError as err:
+            raise CliError(str(err))
     found, missing, spurious = verify.oracle_agreement(spec, args.grid_L)
+    print(f"newton search: {len(found)} orbits "
+          f"({len(missing)} missing, {len(spurious)} spurious vs closed form)")
     result = {
         "spec": spec.to_dict(),
         "newton": {
@@ -289,33 +265,21 @@ def cmd_oracle(args) -> int:
             "spurious_vs_closed_form": [reports.record_dict(p) for p in spurious],
         },
     }
-    print(f"newton search: {len(found)} orbits "
-          f"({len(missing)} missing, {len(spurious)} spurious vs closed form)")
-    if args.k:
-        n = args.grid_n or {1: 2001, 2: 201, 3: 33}[spec.dimension]
-        try:
-            sol = fd_eigensolve(spec, replace(verify._oracle_grid(spec, args.grid_L), n=n),
-                                k=args.k)
-        except ValueError as err:
-            raise CliError(str(err))
+    files = {"oracle.json": lambda: result}
+    if sol is not None:
         result["eigensolve"] = reports.eigensolution_dict(sol)
-        if "csv" in formats:
-            mesh = sol.grid.mesh(sol.dim)
-            v = evaluate(spec, mesh if spec.dimension > 1 else mesh[..., 0])
-            reports.write_csv(out / "eigen.csv",
-                              reports.eigensolution_csv_rows(sol, v))
+        files["eigen.csv"] = lambda: reports.eigensolution_csv_rows(
+            sol, evaluate(spec, sol.grid.mesh(sol.dim)))
         print("energies:", ", ".join(f"{e:.8g}" for e in sol.energies))
         for w in sol.warnings:
             print(f"  warning: {w}")
-    if "json" in formats:
-        reports.write_json(out / "oracle.json", result)
+    _write(args, files)
     return 0
 
 
 def cmd_verify(args) -> int:
     verdict = verify.run_verify(seed=args.seed)
-    out = _out_dir(args)
-    reports.write_json(out / "verify.json", verdict)
+    _write(args, {"verify.json": lambda: verdict})
     for suite in verdict["suites"]:
         status = "PASS" if suite["passed"] else "FAIL"
         print(f"{status} {suite['name']}")
@@ -335,28 +299,40 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    spec_flags = argparse.ArgumentParser(add_help=False)
+    group = spec_flags.add_argument_group("potential spec")
+    group.add_argument("--family", choices=FAMILIES, help="potential family")
+    for flag in _SPEC_FLAGS:
+        group.add_argument(f"--{flag}", type=float, default=None)
+    group.add_argument("--spec", metavar="FILE", help="JSON spec file")
+
+    output_flags = argparse.ArgumentParser(add_help=False)
+    group = output_flags.add_argument_group("output")
+    group.add_argument("--out", default=None,
+                       help="output directory (default $POLYDOT_OUT or ./polydot_out)")
+    group.add_argument("--json", action="store_true", help="write JSON outputs only")
+    group.add_argument("--csv", action="store_true", help="write CSV outputs only")
+
     parser = argparse.ArgumentParser(
         prog="polydot",
         description="Stationary points, harmonic spectra, and relocalization "
                     "boundaries of quartic/sextic quantum-dot potentials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    both = [spec_flags, output_flags]
 
-    p = sub.add_parser("analyze", help="enumerate and classify stationary points")
-    _add_spec_flags(p)
-    _add_output_flags(p)
+    p = sub.add_parser("analyze", help="enumerate and classify stationary points",
+                       parents=both)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("spectrum", help="harmonic wells, candidates, and levels")
-    _add_spec_flags(p)
-    _add_output_flags(p)
+    p = sub.add_parser("spectrum", help="harmonic wells, candidates, and levels",
+                       parents=both)
     p.add_argument("--e-max", type=float, default=None,
                    help="enumerate levels up to this energy")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("scan", help="scan parameters for relocalization boundaries")
-    _add_spec_flags(p)
-    _add_output_flags(p)
+    p = sub.add_parser("scan", help="scan parameters for relocalization boundaries",
+                       parents=both)
     p.add_argument("--vary", action="append", metavar="NAME:START:END",
                    help="parameter to vary (repeat for a 2-parameter raster)")
     p.add_argument("--steps", type=int, default=51, help="samples along a line")
@@ -364,13 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10,
                    help="energy-gap tolerance of the boundary refinement "
                         "(false position on the signed gap)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; scans run serially")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("grid", help="dump potential values for plotting")
-    _add_spec_flags(p)
-    _add_output_flags(p)
+    p = sub.add_parser("grid", help="dump potential values for plotting", parents=both)
     p.add_argument("--grid-n", type=int, default=None, help="points per axis")
     p.add_argument("--grid-L", type=float, default=None, help="window half-width")
     p.add_argument("--clip", type=float, default=None,
@@ -379,17 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="slicing plane for 3D specs (default z=0)")
     p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("oracle", help="run the numerical oracle on a spec")
-    _add_spec_flags(p)
-    _add_output_flags(p)
+    p = sub.add_parser("oracle", help="run the numerical oracle on a spec", parents=both)
     p.add_argument("--grid-n", type=int, default=None, help="eigensolver points per axis")
     p.add_argument("--grid-L", type=float, default=None, help="eigensolver half-width")
     p.add_argument("--k", type=int, default=0,
                    help="also compute the k lowest eigenpairs")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("verify", help="run the verification suites")
-    _add_output_flags(p)
+    p = sub.add_parser("verify", help="run the verification suites", parents=[output_flags])
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.set_defaults(func=cmd_verify)
 

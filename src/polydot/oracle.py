@@ -198,23 +198,19 @@ def match_stationary(
     beyond max_radius are ignored on both sides.
     """
 
-    def keep(p):
+    def kept(points):
+        # an empty list stands as a (0, 1) stack, which broadcasts to no distances
+        locs = np.array([p.location for p in points] or np.empty((0, 1)), dtype=float)
         if max_radius is None:
-            return True
-        return max(abs(c) for c in p.location) <= max_radius
+            return points, locs
+        inside = np.abs(locs).max(-1) <= max_radius
+        return [p for p, k in zip(points, inside) if k], locs[inside]
 
-    closed = [p for p in closed if keep(p)]
-    oracle = [p for p in oracle if keep(p)]
-
-    def nearest(p, pool):
-        best = math.inf
-        for q in pool:
-            d = max(abs(a - b) for a, b in zip(p.location, q.location))
-            best = min(best, d)
-        return best
-
-    missing = [p for p in closed if nearest(p, oracle) > tol]
-    spurious = [p for p in oracle if nearest(p, closed) > tol]
+    closed, A = kept(closed)
+    oracle, B = kept(oracle)
+    dist = np.abs(A[:, None] - B[None]).max(-1)
+    missing = [p for p, d in zip(closed, dist.min(-1, initial=np.inf)) if d > tol]
+    spurious = [p for p, d in zip(oracle, dist.min(0, initial=np.inf)) if d > tol]
     return missing, spurious
 
 

@@ -1,10 +1,10 @@
 """Shared helpers for the test suite: parameter draws, a hypothesis
-strategy over all families, a call counter, the loop reference of the
-Newton oracle, the bisection references of scan refinement, the
-whole-grid LOBPCG reference of the 3D eigensolve, the hand-written
-reference of an eigensolution's report, the per-axis references of
-parameter overrides and raster cells, and the single-point reference of
-one scan sample."""
+strategy over all families, a call counter, the loop references of the
+Newton oracle and of its orbit matching, the bisection references of
+scan refinement, the whole-grid LOBPCG reference of the 3D eigensolve,
+the hand-written reference of an eigensolution's report, the per-axis
+references of parameter overrides and raster cells, and the single-point
+reference of one scan sample."""
 
 import math
 import sys
@@ -225,6 +225,30 @@ def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6):
         )
     out.sort(key=lambda p: (p.value, p.location))
     return out
+
+
+def match_stationary_reference(closed, oracle, tol=1e-8, max_radius=None):
+    """oracle.match_stationary as nested loops: each orbit's nearest
+    max-norm distance to the other list, orbits beyond max_radius dropped
+    from both lists first."""
+    def keep(p):
+        if max_radius is None:
+            return True
+        return max(abs(c) for c in p.location) <= max_radius
+
+    closed = [p for p in closed if keep(p)]
+    oracle = [p for p in oracle if keep(p)]
+
+    def nearest(p, pool):
+        best = math.inf
+        for q in pool:
+            d = max(abs(a - b) for a, b in zip(p.location, q.location))
+            best = min(best, d)
+        return best
+
+    missing = [p for p in closed if nearest(p, oracle) > tol]
+    spurious = [p for p in oracle if nearest(p, closed) > tol]
+    return missing, spurious
 
 
 def random_points(rng, dim, n, radius=2.0):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from polydot import cli, stationary, verify
+from polydot import cli, oracle, stationary, verify
 from polydot.potentials import spec_from_dict
 
 from helpers import count_calls
@@ -225,13 +225,17 @@ def test_grid_slice_value_not_a_number_exit_1(tmp_path, capsys):
     assert "error: --slice value must be a number, got 'abc'" in capsys.readouterr().err
 
 
-def test_oracle_eigensolver_usage_errors_exit_1(tmp_path, capsys):
+def test_oracle_eigensolver_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
+    # the eigensolver rejects --k and --grid-n before any Newton work
+    calls = count_calls(monkeypatch, oracle.newton_stationary)
     base = ["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--out", tmp_path]
     assert run(base + ["--k", 2, "--grid-n", 8]) == 1
     assert run(base + ["--k", 400, "--grid-n", 20]) == 1
-    err = capsys.readouterr().err
-    assert "error: eigensolver grids need at least 16 points per axis, got 8" in err
-    assert "error: k = 400 exceeds the 399 pairs a 2D solve on 400 unknowns returns" in err
+    assert calls == []
+    captured = capsys.readouterr()
+    assert "newton search" not in captured.out
+    assert "error: eigensolver grids need at least 16 points per axis, got 8" in captured.err
+    assert "error: k = 400 exceeds the 399 pairs a 2D solve on 400 unknowns returns" in captured.err
 
 
 def test_oracle_command(tmp_path):
@@ -245,6 +249,41 @@ def test_oracle_command(tmp_path):
     rows = read_csv(tmp_path / "eigen.csv")
     assert rows[0] == ["x0", "x1", "V", "psi0", "psi1"]
     assert len(rows) == 1 + 101 * 101
+
+
+FORMAT_CASES = {
+    "analyze": (["analyze", "--family", "cusp2d", "--alpha", 1.4, "--beta", 1],
+                {"stationary.json", "stationary.csv"}),
+    "spectrum": (["spectrum", "--family", "butterfly1d", "--alpha", 1.9, "--beta", 2],
+                 {"spectrum.json", "spectrum.csv"}),
+    "scan_line": (["scan", "--family", "butterfly1d", "--alpha", 1.5, "--beta", 2,
+                   "--vary", "alpha:1.5:2.2", "--steps", 11],
+                  {"scan.csv", "scan.json", "boundaries.json"}),
+    "scan_raster": (["scan", "--family", "butterfly1d", "--alpha", 1, "--beta", 1,
+                     "--vary", "alpha:0.5:2.5", "--vary", "beta:0.5:2.5", "--resolution", 5],
+                    {"raster_quantum.csv", "raster_classical.csv", "raster_polylines.json"}),
+    "oracle": (["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1,
+                "--k", 1, "--grid-n", 31], {"oracle.json", "eigen.csv"}),
+    "oracle_newton": (["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1],
+                      {"oracle.json"}),
+    "grid": (["grid", "--family", "cusp2d", "--alpha", 1.4, "--beta", 1, "--grid-n", 11],
+             {"grid.csv"}),
+    "verify": (["verify", "--seed", 0], {"verify.json"}),
+}
+
+
+@pytest.mark.parametrize("case", FORMAT_CASES)
+def test_format_flags_select_outputs(tmp_path, case):
+    # --json or --csv alone keeps that format when a command writes both;
+    # both flags or neither write everything, and a one-format command
+    # (grid, verify, oracle without --k) writes its file whatever the flags say
+    argv, files = FORMAT_CASES[case]
+    for flags, suffix in (([], None), (["--json", "--csv"], None),
+                          (["--json"], ".json"), (["--csv"], ".csv")):
+        out = tmp_path / "-".join(flags or ["none"])
+        assert run(argv + flags + ["--out", out]) == 0
+        kept = {f for f in files if suffix and f.endswith(suffix)}
+        assert {p.name for p in out.iterdir()} == (kept or files)
 
 
 def test_verify_command_deterministic(tmp_path):

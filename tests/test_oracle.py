@@ -19,7 +19,7 @@ from polydot.oracle import (
     richardson_ground_energies,
 )
 from polydot.potentials import characteristic_radius, make_spec, spec_from_raw
-from polydot.stationary import stationary_points
+from polydot.stationary import StationaryPoint, stationary_points
 from polydot.verify import _oracle_grid, corpus_specs
 
 from helpers import (
@@ -27,6 +27,7 @@ from helpers import (
     count_calls,
     eigensolution_dict_reference,
     fd_eigensolve_lobpcg_reference,
+    match_stationary_reference,
     newton_stationary_reference,
 )
 
@@ -105,6 +106,40 @@ def test_newton_stops_when_no_seed_moves(monkeypatch, name, limit):
     calls = count_calls(monkeypatch, potentials.gradient)
     newton_stationary(spec, _oracle_grid(spec))
     assert len(calls) <= limit
+
+
+def _orbit(location):
+    return StationaryPoint(location=tuple(float(c) for c in location), subfamily="drawn",
+                           value=0.0, hessian_eigs=(), kind="minimum", multiplicity=1,
+                           label="drawn")
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_match_stationary_matches_loop_reference(seed):
+    # drawn orbit lists: shared locations nudged to either side of tol,
+    # strays on both sides, empty pools, and a radius cut through the lists.
+    # Shared locations and nudges are dyadic, so a distance equal to tol and
+    # an orbit on the radius occur exactly.
+    rng = np.random.default_rng(seed)
+    dim, tol = int(rng.integers(1, 4)), 2.0**-20
+    shared = rng.integers(0, 3 * 2**10, size=(int(rng.integers(0, 6)), dim)) * 2.0**-10
+    nudge = (rng.choice([0.0, 0.5, 1.0, 1.5, 3.0], size=shared.shape)
+             * rng.choice([-tol, tol], size=shared.shape))
+
+    def strays():
+        return [_orbit(x) for x in rng.uniform(0.0, 3.0, size=(int(rng.integers(0, 3)), dim))]
+
+    closed = [_orbit(x) for x in shared] + strays()
+    found = [_orbit(x) for x in shared + nudge] + strays()
+    found = [found[i] for i in rng.permutation(len(found))]
+    radius = [None, float(rng.uniform(0.5, 3.0))][int(rng.integers(2))]
+    if closed and rng.random() < 0.5:
+        radius = max(closed[int(rng.integers(len(closed)))].location)
+    for pair in ((closed, found), (closed, []), ([], found), ([], [])):
+        got = match_stationary(*pair, tol, radius)
+        want = match_stationary_reference(*pair, tol, radius)
+        assert [[id(p) for p in side] for side in got] == \
+            [[id(p) for p in side] for side in want]
 
 
 # ---------------------------------------------------------------------------
