@@ -31,7 +31,7 @@ import numpy as np
 from . import spectra
 from . import stationary as stat
 from .errors import NoMinimum, PolydotError, SplitBracket
-from .potentials import _SHAPE_STEMS, PotentialSpec, with_param
+from .potentials import PotentialSpec, _param, with_param
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -50,7 +50,8 @@ class ParamPath:
     Each varied entry is (name, start, end); shape names move linearly in
     shape space, raw names in raw space (see
     :func:`polydot.potentials.with_param`).  steps is the number of samples
-    placed uniformly on [0, 1].
+    placed uniformly on [0, 1].  Construction checks the names and builds
+    no spec: an endpoint outside the valid region fails per sample.
     """
 
     spec: PotentialSpec
@@ -65,15 +66,12 @@ class ParamPath:
         for name, start, end in self.varied:
             if start == end:
                 raise ValueError(f"parameter {name} does not vary (start == end)")
-            try:
-                with_param(self.spec, name, start)
-            except PolydotError:
-                pass  # known name, endpoint outside the valid region: per-sample
+            _param(self.spec.family, name)
 
     @property
     def space(self) -> str:
-        stems = {str(name).split("_")[0] for name, _s, _e in self.varied}
-        return "shape" if stems & set(_SHAPE_STEMS) else "raw"
+        stems = [_param(self.spec.family, name)[1] for name, _s, _e in self.varied]
+        return "shape" if any(stems) else "raw"
 
     def params_at(self, t: float) -> dict:
         return {
@@ -362,16 +360,23 @@ def locate_boundary(
     )
 
 
-def _locate_orbit_event(path, t_lo, t_hi, label, width_tol):
+def _locate_orbit_event(path, t_lo, t_hi, label, width_tol, labels_at=None):
     """Bisection on orbit-label presence, read from the root formulas alone:
-    a point with the presence of t_lo counts as gap -inf, any other as +inf."""
+    a point with the presence of t_lo counts as gap -inf, any other as +inf.
+    labels_at, {t: orbit labels}, keeps the probes for the other events of
+    the same bracket, whose bisections visit the same points while their
+    presence agrees."""
+    if labels_at is None:
+        labels_at = {}
 
     def present(t):
-        try:
-            reps, _warnings = stat._representatives(path.spec_at(t))
-        except (PolydotError, ValueError):
-            return False
-        return any(rep_label == label for _loc, _sub, rep_label in reps)
+        if t not in labels_at:
+            try:
+                reps, _warnings = stat._representatives(path.spec_at(t))
+                labels_at[t] = {rep_label for _loc, _sub, rep_label in reps}
+            except (PolydotError, ValueError):
+                labels_at[t] = set()
+        return label in labels_at[t]
 
     p_lo = present(t_lo)
     t_star = _refine(lambda t: -math.inf if present(t) == p_lo else math.inf,
@@ -432,13 +437,11 @@ def scan_line(
                                 params={"unrefined": str(err)},
                             )
                         )
-            if s0.orbit_labels != s1.orbit_labels:
-                gone = set(s0.orbit_labels) - set(s1.orbit_labels)
-                new = set(s1.orbit_labels) - set(s0.orbit_labels)
-                for label in sorted(gone | new):
-                    events.append(
-                        _locate_orbit_event(path, s0.t, s1.t, label, width_tol)
-                    )
+            labels_at = {}
+            for label in sorted(set(s0.orbit_labels) ^ set(s1.orbit_labels)):
+                events.append(
+                    _locate_orbit_event(path, s0.t, s1.t, label, width_tol, labels_at)
+                )
     except KeyboardInterrupt:
         partial = True
 

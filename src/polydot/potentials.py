@@ -85,6 +85,34 @@ _CROSS_PLANES = {family: tuple(zip(keys, itertools.combinations(range(_DIMENSION
 _CONSISTENCY_TOL = 1e-9
 
 
+def _param_table(family):
+    """name -> (raw key, stem, axes) of every parameter name the family
+    takes.  A raw coefficient is (key, None, ()); a cusp stem sets the
+    square of its raw key, (key, stem, ()); a butterfly stem sets the
+    squared shape value of its axes, (None, stem, axes), on every axis when
+    bare and on one when it carries that axis's suffix."""
+    table = {key: (key, None, ()) for key in _RAW_KEYS[family]}
+    if family.startswith("cusp"):
+        table.update((stem, (key, stem, ())) for stem, key in zip(_SHAPE_STEMS, _RAW_KEYS[family]))
+        return table
+    axes = tuple(range(_DIMENSION[family]))
+    for stem in _SHAPE_STEMS:
+        table[stem] = (None, stem, axes)
+        table.update((f"{stem}_{AXES[i]}", (None, stem, (i,))) for i in axes)
+    return table
+
+
+_PARAMS = {family: _param_table(family) for family in FAMILIES}
+
+
+def _param(family, name):
+    """(raw key, stem, axes) of a parameter name (see :func:`_param_table`)."""
+    try:
+        return _PARAMS[family][name]
+    except KeyError:
+        raise ValueError(f"unknown parameter {name!r} for {family}") from None
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """One member of the five potential families.
@@ -161,7 +189,7 @@ def axis_pair_from_shape(alpha_sq: float, beta_sq: float) -> tuple[float, float]
 def _shape_triple(alpha_sq=None, beta_sq=None, gamma_sq=None):
     """Complete (alpha^2, beta^2, gamma^2) from any sufficient subset."""
     if alpha_sq is None:
-        raise ValueError("shape parameters need alpha (or alpha_sq)")
+        raise ValueError("shape parameters need alpha")
     if beta_sq is None and gamma_sq is None:
         raise ValueError("shape parameters need beta or gamma")
     if beta_sq is None:
@@ -319,66 +347,42 @@ def make_spec(family: str, **params) -> PotentialSpec:
     (a, b, c, d / a..s, u, v, w) or shape parameters alpha + one of
     beta/gamma, optionally axis-suffixed (alpha_x, gamma_y, ...); bare
     alpha/beta/gamma broadcast to every axis.  Cross couplings default
-    to zero.  Mixing raw and shape parameters is rejected.
+    to zero.  Mixing raw and shape parameters is rejected, and so is any
+    name the family does not take.
     """
     _check_family(family)
-    user = {k: float(v) for k, v in params.items() if v is not None}
+    user = {name: (*_param(family, name), float(v))
+            for name, v in params.items() if v is not None}
 
     if family.startswith("cusp"):
-        raw = {}
-        for plain, sq in zip(_SHAPE_STEMS, _RAW_KEYS[family]):
-            if plain in user and sq in user:
-                raise ValueError(f"give {plain} or {sq}, not both")
-            if sq in user:
-                raw[sq] = user.pop(sq)
-            elif plain in user:
-                raw[sq] = user.pop(plain) ** 2
-            else:
-                raise ValueError(f"{family} needs {plain} (or {sq})")
-        if user:
-            raise ValueError(f"unexpected parameters for {family}: {sorted(user)}")
-        return spec_from_raw(family, raw)
+        for stem, key in zip(_SHAPE_STEMS, _RAW_KEYS[family]):
+            if stem in user and key in user:
+                raise ValueError(f"give {stem} or {key}, not both")
+            if stem not in user and key not in user:
+                raise ValueError(f"{family} needs {stem} (or {key})")
+        return spec_from_raw(family, {key: v * v if stem else v
+                                      for key, stem, _axes, v in user.values()})
 
-    raw_names = set(_RAW_KEYS[family]) - set(_CROSS_KEYS[family])
-    shape_given = [k for k in user if k.split("_")[0] in _SHAPE_STEMS]
-    raw_given = [k for k in user if k in raw_names]
+    raw_given = [name for name, (key, *_rest) in user.items()
+                 if key is not None and key not in _CROSS_KEYS[family]]
+    shape_given = [name for name, (_key, stem, *_rest) in user.items() if stem is not None]
     if shape_given and raw_given:
         raise ValueError(f"mixing raw {raw_given} and shape {shape_given} parameters")
 
-    cross = {k: user.pop(k, 0.0) for k in _CROSS_KEYS[family]}
-
+    coeffs = dict.fromkeys(_CROSS_KEYS[family], 0.0)
+    coeffs.update((key, v) for key, stem, _axes, v in user.values() if stem is None)
     if raw_given:
-        raw = {k: user.pop(k) for k in _RAW_KEYS[family] if k in user}
-        raw.update(cross)
-        if user:
-            raise ValueError(f"unexpected parameters for {family}: {sorted(user)}")
-        return spec_from_raw(family, raw)
+        return spec_from_raw(family, coeffs)
 
-    # shape route: per axis, resolve alpha/beta/gamma with axis suffix
-    # taking precedence over the broadcast value
-    def pick(stem, axis):
-        for key in (f"{stem}_{axis}_sq", f"{stem}_{axis}"):
-            if key in user:
-                v = user.pop(key)
-                return v if key.endswith("_sq") else v * v
-        for key in (f"{stem}_sq", stem):
-            if key in user:
-                # broadcast values are shared across axes; do not pop
-                v = user[key]
-                return v if key.endswith("_sq") else v * v
-        return None
-
-    shape = {}
-    for axis, (ka, kb, kg) in zip(AXES, _SHAPE_KEYS[family]):
-        shape[ka], shape[kb], shape[kg] = _shape_triple(
-            pick("alpha", axis), pick("beta", axis), pick("gamma", axis))
-    shape.update(cross)
-    for k in list(user):
-        if k.split("_")[0] in _SHAPE_STEMS:
-            user.pop(k)
-    if user:
-        raise ValueError(f"unexpected parameters for {family}: {sorted(user)}")
-    return spec_from_shape(family, shape)
+    # bare stems first, so an axis-suffixed name wins on its axis
+    squares = [{} for _ in _SHAPE_KEYS[family]]
+    for name in sorted(shape_given, key=lambda name: name not in _SHAPE_STEMS):
+        _key, stem, axes, v = user[name]
+        for i in axes:
+            squares[i][f"{stem}_sq"] = v * v
+    for keys, given in zip(_SHAPE_KEYS[family], squares):
+        coeffs.update(zip(keys, _shape_triple(**given)))
+    return spec_from_shape(family, coeffs)
 
 
 def spec_from_dict(data: dict) -> PotentialSpec:
@@ -417,7 +421,8 @@ def spec_from_json(text: str) -> PotentialSpec:
 # ---------------------------------------------------------------------------
 
 def with_param(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
-    """Copy of spec with one named parameter replaced.
+    """Copy of spec with one named parameter replaced; the names are those
+    :func:`make_spec` takes.
 
     Raw names (a, b, c, d, u, v, w, p, q, s, alpha_sq, ...) move linearly in
     raw space.  Shape names (alpha, beta, gamma, optionally axis-suffixed)
@@ -426,36 +431,24 @@ def with_param(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
     beta recomputes gamma^2 = alpha^2 + 2 beta^2.  For cusps, alpha/beta/gamma
     are the unsquared axis constants.
     """
+    key, stem, axes = _param(spec.family, name)
     value = float(value)
-    if name in _RAW_KEYS[spec.family]:
+    if key is not None:
         raw = dict(spec.raw)
-        raw[name] = value
+        raw[key] = value * value if stem else value
         return spec_from_raw(spec.family, raw)
 
-    if spec.is_cusp:
-        stem_to_key = dict(zip(_SHAPE_STEMS, _RAW_KEYS[spec.family]))
-        if name in stem_to_key:
-            raw = dict(spec.raw)
-            raw[stem_to_key[name]] = value * value
-            return spec_from_raw(spec.family, raw)
-        raise ValueError(f"unknown parameter {name!r} for {spec.family}")
-
-    stem, _, axis = name.partition("_")
-    if stem not in _SHAPE_STEMS:
-        raise ValueError(f"unknown parameter {name!r} for {spec.family}")
     if spec.shape is None:
         raise NoRealShape(f"cannot vary shape parameter {name!r}: shape view undefined")
-    if axis and axis not in AXES[: spec.dimension]:
-        raise ValueError(f"{spec.family} has no axis {axis!r}")
     v2 = value * value
     shape = dict(spec.shape)
-    for ax, (ka, kb, kg) in zip(AXES, _SHAPE_KEYS[spec.family]):
-        if axis in ("", ax):
-            al, be = shape[ka], shape[kb]
-            shape[ka], shape[kb], shape[kg] = (
-                _shape_triple(v2, be) if stem == "alpha"
-                else _shape_triple(al, v2) if stem == "beta"
-                else _shape_triple(al, gamma_sq=v2))
+    for i in axes:
+        ka, kb, kg = _SHAPE_KEYS[spec.family][i]
+        al, be = shape[ka], shape[kb]
+        shape[ka], shape[kb], shape[kg] = (
+            _shape_triple(v2, be) if stem == "alpha"
+            else _shape_triple(al, v2) if stem == "beta"
+            else _shape_triple(al, gamma_sq=v2))
     return spec_from_shape(spec.family, shape)
 
 

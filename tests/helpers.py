@@ -433,18 +433,15 @@ def with_param_reference(spec, name, value):
         raise ValueError(f"unknown parameter {name!r} for {spec.family}")
 
     stem, _, axis = name.partition("_")
-    if stem not in ("alpha", "beta", "gamma"):
+    axes = potentials.AXES[: spec.dimension]
+    if stem not in ("alpha", "beta", "gamma") or axis not in ("", *axes):
         raise ValueError(f"unknown parameter {name!r} for {spec.family}")
     if spec.shape is None:
         raise NoRealShape(f"cannot vary shape parameter {name!r}: shape view undefined")
-    if axis and axis not in potentials.AXES[: spec.dimension]:
-        raise ValueError(f"{spec.family} has no axis {axis!r}")
     if spec.family == "butterfly1d":
         prefixes = ("",)
     else:
-        prefixes = (f"{axis}_",) if axis else tuple(
-            f"{ax}_" for ax in potentials.AXES[: spec.dimension]
-        )
+        prefixes = (f"{axis}_",) if axis else tuple(f"{ax}_" for ax in axes)
     shape = dict(spec.shape)
     for prefix in prefixes:
         al_key, be_key, ga_key = (

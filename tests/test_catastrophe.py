@@ -82,6 +82,23 @@ def test_scan_records_invalid_samples_not_fatal():
     assert good
 
 
+def test_path_endpoints_outside_the_domain_are_per_sample():
+    # c < 0 is outside the butterfly2d domain at either end of the path
+    spec = make_spec("butterfly2d", a=1.0, b=1.2, c=0.5, d=0.6, u=0.1)
+    up, down = (scan_line(ParamPath(spec=spec, varied=(("c", start, end),), steps=5))
+                for start, end in ((-1.0, 1.0), (1.0, -1.0)))
+    assert up.samples[0].error == "ValueError: butterfly2d needs c > 0, got -1"
+    assert [s.error for s in up.samples] == [s.error for s in reversed(down.samples)]
+    assert [s.ok for s in up.samples] == [False, False, False, True, True]
+
+
+@pytest.mark.parametrize("name, space", [("alpha_sq", "raw"), ("alpha", "shape")])
+def test_path_space_is_the_space_with_param_moves_in(name, space):
+    # a cusp's alpha_sq is its raw coefficient; alpha sets its square
+    spec = make_spec("cusp2d", alpha=1.4, beta=1.0)
+    assert ParamPath(spec=spec, varied=((name, 1.0, 2.0),), steps=3).space == space
+
+
 def test_sample_with_overflowing_hessian_is_recorded_not_fatal():
     # near 1e308 the Hessian overflows to nan and eigvalsh raises for the
     # whole stack; each sample is then evaluated alone
@@ -400,6 +417,32 @@ def test_event_refinement_uses_root_algebra_only(monkeypatch):
     assert len(probes) <= 40
 
 
+def test_events_of_one_bracket_share_their_probes(monkeypatch):
+    # the orbits of the butterfly3d_w line appear and vanish in pairs, whose
+    # presence bisections visit the same points
+    path = REFERENCE_LINES["butterfly3d_w"]()
+    probes = count_calls(monkeypatch, stationary._representatives)
+    locate = catastrophe._locate_orbit_event
+    calls = []
+
+    def counting(*args):
+        before = len(probes)
+        event = locate(*args)
+        calls.append((args[1:5], len(probes) - before, event))
+        return event
+
+    monkeypatch.setattr(catastrophe, "_locate_orbit_event", counting)
+    rep = scan_line(path)
+    assert len(rep.events) == len(calls) >= 2
+    alone = 0
+    for (t0, t1, label, width_tol), _used, event in calls:
+        before = len(probes)
+        assert repr(locate(path, t0, t1, label, width_tol)) == repr(event)
+        alone += len(probes) - before
+        assert repr(event) == repr(orbit_event_reference(path, t0, t1, label, width_tol))
+    assert 2 * sum(used for _args, used, _event in calls) == alone
+
+
 EVENT_LINES = {  # (family, varied parameter, range its ends are drawn from)
     ("butterfly2d", "u"): (-4.0, 4.0),
     ("butterfly3d", "u"): (-3.0, 3.0),
@@ -638,7 +681,7 @@ def test_raster_rejects_an_axis_a_line_scan_rejects(monkeypatch):
             ParamPath(spec=spec, varied=(vary_x, vary_y), steps=3)
         with pytest.raises(ValueError, match=message):
             scan_grid(spec, vary_x, vary_y, resolution=3)
-    assert len(builds) == 6  # the first endpoint of each checked axis, never a cell
+    assert builds == []  # a name check builds no spec, and no cell is sampled
 
 
 def test_raster_is_evaluated_in_bounded_stacks(monkeypatch):

@@ -157,6 +157,16 @@ def test_scan_invalid_path_exit_1(tmp_path):
     assert code == 1
 
 
+def test_scan_endpoint_outside_the_domain_is_per_sample(tmp_path):
+    # either direction records the c <= 0 samples as errors and succeeds
+    base = ["scan", "--family", "butterfly2d", "--a", 1, "--b", 1.2, "--c", 0.5,
+            "--d", 0.6, "--u", 0.1, "--steps", 5, "--out", tmp_path]
+    for vary in ("c:-1:1", "c:1:-1"):
+        assert run(base + ["--vary", vary]) == 0
+        samples = json.loads((tmp_path / "scan.json").read_text())["samples"]
+        assert sum("needs c > 0" in (s["error"] or "") for s in samples) == 3
+
+
 def test_scan_raster_outputs(tmp_path):
     code = run(["scan", "--family", "butterfly1d", "--alpha", 1, "--beta", 1,
                 "--vary", "alpha:0.6:2.4", "--vary", "beta:0.6:2.4",

@@ -319,6 +319,34 @@ def test_make_spec_validates_domains():
         make_spec("cusp2d", alpha_sq=-1.0, beta_sq=0.5)
 
 
+@pytest.mark.parametrize("family, params, name", [
+    ("butterfly2d", dict(alpha=1.0, beta=0.5, gamma_z=7.0), "gamma_z"),
+    ("butterfly2d", dict(alpha=1.0, beta=0.5, alpha_q=3.0), "alpha_q"),
+    ("butterfly1d", dict(alpha_sq=1.0, beta=0.5), "alpha_sq"),
+    ("butterfly2d", dict(alpha_sq=1.0, beta=0.5), "alpha_sq"),
+    ("butterfly1d", dict(alpha=1.0, alpha_x_sq=2.0, beta=0.5), "alpha_x_sq"),
+    ("butterfly2d", dict(alpha=1.0, alpha_x_sq=2.0, beta=0.5), "alpha_x_sq"),
+])
+def test_make_spec_rejects_names_the_family_does_not_take(family, params, name):
+    # make_spec and with_param take the same names
+    message = f"unknown parameter '{name}' for {family}"
+    with pytest.raises(ValueError, match=message):
+        make_spec(family, **params)
+    with pytest.raises(ValueError, match=message):
+        with_param(make_spec(family, alpha=1.0, beta=0.5), name, 1.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(("cusp2d", "cusp3d")), st.floats(0.1, 3.0))
+@example("cusp2d", 1.0678855863011585)  # x ** 2 and x * x differ in the last bit
+@example("cusp3d", 1.0678855863011585)
+def test_cusp_constant_is_squared_one_way(family, x):
+    base = dict(zip(("alpha", "beta", "gamma")[:potentials._DIMENSION[family]], (0.5, 1.0, 1.5)))
+    for stem in base:
+        assert (repr(make_spec(family, **{**base, stem: x}))
+                == repr(with_param(make_spec(family, **base), stem, x))), stem
+
+
 def test_json_round_trip():
     rng = np.random.default_rng(41)
     for family, draw in DRAWERS.items():
