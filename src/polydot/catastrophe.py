@@ -51,7 +51,10 @@ class ParamPath:
     shape space, raw names in raw space (see
     :func:`polydot.potentials.with_param`).  steps is the number of samples
     placed uniformly on [0, 1].  Construction checks the names and builds
-    no spec: an endpoint outside the valid region fails per sample.
+    no spec: an endpoint outside the valid region fails per sample.  Two
+    entries may not set one coefficient: the same raw key (cusp ``alpha``
+    and ``alpha_sq``), or the same shape stem on a shared axis (``alpha``
+    and ``alpha_x``), since each sample would apply them one over the other.
     """
 
     spec: PotentialSpec
@@ -63,10 +66,16 @@ class ParamPath:
             raise ValueError("a path needs at least 2 steps")
         if not self.varied:
             raise ValueError("a path needs at least one varied parameter")
+        owner = {}  # raw key, or (shape stem, axis) -> the name that sets it
         for name, start, end in self.varied:
             if start == end:
                 raise ValueError(f"parameter {name} does not vary (start == end)")
-            _param(self.spec.family, name)
+            key, stem, axes = _param(self.spec.family, name)
+            for target in (key,) if key else [(stem, i) for i in axes]:
+                if target in owner:
+                    raise ValueError(f"parameters {owner[target]} and {name} set the same "
+                                     "coefficient; vary it once")
+                owner[target] = name
 
     @property
     def space(self) -> str:
@@ -579,11 +588,11 @@ def scan_grid(
     as stacks of up to 64, so working memory beyond the label arrays does
     not grow with the resolution; workers is accepted for compatibility and does not change
     the result.  Raises ValueError, before any sampling, for a resolution
-    below 2 or an axis a line scan would reject (see :class:`ParamPath`)."""
+    below 2 or axes a line scan along both would reject (see
+    :class:`ParamPath`)."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    for vary in (vary_x, vary_y):
-        ParamPath(spec=spec, varied=(vary,), steps=2)
+    ParamPath(spec=spec, varied=(vary_x, vary_y), steps=2)
     name_x, x_lo, x_hi = vary_x
     name_y, y_lo, y_hi = vary_y
     xs = np.linspace(x_lo, x_hi, resolution)

@@ -3,22 +3,25 @@
 Three instruments, deliberately decoupled from the closed forms they check:
 
 * :func:`newton_stationary` - damped-free Newton iteration on the gradient
-  from every node of a coarse grid, deduplicated and classified; used to
-  diff against the closed-form stationary enumeration.  A seed stops at a
-  bitwise fixed point; the iteration budget caps only seeds that never
-  reach one.
+  from the nodes of a coarse grid in one orthant (every family is even in
+  each coordinate, so the other orthants hold only mirror copies),
+  deduplicated and classified; used to diff against the closed-form
+  stationary enumeration.  A seed stops at a bitwise fixed point; the
+  iteration budget caps only seeds that never reach one.
 * :func:`fd_eigensolve` - second-order central finite differences for
   -Laplacian + V with Dirichlet boundaries just outside the grid box,
-  lowest-k eigenpairs via shift-invert Lanczos: on the whole grid in 1D
-  and 2D, on the eight mirror-parity sectors in 3D (every family is even
-  in each coordinate), and by LOBPCG only for a 3D callable that is not.
-  Energies converge at O(dx^2).
+  lowest-k eigenpairs via shift-invert Lanczos: on the whole grid in 1D,
+  on the 2^D mirror-parity sectors in 2D and 3D when V is even in each
+  coordinate (every family is), on the whole grid for a 2D callable that
+  is not, and by LOBPCG for a 3D callable that is not.  Energies converge
+  at O(dx^2).
 * :func:`localization` - probability mass of an eigenstate inside capture
   balls around well orbits; the operational notion of "localized near".
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -115,7 +118,17 @@ def newton_stationary(
     max_iter: int = 50,
     dedup_tol: float = 1e-6,
 ) -> list[StationaryPoint]:
-    """Stationary points found by Newton iteration seeded at every grid node.
+    """Stationary points found by Newton iteration seeded at the grid nodes
+    of one orthant.
+
+    Each axis of n nodes is seeded from node index (n - 1) // 2 on: the
+    middle node for odd n, the node at about -h/2 for even n.  Every family
+    is even in each coordinate, so the gradient is odd and the Hessian even
+    under each axis flip, and a seed outside that orthant follows the
+    mirror path of a seed inside it; the mirror copies would only find the
+    sign-orbit partners that the fold below merges anyway.  Nodes are picked
+    by index, not by sign, because linspace may put the middle node a
+    rounding error below zero.
 
     A seed stops iterating once a Newton step leaves it bitwise unchanged;
     max_iter caps only seeds that never reach such a fixed point.  Seeds
@@ -127,7 +140,9 @@ def newton_stationary(
     enumeration so the two lists can be diffed directly.
     """
     dim = spec.dimension
-    pts = grid.mesh(dim).reshape(-1, dim).copy()
+    mesh = grid.mesh(dim)
+    orthant = tuple(slice((n - 1) // 2, None) for n in mesh.shape[:-1])
+    pts = mesh[orthant].reshape(-1, dim).copy()
     box = max(grid.axis_extent(i) for i in range(dim))
     alive = np.ones(len(pts), dtype=bool)
     moving = np.ones(len(pts), dtype=bool)
@@ -269,24 +284,33 @@ def fd_eigensolve(
     Each parity sector of the operator gets one ARPACK call in
     shift-invert mode, with the shift just below min V (the operator
     spectrum is bounded below by min V, so this targets the bottom).
-    1D/2D have one sector, the whole grid.  In 3D, a V that is
-    mirror-even on every axis (every PotentialSpec) splits the operator
-    into 2^3 sectors of about n^3/8 unknowns each; each asks for
-    min(k, unknowns - 1) pairs, and a sector that cannot hold a level
-    below the k-th found is skipped.  A k above what the sectors can
-    return (unknowns - 1 in 1D/2D, unknowns - 8 in 3D) raises ValueError
-    before any solve.  Only a 3D callable that is not mirror-even falls
-    back to LOBPCG on the whole grid with a diagonal preconditioner.
-    Residuals are always taken against the whole-grid operator.  ARPACK
-    stops after 10000 iterations and LOBPCG after 2000; non-converged
-    solves are returned flagged, not raised.  A warning notes a wall
-    potential less than 10 above the top level found.
+    Which sectors there are:
 
-    Memory: the (2D+1)-point stencil holds n^D unknowns, and a 3D solve
+    * 1D: one sector, the whole grid.
+    * 2D and 3D, V mirror-even on every axis (every PotentialSpec): the
+      operator splits into 2^D sectors of about n^D / 2^D unknowns each.
+      Each asks for min(k, unknowns - 1) pairs, and a sector that cannot
+      hold a level below the k-th found is skipped, so k = 1 solves only
+      the all-even sector.
+    * 2D callable that is not mirror-even: one sector, the whole grid.
+    * 3D callable that is not mirror-even: LOBPCG on the whole grid with
+      a diagonal preconditioner.
+
+    One k limit holds on every route: unknowns - 2^D pairs in 2D and 3D,
+    and unknowns - 1 in 1D.  A larger k raises ValueError before any
+    solve.  Residuals are always taken against the whole-grid operator.
+    ARPACK stops after 10000 iterations and LOBPCG after 2000;
+    non-converged solves are returned flagged, not raised.  A warning
+    notes a wall potential less than 10 above the top level found.
+
+    Memory: the (2D+1)-point stencil holds n^D unknowns, and each solve
     adds the LU factors of one sector at a time, whose fill grows faster
-    than n^3: a k=3 solve on cusp3d_ordered peaks at 96 MB RSS at 33^3,
-    282 MB at 49^3 and 613 MB at 64^3 (within the default budget).  Solves
-    beyond the budget of grid unknowns raise BudgetExceeded.
+    than n^D.  A k=3 solve on cusp3d_ordered peaks at 96 MB RSS at 33^3,
+    282 MB at 49^3 and 613 MB at 64^3 (within the default budget).  A
+    k=3 solve on fig1_cusp2d peaks at 82 MB at 201^2, 162 MB at 401^2 and
+    445 MB at 801^2 (beyond the default budget), against 123, 344 and
+    1336 MB for one whole-grid factor.  Solves beyond the budget of grid
+    unknowns raise BudgetExceeded.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -300,8 +324,9 @@ def fd_eigensolve(
                 f"eigensolver grids need at least 16 points per axis, got {grid.axis_n(i)}"
             )
     size = grid.size(dim)
-    # ARPACK returns at most unknowns - 1 pairs of each sector
-    pairs = size - (8 if dim == 3 else 1)
+    # ARPACK returns at most unknowns - 1 pairs of each of the 2^D sectors
+    # that a 2D or 3D solve may split into; 1D has one sector
+    pairs = size - (2**dim if dim > 1 else 1)
     if k > pairs:
         raise ValueError(
             f"k = {k} exceeds the {pairs} pairs a {dim}D solve on {size} unknowns returns"
@@ -326,18 +351,20 @@ def fd_eigensolve(
     rng = np.random.default_rng(12345)
     shape = tuple(grid.axis_n(i) for i in range(dim))
     converged = True
-    if dim < 3 or all(np.abs(v - np.flip(v, axis=ax)).max() <= 1e-12 * np.abs(v).max()
-                      for ax in range(dim)):
-        # A 3D V mirror-even on every axis (to rounding) makes H block
-        # diagonal in the 2^3 parity sectors of the split axes; any coupling
+    mirror_even = dim > 1 and all(
+        np.abs(v - np.flip(v, axis=ax)).max() <= 1e-12 * np.abs(v).max() for ax in range(dim))
+    if dim < 3 or mirror_even:
+        # A 2D or 3D V mirror-even on every axis (to rounding) makes H block
+        # diagonal in the 2^D parity sectors of the split axes; any coupling
         # left over shows in the residuals below.  Making one more axis odd
         # adds a positive semidefinite term (even n) or deletes the centre
-        # plane (odd n), so no level of a sector lies below the lowest
-        # level of a sector with one odd axis fewer.  Sectors are visited
-        # by odd-axis count; one whose bound is not below the k-th lowest
-        # level found so far is not solved.  1D/2D split no axis: their
-        # one sector is H itself.
-        bases = [_mirror_bases(n) for n in shape] if dim == 3 else []
+        # line or plane (odd n), so no level of a sector lies below the
+        # lowest level of a sector with one odd axis fewer.  Sectors are
+        # visited by odd-axis count; one whose bound is not below the k-th
+        # lowest level found so far is not solved.  1D, whose tridiagonal
+        # factor is already cheap, and a 2D V that is not mirror-even split
+        # no axis: their one sector is H itself.
+        bases = [_mirror_bases(n) for n in shape] if mirror_even else []
         floor = {}  # lower bound on the lowest level of each sector
         found_vals, found_vecs = [], []
         for odd in sorted(itertools.product((0, 1), repeat=len(bases)), key=sum):
@@ -348,11 +375,11 @@ def fd_eigensolve(
                 continue
             sector, P = H, None
             if bases:
-                P = sp.kron(sp.kron(bases[0][odd[0]], bases[1][odd[1]]), bases[2][odd[2]],
-                            format="csr")
+                P = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
+                                     (basis[o] for basis, o in zip(bases, odd)))
                 sector = (P.T @ H @ P).tocsc()
             m = sector.shape[0]
-            want = min(k, m - 1) if bases else k
+            want = min(k, m - 1)
             try:
                 vals, vecs = spla.eigsh(
                     sector, k=want, sigma=vmin - 1.0, which="LM",

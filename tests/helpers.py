@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: parameter draws, a hypothesis
 strategy over all families, a call counter, the loop references of the
 Newton oracle and of its orbit matching, the bisection references of
-scan refinement, the whole-grid LOBPCG reference of the 3D eigensolve,
+scan refinement, the whole-grid references of the 2D and 3D eigensolves,
 the hand-written reference of an eigensolution's report, the per-axis
 references of parameter overrides and raster cells, and the single-point
 reference of one scan sample."""
@@ -161,14 +161,20 @@ def any_family_spec(draw, families=potentials.FAMILIES):
         family, {**_axis_shapes(draw, "xyz"), **{k: draw(cross) for k in "uvw"}})
 
 
-def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6):
+def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6, orthant=False):
     """The Newton oracle as a plain loop: every live seed runs the whole
     iteration budget, every found representative is compared with every
     kept one, and each kept orbit is classified by single-point calls.
-    oracle.newton_stationary must return exactly this list."""
+    Seeds are every grid node, or with orthant=True the nodes from index
+    (n - 1) // 2 on along each axis of n nodes; oracle.newton_stationary
+    must return exactly the orthant-seeded list."""
     gradient, hessian = potentials.gradient, potentials.hessian
     dim = spec.dimension
-    pts = grid.mesh(dim).reshape(-1, dim).copy()
+    if orthant:
+        halves = [axis[(len(axis) - 1) // 2:] for axis in grid.axes(dim)]
+        pts = np.stack(np.meshgrid(*halves, indexing="ij"), axis=-1).reshape(-1, dim)
+    else:
+        pts = grid.mesh(dim).reshape(-1, dim).copy()
     box = max(grid.axis_extent(i) for i in range(dim))
     alive = np.ones(len(pts), dtype=bool)
     for _ in range(max_iter):
@@ -409,6 +415,28 @@ def fd_eigensolve_lobpcg_reference(spec_or_callable, grid, k, dim=3, maxiter=200
     vecs = vecs / np.linalg.norm(vecs, axis=0)
     residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
     converged = bool(np.all(residuals <= 1e-8 * np.abs(vals) + 1e-10))
+    return vals, residuals, converged
+
+
+def fd_eigensolve_wholegrid_reference(spec_or_callable, grid, k, dim=2):
+    """The 2D eigensolve on the whole grid: one shift-invert ARPACK call
+    for k pairs with the shift 1 below min V, v0 from seed 12345, and the
+    residual gate of oracle.fd_eigensolve.  Returns (energies, residuals,
+    converged) of the lowest k pairs."""
+    H, v = oracle.hamiltonian(spec_or_callable, grid, dim)
+    rng = np.random.default_rng(12345)
+    converged = True
+    try:
+        vals, vecs = spla.eigsh(H, k=k, sigma=float(v.min()) - 1.0, which="LM",
+                                v0=rng.standard_normal(H.shape[0]), maxiter=10_000)
+    except spla.ArpackNoConvergence as err:
+        vals, vecs = err.eigenvalues, err.eigenvectors
+        converged = False
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    vecs = vecs / np.linalg.norm(vecs, axis=0)
+    residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+    converged = converged and bool(np.all(residuals <= 1e-8 * np.abs(vals) + 1e-10))
     return vals, residuals, converged
 
 

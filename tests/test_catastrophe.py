@@ -99,6 +99,39 @@ def test_path_space_is_the_space_with_param_moves_in(name, space):
     assert ParamPath(spec=spec, varied=((name, 1.0, 2.0),), steps=3).space == space
 
 
+@pytest.mark.parametrize("family, varied", [
+    ("butterfly1d", (("alpha", 1.5, 2.2), ("alpha", 2.2, 1.5))),
+    ("butterfly1d", (("alpha", 1.5, 2.2), ("alpha_x", 2.2, 1.5))),
+    ("butterfly2d", (("beta_y", 1.0, 1.2), ("beta", 0.5, 0.8))),
+    ("butterfly2d", (("a", 1.0, 1.2), ("u", 0.1, 0.2), ("a", 2.0, 2.2))),
+    ("cusp2d", (("alpha", 1.4, 2.0), ("alpha_sq", 1.0, 2.0))),
+])
+def test_path_rejects_two_entries_on_one_coefficient(family, varied):
+    # applied one over the other, the second entry would decide where each
+    # sample sits while the first decides where its boundaries are reported:
+    # along (alpha 1.5 -> 2.2, alpha 2.2 -> 1.5) the classical boundary was
+    # reported at alpha = 1.70 with the spec at alpha = 2.0
+    spec = {"butterfly1d": make_spec("butterfly1d", alpha=1.5, beta=2.0),
+            "butterfly2d": make_spec("butterfly2d", alpha=1.0, gamma=1.9, u=-1.0),
+            "cusp2d": make_spec("cusp2d", alpha=1.4, beta=1.0)}[family]
+    with pytest.raises(ValueError, match="set the same coefficient"):
+        ParamPath(spec=spec, varied=varied, steps=3)
+    if len(varied) == 2:
+        with pytest.raises(ValueError, match="set the same coefficient"):
+            scan_grid(spec, *varied, resolution=3)
+
+
+@pytest.mark.parametrize("varied", [
+    (("alpha_x", 1.0, 1.2), ("alpha_y", 1.0, 1.2)),
+    (("alpha", 1.0, 1.2), ("beta", 0.5, 0.8)),
+    (("alpha", 1.0, 1.2), ("gamma_x", 1.9, 2.0)),
+    (("a", 1.0, 1.2), ("u", -1.0, -0.9)),
+])
+def test_path_takes_entries_on_distinct_coefficients(varied):
+    spec = make_spec("butterfly2d", alpha=1.0, gamma=1.9, u=-1.0)
+    assert ParamPath(spec=spec, varied=varied, steps=3).varied == varied
+
+
 def test_sample_with_overflowing_hessian_is_recorded_not_fatal():
     # near 1e308 the Hessian overflows to nan and eigvalsh raises for the
     # whole stack; each sample is then evaluated alone

@@ -184,9 +184,12 @@ def test_scan_raster_usage_errors_exit_1(tmp_path, capsys):
                        "--resolution", 1]) == 1
     assert run(base + ["--vary", "foo:0.5:2.5", "--vary", "beta:0.5:2.5",
                        "--resolution", 3]) == 1
+    assert run(base + ["--vary", "alpha:1.5:2.2", "--vary", "alpha_x:2.2:1.5",
+                       "--resolution", 3]) == 1
     err = capsys.readouterr().err
     assert "error: resolution must be >= 2" in err
     assert "error: unknown parameter 'foo' for butterfly1d" in err
+    assert "error: parameters alpha and alpha_x set the same coefficient; vary it once" in err
     assert not list(tmp_path.glob("raster_*"))
 
 
@@ -245,7 +248,7 @@ def test_oracle_eigensolver_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "newton search" not in captured.out
     assert "error: eigensolver grids need at least 16 points per axis, got 8" in captured.err
-    assert "error: k = 400 exceeds the 399 pairs a 2D solve on 400 unknowns returns" in captured.err
+    assert "error: k = 400 exceeds the 396 pairs a 2D solve on 400 unknowns returns" in captured.err
 
 
 def test_oracle_command(tmp_path):

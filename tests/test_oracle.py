@@ -27,6 +27,7 @@ from helpers import (
     count_calls,
     eigensolution_dict_reference,
     fd_eigensolve_lobpcg_reference,
+    fd_eigensolve_wholegrid_reference,
     match_stationary_reference,
     newton_stationary_reference,
 )
@@ -77,7 +78,35 @@ def shrunk_fig2(lam=1e-5):
 
 def assert_matches_reference(spec):
     grid = _oracle_grid(spec)
-    assert repr(newton_stationary(spec, grid)) == repr(newton_stationary_reference(spec, grid))
+    assert repr(newton_stationary(spec, grid)) == \
+        repr(newton_stationary_reference(spec, grid, orthant=True))
+
+
+def assert_agrees_with_full_grid(spec, grid=None):
+    """The orthant-seeded search finds the orbits of the search seeded at
+    every node.  Each orbit pairs one to one with its nearest full-grid
+    orbit, of the same kind, label and multiplicity, within 1e-12
+    characteristic radii.  Newton converges only linearly onto a root
+    with a singular Hessian (a double root), so such an orbit ends where
+    the seed's path stops it and need only agree within dedup_tol, the
+    search's own resolution.  Orbits of equal value may sort either way."""
+    grid = grid or _oracle_grid(spec)
+    found = newton_stationary(spec, grid)
+    full = newton_stationary_reference(spec, grid)
+    assert len(found) == len(full)
+    if not found:
+        return
+    dist = np.abs(np.array([p.location for p in found])[:, None]
+                  - np.array([q.location for q in full])[None]).max(-1)
+    nearest = dist.argmin(axis=1)
+    assert sorted(nearest) == list(range(len(full)))
+    tol = 1e-12 * max(1.0, characteristic_radius(spec))
+    for i, p in enumerate(found):
+        q = full[nearest[i]]
+        assert (p.kind, p.label, p.multiplicity) == (q.kind, q.label, q.multiplicity)
+        eigs = np.abs(p.hessian_eigs)
+        singular = eigs.min() <= 1e-6 * eigs.max()
+        assert dist[i, nearest[i]] <= (1e-6 if singular else tol)
 
 
 @pytest.mark.parametrize("name", sorted(corpus_specs()))
@@ -97,6 +126,48 @@ def test_newton_matches_loop_reference_small_scale():
 @given(any_family_spec())
 def test_newton_matches_loop_reference_drawn(spec):
     assert_matches_reference(spec)
+
+
+@pytest.mark.parametrize("name", sorted(corpus_specs()))
+def test_newton_orthant_agrees_with_full_grid_corpus(name):
+    assert_agrees_with_full_grid(corpus_specs()[name])
+
+
+def test_newton_orthant_agrees_with_full_grid_small_scale():
+    assert_agrees_with_full_grid(shrunk_fig2())
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(any_family_spec())
+def test_newton_orthant_agrees_with_full_grid_drawn(spec):
+    assert_agrees_with_full_grid(spec)
+
+
+def test_newton_even_grid_finds_the_origin_between_nodes():
+    # 64 nodes: the seeds start at the node -h/2, and no node sits at 0
+    spec = make_spec("butterfly1d", alpha=1.5, beta=2.0)
+    grid = _oracle_grid(spec)
+    assert grid.n == 64 and not np.any(grid.axes(1)[0] == 0.0)
+    assert (0.0,) in [p.location for p in newton_stationary(spec, grid)]
+    assert_agrees_with_full_grid(spec, grid)
+
+
+def test_newton_seeds_keep_a_middle_row_just_below_zero(monkeypatch):
+    # linspace puts the middle node of this grid at -1.8e-15.  Seeding by
+    # the sign of a node's coordinates would drop that row and column, and
+    # with them the only seeds that reach the maximum at the origin.
+    grid = GridSpec(extent=12.775537577696939, n=21)
+    axis = grid.axes(2)[0]
+    assert -1e-14 < axis[10] < 0.0
+    spec = spec_from_raw("cusp2d", dict(alpha_sq=63.75561, beta_sq=9.060552))
+    calls = count_calls(monkeypatch, potentials.gradient)
+    found = newton_stationary(spec, grid)
+    seeds = calls[0][1]
+    assert len(seeds) == 11 * 11
+    for i in range(2):
+        assert np.array_equal(np.unique(seeds[:, i]), axis[10:])
+    assert [p.kind for p in found if p.location == (0.0, 0.0)] == ["maximum"]
+    assert_agrees_with_full_grid(spec, grid)
 
 
 @pytest.mark.parametrize("name, limit", [("cusp3d_ordered", 30), ("fig1_cusp2d", 50)])
@@ -305,6 +376,66 @@ def test_fd3d_non_even_callable_takes_lobpcg(monkeypatch):
     assert sol.energies == pytest.approx(stencil_levels(axis_fns, grid, 2), rel=1e-8, abs=0.0)
 
 
+# ---------------------------------------------------------------------------
+# 2D eigensolve: parity sectors against the whole-grid eigsh reference
+# ---------------------------------------------------------------------------
+
+def assert_matches_wholegrid_reference(spec_or_callable, grid, k, dim=None):
+    sol = fd_eigensolve(spec_or_callable, grid, k=k, dim=dim)
+    energies, residuals, converged = fd_eigensolve_wholegrid_reference(spec_or_callable, grid, k)
+    assert sol.energies == pytest.approx(energies, rel=1e-10, abs=0.0)
+    assert sol.converged == converged
+    assert within_gate(sol.energies, sol.residuals)
+
+
+@pytest.mark.parametrize("name", ["fig1_cusp2d", "fig2_butterfly2d"])
+def test_fd2d_matches_wholegrid_reference_corpus(name):
+    spec = corpus_specs()[name]
+    assert_matches_wholegrid_reference(
+        spec, GridSpec(extent=1.6 * characteristic_radius(spec), n=61), 4)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(any_family_spec(families=("cusp2d", "butterfly2d")))
+def test_fd2d_matches_wholegrid_reference_drawn(spec):
+    grid = GridSpec(extent=1.6 * characteristic_radius(spec), n=40)
+    assert_matches_wholegrid_reference(spec, grid, 3)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_fd2d_isotropic_harmonic_keeps_degenerate_copies(k):
+    # levels 1 + 2 + 3: the second and third lie in the two sectors with
+    # one odd axis, the last three in the all-even and all-odd sectors
+    grid = GridSpec(extent=6.0, n=41)
+    sol = fd_eigensolve(lambda m: (m**2).sum(axis=-1), grid, k=k, dim=2)
+    assert sol.converged
+    assert sol.energies == pytest.approx(
+        stencil_levels([lambda x: x**2] * 2, grid, k), rel=1e-10, abs=0.0)
+
+
+def test_fd2d_ground_state_solves_only_the_all_even_sector(monkeypatch):
+    # 41 nodes per axis: 20 mirror pairs and the centre node are even
+    grid = GridSpec(extent=6.0, n=41)
+    calls = count_solver_calls(monkeypatch)
+    shapes, eigsh = [], spla.eigsh
+    monkeypatch.setattr(spla, "eigsh", lambda A, **kw: shapes.append(A.shape) or eigsh(A, **kw))
+    sol = fd_eigensolve(lambda m: (m**2).sum(axis=-1), grid, k=1, dim=2)
+    assert calls == {"eigsh": 1, "lobpcg": 0}
+    assert shapes == [(21 * 21, 21 * 21)]
+    assert sol.energies == pytest.approx(
+        stencil_levels([lambda x: x**2] * 2, grid, 1), rel=1e-10, abs=0.0)
+
+
+def test_fd2d_non_even_callable_takes_one_wholegrid_eigsh(monkeypatch):
+    axis_fns = (lambda x: x**2 + 0.5 * x, lambda x: 1.7 * x**2)
+    grid = GridSpec(extent=(5.0, 4.5), n=33)
+    calls = count_solver_calls(monkeypatch)
+    sol = fd_eigensolve(separable(axis_fns), grid, k=2, dim=2)
+    assert calls == {"eigsh": 1, "lobpcg": 0}
+    assert sol.converged
+    assert sol.energies == pytest.approx(stencil_levels(axis_fns, grid, 2), rel=1e-10, abs=0.0)
+
+
 def test_fd3d_states_normalized_and_even(monkeypatch):
     spec = corpus_specs()["cusp3d_ordered"]
     calls = count_solver_calls(monkeypatch)
@@ -320,8 +451,9 @@ def test_fd3d_states_normalized_and_even(monkeypatch):
 
 
 def test_fd_rejects_more_pairs_than_the_solver_returns(monkeypatch):
-    # one sector returns at most unknowns - 1 pairs, the eight parity
-    # sectors of a 3D solve at most unknowns - 8; more is refused up front
+    # one sector returns at most unknowns - 1 pairs, the 2^D parity
+    # sectors of a 2D or 3D solve at most unknowns - 2^D; more is refused
+    # up front
     calls = count_solver_calls(monkeypatch)
     spec = make_spec("butterfly1d", alpha=1.0, beta=1.0)
     grid = GridSpec(extent=3.0, n=16)
@@ -329,6 +461,9 @@ def test_fd_rejects_more_pairs_than_the_solver_returns(monkeypatch):
         fd_eigensolve(spec, grid, k=16)
     assert calls == {"eigsh": 0, "lobpcg": 0}
     assert len(fd_eigensolve(spec, grid, k=15).energies) == 15
+    for k in (16**2 - 3, 16**2):
+        with pytest.raises(ValueError, match=f"k = {k} .* {16**2 - 4}"):
+            fd_eigensolve(corpus_specs()["fig1_cusp2d"], grid, k=k)
     for k in (16**3 - 7, 16**3):
         with pytest.raises(ValueError, match=f"k = {k} .* {16**3 - 8}"):
             fd_eigensolve(corpus_specs()["cusp3d_ordered"], grid, k=k)
