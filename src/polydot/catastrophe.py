@@ -94,8 +94,7 @@ class ParamPath:
         return out
 
     def primary_value(self, t: float) -> float:
-        name, start, end = self.varied[0]
-        return start + t * (end - start)
+        return self.params_at(t)[self.varied[0][0]]
 
     @property
     def primary_span(self) -> float:
@@ -398,13 +397,9 @@ def _locate_orbit_event(path, t_lo, t_hi, label, width_tol, labels_at=None):
     )
 
 
-def scan_line(
-    path: ParamPath,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    width_tol: float = DEFAULT_WIDTH_TOL,
-    workers: int = 1,
-) -> ScanReport:
-    """Sample the path, label every sample, refine every label change.
+def scan_line(path: ParamPath, workers: int = 1) -> ScanReport:
+    """Sample the path, label every sample, refine every label change to
+    DEFAULT_GAP_TOL and DEFAULT_WIDTH_TOL (see :func:`locate_boundary`).
 
     Invalid samples (shape constraint violations, no minimum, degenerate
     couplings) are recorded per sample, excluded from bracketing, and never
@@ -436,7 +431,7 @@ def scan_line(
                     try:
                         boundaries.append(
                             locate_boundary(path, (s0.t, s1.t), kind, (l0, l1),
-                                            gap_tol, width_tol, ends=(s0, s1))
+                                            ends=(s0, s1))
                         )
                     except (SplitBracket, ValueError) as err:
                         boundaries.append(
@@ -449,7 +444,8 @@ def scan_line(
             labels_at = {}
             for label in sorted(set(s0.orbit_labels) ^ set(s1.orbit_labels)):
                 events.append(
-                    _locate_orbit_event(path, s0.t, s1.t, label, width_tol, labels_at)
+                    _locate_orbit_event(path, s0.t, s1.t, label, DEFAULT_WIDTH_TOL,
+                                        labels_at)
                 )
     except KeyboardInterrupt:
         partial = True
@@ -458,8 +454,8 @@ def scan_line(
         "space": path.space,
         "varied": [list(v) for v in path.varied],
         "steps": path.steps,
-        "gap_tol": gap_tol,
-        "width_tol": width_tol,
+        "gap_tol": DEFAULT_GAP_TOL,
+        "width_tol": DEFAULT_WIDTH_TOL,
         "partial": partial,
     }
     return ScanReport(

@@ -175,7 +175,7 @@ def cmd_scan(args) -> int:
             path = ParamPath(spec=spec, varied=tuple(varied), steps=args.steps)
         except ValueError as err:
             raise CliError(str(err))
-        report = scan_line(path, gap_tol=args.tol)
+        report = scan_line(path)
         d = reports.scan_report_dict(report)
         _write(args, {
             "scan.csv": lambda: reports.scan_csv_rows(report),
@@ -220,24 +220,18 @@ def cmd_grid(args) -> int:
         _write(args, {"grid.csv": lambda: reports.potential_line_rows(xs, values, clip=args.clip)})
         print(f"wrote grid.csv ({n} points, window [{-L:g}, {L:g}])")
         return 0
+    planes = list(np.meshgrid(xs, xs, indexing="ij"))
     if spec.dimension == 3:
         axis, _, value = (args.slice or "z=0").partition("=")
         axis = axis.strip()
-        if axis not in ("x", "y", "z") or not value:
+        if axis not in spec.axis_names() or not value:
             raise CliError("--slice wants AXIS=VALUE, e.g. z=0")
         try:
             fixed = float(value)
         except ValueError:
             raise CliError(f"--slice value must be a number, got {value!r}")
-        others = [i for i, name in enumerate(("x", "y", "z")) if name != axis]
-        mesh = np.zeros((n, n, 3))
-        mesh[..., others[0]] = xs[:, None]
-        mesh[..., others[1]] = xs[None, :]
-        mesh[..., ("x", "y", "z").index(axis)] = fixed
-        values = evaluate(spec, mesh)
-    else:
-        mesh = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1)
-        values = evaluate(spec, mesh)
+        planes.insert(spec.axis_names().index(axis), np.full((n, n), fixed))
+    values = evaluate(spec, np.stack(planes, axis=-1))
     _write(args, {"grid.csv": lambda: reports.potential_grid_rows(xs, xs, values, clip=args.clip)})
     print(f"wrote grid.csv ({n}x{n} window [{-L:g}, {L:g}]"
           + (f", clip V <= {args.clip:g}" if args.clip is not None else "") + ")")
@@ -337,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter to vary (repeat for a 2-parameter raster)")
     p.add_argument("--steps", type=int, default=51, help="samples along a line")
     p.add_argument("--resolution", type=int, default=33, help="raster resolution")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="energy-gap tolerance of the boundary refinement "
-                        "(false position on the signed gap)")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("grid", help="dump potential values for plotting", parents=both)

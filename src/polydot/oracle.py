@@ -167,7 +167,7 @@ def newton_stationary(
         try:
             step = np.linalg.solve(H, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g[..., None], rcond=None)[0][..., 0]
+            step = (np.linalg.pinv(H) @ g[..., None])[..., 0]
         new = x - step
         moving[idx[(new == x).all(axis=1)]] = False
         pts[idx] = new
@@ -341,9 +341,8 @@ def fd_eigensolve(
 
     # Dirichlet-wall adequacy: the boundary potential should dominate the
     # energies of interest
-    vflat = v.reshape(-1) if dim == 1 else v
     boundary_min = min(
-        float(np.min(np.take(vflat, idx, axis=ax)))
+        float(np.min(np.take(v, idx, axis=ax)))
         for ax in range(dim) for idx in (0, -1)
     )
     vmin = float(v.min())
@@ -419,17 +418,21 @@ def fd_eigensolve(
     vals = np.asarray(vals)[order]
     vecs = np.asarray(vecs)[:, order]
 
+    # normalize each state to unit probability, gate its residual, and fix
+    # its overall sign
+    cell = float(np.prod(grid.spacings(dim)))
     residuals = []
-    for i in range(vecs.shape[1]):
-        vec = vecs[:, i]
-        nrm = np.linalg.norm(vec)
-        vec /= nrm
-        residuals.append(float(np.linalg.norm(H @ vec - vals[i] * vec)))
-        vecs[:, i] = vec
-    for i, (e, r) in enumerate(zip(vals, residuals)):
+    states = np.empty((vecs.shape[1],) + shape)
+    for i, e in enumerate(vals):
+        vec = vecs[:, i] / np.linalg.norm(vecs[:, i])
+        r = float(np.linalg.norm(H @ vec - e * vec))
+        residuals.append(r)
         if r > 1e-8 * abs(e) + 1e-10:
             converged = False
             notes.append(f"pair {i} residual {r:.2e} above tolerance")
+        psi = vec.reshape(shape) / math.sqrt(cell)
+        peak = np.unravel_index(np.argmax(np.abs(psi)), shape)
+        states[i] = -psi if psi[peak] < 0 else psi
 
     e_top = float(vals.max()) if len(vals) else vmin
     if boundary_min < e_top + _WALL_MARGIN:
@@ -437,16 +440,6 @@ def fd_eigensolve(
             f"boundary potential {boundary_min:g} is within {_WALL_MARGIN:g} "
             f"of the top computed energy {e_top:g}; enlarge the box"
         )
-
-    # normalize to unit probability and fix the overall sign
-    cell = float(np.prod(grid.spacings(dim)))
-    states = np.empty((vecs.shape[1],) + shape)
-    for i in range(vecs.shape[1]):
-        psi = vecs[:, i].reshape(shape) / math.sqrt(cell)
-        peak = np.unravel_index(np.argmax(np.abs(psi)), shape)
-        if psi[peak] < 0:
-            psi = -psi
-        states[i] = psi
 
     return EigenSolution(
         grid=grid,

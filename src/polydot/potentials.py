@@ -20,13 +20,14 @@ can be rewritten in "shape" form
     gamma_j^2 = alpha_j^2 + 2 beta_j^2,
 
 which places the on-axis stationary points at |x_j| = alpha_j and
-|x_j| = gamma_j.  Raw coefficients are the source of truth; the shape view
-is a derived, kept-in-sync convenience (it is only defined while
+|x_j| = gamma_j.  A spec stores its raw coefficients only; the shape view
+is derived from them on first read (it is only defined while
 a_j^2 >= c_j > 0, see :class:`~polydot.errors.NoRealShape`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -117,16 +118,21 @@ def _param(family, name):
 class PotentialSpec:
     """One member of the five potential families.
 
-    ``raw`` holds the coefficients exactly as they appear in the polynomial;
-    ``shape`` holds the per-axis (alpha^2, beta^2, gamma^2) view plus the
-    cross couplings, or None when some axis has no real decomposition.
-    For the cusp families raw and shape coincide and ``shape`` mirrors
-    ``raw``.
+    ``raw`` holds the coefficients exactly as they appear in the polynomial.
     """
 
     family: str
     raw: dict
-    shape: dict | None
+
+    @functools.cached_property
+    def shape(self) -> dict | None:
+        """The per-axis (alpha^2, beta^2, gamma^2) view plus the cross
+        couplings, derived from ``raw`` on first read, or None when some axis
+        has no real decomposition.  For the cusp families it mirrors ``raw``."""
+        try:
+            return raw_to_shape(self.family, self.raw)
+        except NoRealShape:
+            return None
 
     @property
     def dimension(self) -> int:
@@ -307,32 +313,21 @@ def _validate_raw(family: str, raw: dict) -> dict:
             raise ValueError(f"butterfly1d needs a <= 0 (triple-well form), got {out['a']:g}")
         if out["c"] <= 0.0:
             raise ValueError(f"butterfly1d needs c > 0, got {out['c']:g}")
-    elif family == "butterfly2d":
-        for k in ("a", "b"):
-            if out[k] < 0.0:
-                raise ValueError(f"butterfly2d needs {k} >= 0, got {out[k]:g}")
-        for k in ("c", "d"):
-            if out[k] <= 0.0:
-                raise ValueError(f"butterfly2d needs {k} > 0, got {out[k]:g}")
     else:
-        for k in ("a", "b", "c"):
+        quartics, quadratics = zip(*_AXIS_PAIR_KEYS[family])
+        for k in quartics:
             if out[k] < 0.0:
-                raise ValueError(f"butterfly3d needs {k} >= 0, got {out[k]:g}")
-        for k in ("p", "q", "s"):
+                raise ValueError(f"{family} needs {k} >= 0, got {out[k]:g}")
+        for k in quadratics:
             if out[k] <= 0.0:
-                raise ValueError(f"butterfly3d needs {k} > 0, got {out[k]:g}")
+                raise ValueError(f"{family} needs {k} > 0, got {out[k]:g}")
     return out
 
 
 def spec_from_raw(family: str, raw: dict) -> PotentialSpec:
-    """Build a spec from raw coefficients; shape computed where real."""
+    """Build a spec from raw coefficients, checked against the family's domain."""
     _check_family(family)
-    raw = _validate_raw(family, raw)
-    try:
-        shape = raw_to_shape(family, raw)
-    except NoRealShape:
-        shape = None
-    return PotentialSpec(family=family, raw=raw, shape=shape)
+    return PotentialSpec(family=family, raw=_validate_raw(family, raw))
 
 
 def spec_from_shape(family: str, shape: dict) -> PotentialSpec:

@@ -96,15 +96,20 @@ def suite_stationary_oracle_agreement(rng) -> dict:
     }
 
 
-def _draw_butterfly2d(rng, want_roots=False):
+def _draw_shape(rng, axes, alpha_range, beta_range):
+    """Shape view with per-axis alpha^2 and beta^2 drawn uniformly."""
     shape = {}
-    for ax in ("x", "y"):
-        al = rng.uniform(0.5, 2.0)
-        be = rng.uniform(0.3, 1.5)
+    for ax in axes:
+        al = rng.uniform(*alpha_range)
+        be = rng.uniform(*beta_range)
         shape[f"alpha_{ax}_sq"] = al
         shape[f"beta_{ax}_sq"] = be
         shape[f"gamma_{ax}_sq"] = al + 2.0 * be
-    raw = potentials.shape_to_raw("butterfly2d", shape)
+    return shape
+
+
+def _draw_butterfly2d(rng, want_roots=False):
+    raw = potentials.shape_to_raw("butterfly2d", _draw_shape(rng, "xy", (0.5, 2.0), (0.3, 1.5)))
     hi = 2.0 * min(raw["a"], raw["b"]) - 0.05
     if want_roots:
         # sweep the coupling for a value with live in-plane roots
@@ -130,14 +135,7 @@ def _draw_butterfly3d(rng, strong_coupling=False):
             u=u, v=u, w=u, p=p, q=q, s=s,
         )
         return potentials.spec_from_raw("butterfly3d", raw)
-    shape = {}
-    for ax in ("x", "y", "z"):
-        al = rng.uniform(0.4, 1.8)
-        be = rng.uniform(0.3, 1.4)
-        shape[f"alpha_{ax}_sq"] = al
-        shape[f"beta_{ax}_sq"] = be
-        shape[f"gamma_{ax}_sq"] = al + 2.0 * be
-    raw = potentials.shape_to_raw("butterfly3d", shape)
+    raw = potentials.shape_to_raw("butterfly3d", _draw_shape(rng, "xyz", (0.4, 1.8), (0.3, 1.4)))
     for key in ("u", "v", "w"):
         raw[key] = rng.uniform(-0.8, 0.8)
     return potentials.spec_from_raw("butterfly3d", raw)
@@ -149,41 +147,28 @@ def _residual_scale(location):
 
 def suite_offaxis_backsubstitution(rng, draws: int = 60) -> dict:
     failures = []
-    roots2d = roots3d = 0
-    for i in range(draws):
-        spec = _draw_butterfly2d(rng, want_roots=(i % 2 == 0))
-        for x2, y2, r2 in stationary.off_axis_roots_2d(spec):
-            roots2d += 1
-            if abs(x2 + y2 - r2) > RADIUS_IDENTITY_TOL * max(1.0, r2):
-                failures.append(
-                    f"off_axis_roots_2d: radius identity broken at {spec.raw}"
-                )
-                continue
-            loc = (math.sqrt(x2), math.sqrt(y2))
-            res = float(np.max(np.abs(gradient_at(spec, loc))))
-            if res > RESIDUAL_TOL * _residual_scale(loc):
-                failures.append(
-                    f"off_axis_roots_2d: gradient residual {res:.2e} at {spec.raw}"
-                )
-    for i in range(draws):
-        spec = _draw_butterfly3d(rng, strong_coupling=(i % 2 == 0))
-        for x2, y2, z2, r2, subfamily in stationary.off_axis_roots_3d(spec):
-            roots3d += 1
-            if abs(x2 + y2 + z2 - r2) > RADIUS_IDENTITY_TOL * max(1.0, r2):
-                failures.append(
-                    f"off_axis_roots_3d: radius identity broken ({subfamily})"
-                )
-                continue
-            loc = (math.sqrt(x2), math.sqrt(y2), math.sqrt(z2))
-            res = float(np.max(np.abs(gradient_at(spec, loc))))
-            if res > RESIDUAL_TOL * _residual_scale(loc):
-                failures.append(
-                    f"off_axis_roots_3d: gradient residual {res:.2e} ({subfamily})"
-                )
+    details = {}
+    for dim, draw, roots in ((2, _draw_butterfly2d, stationary.off_axis_roots_2d),
+                             (3, _draw_butterfly3d, stationary.off_axis_roots_3d)):
+        routine = f"off_axis_roots_{dim}d"
+        details[f"roots_{dim}d"] = 0
+        for i in range(draws):
+            spec = draw(rng, i % 2 == 0)
+            for root in roots(spec):
+                details[f"roots_{dim}d"] += 1
+                squares, r2 = root[:dim], root[dim]
+                where = f"at {spec.raw}" if dim == 2 else f"({root[-1]})"
+                if abs(sum(squares) - r2) > RADIUS_IDENTITY_TOL * max(1.0, r2):
+                    failures.append(f"{routine}: radius identity broken {where}")
+                    continue
+                loc = tuple(math.sqrt(sq) for sq in squares)
+                res = float(np.max(np.abs(gradient_at(spec, loc))))
+                if res > RESIDUAL_TOL * _residual_scale(loc):
+                    failures.append(f"{routine}: gradient residual {res:.2e} {where}")
     return {
         "name": "offaxis_backsubstitution",
         "passed": not failures,
-        "details": {"roots_2d": roots2d, "roots_3d": roots3d, "failures": failures},
+        "details": {**details, "failures": failures},
     }
 
 

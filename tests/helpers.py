@@ -110,16 +110,6 @@ def draw_butterfly3d_ordered(rng):
     return potentials.spec_from_raw("butterfly3d", raw), shape
 
 
-def draw_butterfly3d_strong(rng):
-    p, q, s = rng.uniform(1.0, 3.0, size=3)
-    u = float(np.sqrt(3.0 * (p + q + s)) * rng.uniform(1.05, 1.3))
-    return potentials.spec_from_raw(
-        "butterfly3d",
-        dict(a=rng.uniform(0.0, 0.3), b=rng.uniform(0.0, 0.3),
-             c=rng.uniform(0.0, 0.3), u=u, v=u, w=u, p=p, q=q, s=s),
-    )
-
-
 DRAWERS = {
     "cusp2d": draw_cusp2d,
     "cusp3d": draw_cusp3d,

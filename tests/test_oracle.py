@@ -179,6 +179,27 @@ def test_newton_stops_when_no_seed_moves(monkeypatch, name, limit):
     assert len(calls) <= limit
 
 
+def test_newton_step_falls_back_when_the_stacked_solve_fails(monkeypatch):
+    # np.linalg.solve raises for a whole stack when one Hessian in it is
+    # singular; the fallback step must take stacked Hessians as well
+    spec = make_spec("butterfly2d", alpha=1.0, gamma=1.9, u=-16 / 3)
+    grid = GridSpec(extent=3.0, n=21)
+    expected = newton_stationary(spec, grid)
+    solve, raised = np.linalg.solve, []
+
+    def solve_failing_once(*args, **kwargs):
+        if not raised:
+            raised.append(True)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_failing_once)
+    found = newton_stationary(spec, grid)
+    assert raised
+    assert match_stationary(expected, found) == ([], [])
+    assert [p.kind for p in found] == [p.kind for p in expected]
+
+
 def _orbit(location):
     return StationaryPoint(location=tuple(float(c) for c in location), subfamily="drawn",
                            value=0.0, hessian_eigs=(), kind="minimum", multiplicity=1,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from polydot import potentials
 from polydot.errors import NoRealShape, PolydotError
 from polydot.potentials import (
+    PotentialSpec,
     evaluate,
     gradient,
     hessian,
@@ -294,6 +296,8 @@ def test_no_real_shape_raises():
     # the potential is still constructible; only the shape view is missing
     spec = spec_from_raw("butterfly2d", dict(a=1.0, b=1.0, c=1.5, d=0.5, u=0.0))
     assert spec.shape is None
+    assert spec.to_dict() == {"family": "butterfly2d",
+                              "raw": dict(a=1.0, b=1.0, c=1.5, d=0.5, u=0.0)}
 
 
 def test_reparametrize_rejects_unknown_direction():
@@ -348,9 +352,16 @@ def test_cusp_constant_is_squared_one_way(family, x):
 
 
 def test_json_round_trip():
+    # a spec stores its raw coefficients only; the shape view is derived
+    assert [f.name for f in dataclasses.fields(PotentialSpec)] == ["family", "raw"]
+    assert make_spec("cusp2d", alpha=1.5, beta=1.0).to_dict() == {
+        "family": "cusp2d", "raw": {"alpha_sq": 2.25, "beta_sq": 1.0},
+        "shape": {"alpha_sq": 2.25, "beta_sq": 1.0}}
     rng = np.random.default_rng(41)
     for family, draw in DRAWERS.items():
         spec = draw(rng)
+        assert spec.shape == raw_to_shape(family, spec.raw)
+        assert spec.to_dict() == {"family": family, "raw": spec.raw, "shape": spec.shape}
         text = spec.to_json()
         again = spec_from_dict(json.loads(text))
         assert again == spec

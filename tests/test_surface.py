@@ -1,10 +1,13 @@
-"""The public names of polydot, and every module attribute the benchmark
-tracer wraps: a simplification that deletes one of them must say so here."""
+"""The public names of polydot, every module attribute the benchmark tracer
+wraps, and the options of every CLI subcommand: a simplification that
+deletes one of them, or a change that adds one, must say so here."""
 
+import argparse
 import importlib
 import types
 
 import polydot
+from polydot import cli
 
 PUBLIC_NAMES = [
     "BudgetExceeded", "CatastropheBoundary", "DegenerateCoupling", "DegenerateWell",
@@ -35,6 +38,20 @@ TRACED = [
     ("reports", "write_csv"), ("cli", "main"),
 ]
 
+# option strings of each subcommand of cli.build_parser(), in parser order
+_HELP = ["-h", "--help"]
+_SPEC = ["--family", "--alpha", "--beta", "--gamma", "--a", "--b", "--c", "--d", "--u",
+         "--v", "--w", "--p", "--q", "--s", "--spec"]
+_OUTPUT = ["--out", "--json", "--csv"]
+SUBCOMMAND_OPTIONS = {
+    "analyze": _HELP + _SPEC + _OUTPUT,
+    "spectrum": _HELP + _SPEC + _OUTPUT + ["--e-max"],
+    "scan": _HELP + _SPEC + _OUTPUT + ["--vary", "--steps", "--resolution"],
+    "grid": _HELP + _SPEC + _OUTPUT + ["--grid-n", "--grid-L", "--clip", "--slice"],
+    "oracle": _HELP + _SPEC + _OUTPUT + ["--grid-n", "--grid-L", "--k"],
+    "verify": _HELP + _OUTPUT + ["--seed"],
+}
+
 
 def test_public_names_are_pinned():
     names = sorted(name for name, value in vars(polydot).items()
@@ -46,3 +63,11 @@ def test_traced_attributes_exist():
     missing = [f"{module}.{attr}" for module, attr in TRACED
                if not callable(getattr(importlib.import_module(f"polydot.{module}"), attr, None))]
     assert missing == []
+
+
+def test_subcommand_options_are_pinned():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: [flag for action in p._actions for flag in action.option_strings]
+               for name, p in sub.choices.items()}
+    assert options == SUBCOMMAND_OPTIONS
