@@ -13,8 +13,9 @@ Three instruments, deliberately decoupled from the closed forms they check:
   lowest-k eigenpairs via shift-invert Lanczos: on the whole grid in 1D,
   on the 2^D mirror-parity sectors in 2D and 3D when V is even in each
   coordinate (every family is), on the whole grid for a 2D callable that
-  is not, and by LOBPCG for a 3D callable that is not.  Energies converge
-  at O(dx^2).
+  is not, and by LOBPCG for a 3D callable that is not.  A 2D or 3D sector
+  is factored once as the symmetric positive definite matrix its shifted
+  operator is.  Energies converge at O(dx^2).
 * :func:`localization` - probability mass of an eigenstate inside capture
   balls around well orbits; the operational notion of "localized near".
 """
@@ -289,12 +290,15 @@ def fd_eigensolve(
     * 1D: one sector, the whole grid.
     * 2D and 3D, V mirror-even on every axis (every PotentialSpec): the
       operator splits into 2^D sectors of about n^D / 2^D unknowns each.
-      Each asks for min(k, unknowns - 1) pairs, and a sector that cannot
-      hold a level below the k-th found is skipped, so k = 1 solves only
-      the all-even sector.
+      A sector with j odd axes asks for at most k // 2^j pairs and is
+      skipped when that is 0, so k = 1 solves only the all-even sector.
     * 2D callable that is not mirror-even: one sector, the whole grid.
     * 3D callable that is not mirror-even: LOBPCG on the whole grid with
       a diagonal preconditioner.
+
+    In 2D and 3D the shifted sector, H - sigma I >= I, is factored once by
+    SuperLU with the minimum-degree ordering of its symmetric pattern and
+    no pivoting; 1D keeps ARPACK's own factor of its tridiagonal.
 
     One k limit holds on every route: unknowns - 2^D pairs in 2D and 3D,
     and unknowns - 1 in 1D.  A larger k raises ValueError before any
@@ -305,10 +309,10 @@ def fd_eigensolve(
 
     Memory: the (2D+1)-point stencil holds n^D unknowns, and each solve
     adds the LU factors of one sector at a time, whose fill grows faster
-    than n^D.  A k=3 solve on cusp3d_ordered peaks at 96 MB RSS at 33^3,
-    282 MB at 49^3 and 613 MB at 64^3 (within the default budget).  A
-    k=3 solve on fig1_cusp2d peaks at 82 MB at 201^2, 162 MB at 401^2 and
-    445 MB at 801^2 (beyond the default budget), against 123, 344 and
+    than n^D.  A k=3 solve on cusp3d_ordered peaks at 91 MB RSS at 33^3,
+    179 MB at 49^3 and 528 MB at 64^3 (within the default budget).  A
+    k=3 solve on fig1_cusp2d peaks at 84 MB at 201^2, 161 MB at 401^2 and
+    442 MB at 801^2 (beyond the default budget), against 123, 344 and
     1336 MB for one whole-grid factor.  Solves beyond the budget of grid
     unknowns raise BudgetExceeded.
     """
@@ -357,31 +361,34 @@ def fd_eigensolve(
         # diagonal in the 2^D parity sectors of the split axes; any coupling
         # left over shows in the residuals below.  Making one more axis odd
         # adds a positive semidefinite term (even n) or deletes the centre
-        # line or plane (odd n), so no level of a sector lies below the
-        # lowest level of a sector with one odd axis fewer.  Sectors are
-        # visited by odd-axis count; one whose bound is not below the k-th
-        # lowest level found so far is not solved.  1D, whose tridiagonal
-        # factor is already cheap, and a 2D V that is not mirror-even split
-        # no axis: their one sector is H itself.
+        # line or plane (odd n), so the l-th level of a sector is at least
+        # the l-th level of each sector whose odd axes are a subset of its
+        # own.  With j odd axes there are 2^j such sectors, itself included,
+        # so its l-th level is among the lowest k only if l <= k // 2^j.
+        # 1D, whose tridiagonal factor is already cheap, and a 2D V that is
+        # not mirror-even split no axis: their one sector is H itself.
         bases = [_mirror_bases(n) for n in shape] if mirror_even else []
-        floor = {}  # lower bound on the lowest level of each sector
+        shift = vmin - 1.0
         found_vals, found_vecs = [], []
         for odd in sorted(itertools.product((0, 1), repeat=len(bases)), key=sum):
-            parents = [odd[:a] + (0,) + odd[a + 1:] for a in range(len(odd)) if odd[a]]
-            floor[odd] = max((floor[p] for p in parents), default=-math.inf)
-            found = np.sort(np.concatenate(found_vals)) if found_vals else ()
-            if len(found) >= k and floor[odd] >= found[k - 1]:
+            want = k >> sum(odd)
+            if want == 0:
                 continue
-            sector, P = H, None
+            sector, P, opinv = H, None, None
             if bases:
                 P = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
                                      (basis[o] for basis, o in zip(bases, odd)))
                 sector = (P.T @ H @ P).tocsc()
             m = sector.shape[0]
-            want = min(k, m - 1)
+            want = min(want, m - 1)
+            if dim > 1:  # sector - shift >= I: symmetric positive definite
+                lu = spla.splu((sector - shift * sp.identity(m)).tocsc(),
+                               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+                opinv = spla.LinearOperator((m, m), matvec=lu.solve, dtype=float)
             try:
                 vals, vecs = spla.eigsh(
-                    sector, k=want, sigma=vmin - 1.0, which="LM",
+                    sector, k=want, sigma=shift, which="LM", OPinv=opinv,
                     v0=rng.standard_normal(m), maxiter=_ARPACK_MAXITER,
                 )
             except spla.ArpackNoConvergence as err:
@@ -389,8 +396,6 @@ def fd_eigensolve(
                 converged = False
                 where = f" in parity sector {odd} (1 = odd axis)" if bases else ""
                 notes.append(f"ARPACK stopped early{where} with {len(vals)} of {want} pairs")
-            if len(vals):
-                floor[odd] = float(np.min(vals))
             found_vals.append(vals)
             found_vecs.append(vecs if P is None else P @ vecs)
         vals = np.concatenate(found_vals)
@@ -399,9 +404,9 @@ def fd_eigensolve(
     else:
         # A 3D V that is not mirror-even has no sectors to split.  LOBPCG stays
         # for it: whole-grid shift-invert factors all n^3 unknowns at once.
-        # For x^2 + 0.5x + 1.7y^2 + 2.3z^2, k=1, one BLAS thread: 33^3 takes
-        # 1.3-1.6 s and 88 MB peak against 15.5-20.9 s and 589 MB for
-        # whole-grid eigsh (same energies to 1.2e-14); 25^3 0.4-1.2 s vs 2.7-4.2 s.
+        # For x^2 + 0.5x + 1.7y^2 + 2.3z^2, k=1, one BLAS thread, 33^3:
+        # 1.6-2.0 s and 89 MB peak against 4.5 s and 300 MB for whole-grid
+        # eigsh on the SPD factor above (same energy to 1.3e-14).
         X = rng.standard_normal((size, k + 3))
         diag = H.diagonal()
         M = sp.diags(1.0 / np.maximum(diag - vmin + 1.0, 1e-8))

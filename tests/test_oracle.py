@@ -471,6 +471,88 @@ def test_fd3d_states_normalized_and_even(monkeypatch):
             assert np.max(np.abs(np.abs(psi) - np.abs(np.flip(psi, axis=axis)))) < 1e-8
 
 
+# ---------------------------------------------------------------------------
+# parity sectors: pairs asked of each sector, and the SPD sector factor
+# ---------------------------------------------------------------------------
+
+def named_spec(name):
+    """A corpus spec, or "x_y_symmetric": a butterfly2d whose x and y axes
+    are alike, so that its two sectors with one odd axis tie."""
+    if name == "x_y_symmetric":
+        return make_spec("butterfly2d", alpha=1.0, gamma=1.9, u=-1.0)
+    return corpus_specs()[name]
+
+
+@pytest.mark.parametrize("name, n, k, asked", [
+    ("fig1_cusp2d", 41, 4, [4, 2, 2, 1]),
+    ("fig2_butterfly2d", 41, 4, [4, 2, 2, 1]),
+    ("x_y_symmetric", 41, 4, [4, 2, 2, 1]),
+    ("cusp3d_ordered", 19, 2, [2, 1, 1, 1]),
+])
+def test_fd_sector_with_j_odd_axes_is_asked_k_over_2_to_the_j_pairs(monkeypatch, name, n, k,
+                                                                    asked):
+    spec = named_spec(name)
+    asks, eigsh = [], spla.eigsh
+    monkeypatch.setattr(spla, "eigsh", lambda A, **kw: asks.append(kw["k"]) or eigsh(A, **kw))
+    fd_eigensolve(spec, GridSpec(extent=1.6 * characteristic_radius(spec), n=n), k=k)
+    assert asks == asked
+
+
+def assert_every_k_keeps_the_reference_levels(spec, grid, reference, top=6):
+    """fd_eigensolve for k = 1 .. top returns the lowest k of the top
+    levels of one reference solve, converged and within the gate."""
+    energies, residuals, converged = reference(spec, grid, top)
+    assert converged
+    for k in range(1, top + 1):
+        sol = fd_eigensolve(spec, grid, k=k)
+        assert sol.energies == pytest.approx(energies[:k], rel=1e-10, abs=0.0)
+        assert sol.converged
+        assert within_gate(sol.energies, sol.residuals)
+
+
+@pytest.mark.parametrize("name", ["fig1_cusp2d", "fig2_butterfly2d", "x_y_symmetric"])
+def test_fd2d_pair_bound_keeps_the_wholegrid_levels(name):
+    spec = named_spec(name)
+    assert_every_k_keeps_the_reference_levels(
+        spec, GridSpec(extent=1.6 * characteristic_radius(spec), n=41),
+        fd_eigensolve_wholegrid_reference)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(any_family_spec(families=("cusp2d", "butterfly2d")))
+def test_fd2d_pair_bound_keeps_the_wholegrid_levels_drawn(spec):
+    assert_every_k_keeps_the_reference_levels(
+        spec, GridSpec(extent=1.6 * characteristic_radius(spec), n=33),
+        fd_eigensolve_wholegrid_reference)
+
+
+def test_fd3d_pair_bound_keeps_the_lobpcg_levels():
+    assert_every_k_keeps_the_reference_levels(
+        corpus_specs()["cusp3d_ordered"], GridSpec(extent=2.4, n=17),
+        fd_eigensolve_lobpcg_reference)
+
+
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(any_family_spec(families=("cusp3d", "butterfly3d")))
+def test_fd3d_pair_bound_keeps_the_wholegrid_levels_drawn(spec):
+    # whole-grid shift-invert, not LOBPCG: the LOBPCG call can miss its own
+    # residual gate on drawn specs
+    assert_every_k_keeps_the_reference_levels(
+        spec, GridSpec(extent=1.6 * characteristic_radius(spec), n=16),
+        lambda s, g, k: fd_eigensolve_wholegrid_reference(s, g, k, dim=3))
+
+
+@pytest.mark.parametrize("dim, grid, k", [
+    (2, GridSpec(extent=(6.0, 5.0), n=(81, 71)), 4),
+    (3, GridSpec(extent=(5.0, 4.5, 4.0), n=17), 2),
+])
+def test_fd_sector_factor_matches_separable_stencil_levels(dim, grid, k):
+    axis_fns = SEPARABLE_AXES[:dim]
+    sol = fd_eigensolve(separable(axis_fns), grid, k=k, dim=dim)
+    assert sol.converged
+    assert sol.energies == pytest.approx(stencil_levels(axis_fns, grid, k), rel=1e-13, abs=0.0)
+
+
 def test_fd_rejects_more_pairs_than_the_solver_returns(monkeypatch):
     # one sector returns at most unknowns - 1 pairs, the 2^D parity
     # sectors of a 2D or 3D solve at most unknowns - 2^D; more is refused
