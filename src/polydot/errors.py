@@ -11,8 +11,10 @@ class NoRealShape(PolydotError):
 
 
 class DegenerateCoupling(PolydotError):
-    """A cross coupling sits exactly where the closed-form solve divides by
-    zero (u = 2a style denominators, or a singular coupling matrix)."""
+    """A coupled block has no isolated off-axis roots to give: its shifted
+    coupling matrix is singular, so the roots form a continuum (a = b,
+    c = d, u = 2a) or contradict (a = b, u = 2a, c != d), or its entries
+    overflow a float."""
 
 
 class DegenerateWell(PolydotError):

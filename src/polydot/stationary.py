@@ -6,9 +6,11 @@ coordinates: the origin, on-axis points, in-plane points (two nonzero
 coordinates), and, in 3D, bulk points with all coordinates nonzero.
 
 On an axis the stationary condition is a quadratic in the squared
-coordinate.  Off the axes, treating r^4 as a parameter makes the system
-linear in the squared coordinates; re-imposing r^2 = sum of squares closes
-it to a quadratic in r^2.  All roots are therefore explicit.
+coordinate.  Off the axes, treating r^4 as a parameter makes each coupled
+block (a plane, or the 3D bulk) linear in its squared coordinates;
+re-imposing r^2 = sum of squares closes it to a quadratic in r^2.  One
+plain-float adjugate solve serves every block, and raises only where the
+block's roots form a continuum.  All roots are therefore explicit.
 
 Points are stored once per sign orbit (all families are even in each
 coordinate): the representative has nonnegative coordinates and carries
@@ -211,24 +213,8 @@ def _axis_roots(spec, idx, pairs):
 
 
 # ---------------------------------------------------------------------------
-# off-axis roots, 2D core
+# off-axis roots: one linear form per coupled coordinate block
 # ---------------------------------------------------------------------------
-
-def _check_denominators(a, b, u):
-    scale = max(1.0, abs(a), abs(b), abs(u))
-    if abs(2.0 * a - u) <= 1e-12 * scale or abs(2.0 * b - u) <= 1e-12 * scale:
-        raise DegenerateCoupling(
-            f"u = {u:g} collides with a quartic diagonal (2a = {2 * a:g}, 2b = {2 * b:g})"
-        )
-
-
-def _quadratic_aux(a, b, c, d, u) -> QuadraticAux:
-    _check_denominators(a, b, u)
-    z = 1.0 / (2.0 * a - u) + 1.0 / (2.0 * b - u)
-    w = c / (2.0 * a - u) + d / (2.0 * b - u)
-    uzp1 = u * z + 1.0
-    return QuadraticAux(w, z, uzp1, uzp1 * uzp1 - 4.0 * z * w)
-
 
 def _real_quadratic_roots(q2, q1, q0):
     """Real roots of q2 t^2 + q1 t + q0 = 0 with stable branch tags.
@@ -239,6 +225,10 @@ def _real_quadratic_roots(q2, q1, q0):
     vanishing leading coefficient degenerates to the linear equation.
     """
     scale = max(abs(q2), abs(q1), abs(q0), 1e-300)
+    if not 1e-100 < scale < 1e100:
+        # an exact power-of-two rescaling, so that q1^2 cannot overflow
+        f = math.ldexp(1.0, -math.frexp(scale)[1])
+        q2, q1, q0, scale = q2 * f, q1 * f, q0 * f, scale * f
     if abs(q2) <= 1e-14 * scale:
         if abs(q1) <= 1e-14 * scale:
             return []
@@ -267,12 +257,116 @@ def _positive_quadratic_roots(q2, q1, q0):
     ]
 
 
+def _adjugate(m, e, nu):
+    """Adjugate and determinant of M - nu e e^T, for the symmetric 3x3
+    matrix M with entries m; both as (00, 11, 22, 01, 02, 12, det)."""
+    e0, e1, e2 = e
+    A, B, C = m[0] - nu * e0, m[1] - nu * e1, m[2] - nu * e2
+    D, E, F = m[3] - nu * e0 * e1, m[4] - nu * e0 * e2, m[5] - nu * e1 * e2
+    a00, a01, a02 = B * C - F * F, E * F - D * C, D * F - B * E
+    return a00, A * C - E * E, A * B - D * D, a01, a02, D * E - A * F, A * a00 + D * a01 + E * a02
+
+
+def _linear_form(pairs, cross, idx):
+    """([squared coordinates], R^2, branch) of every root whose nonzero
+    coordinates are exactly the coupled block idx: a plane (i, j), or the
+    3D bulk (0, 1, 2).
+
+    With r^4 as a parameter the block is linear, M X = r^4 1 + k: M holds
+    2a_i on its diagonal and u_ij off it, k the quadratic coefficients c_i.
+    r^2 = 1^T X closes it to the quadratic
+    (1^T adj M 1) r^4 - (det M) r^2 + 1^T adj M k = 0, free of division.
+    The block sits in a 3x3 identity, so one adjugate serves every block.
+    Because 1^T X = r^2, X also solves (M - mu 11^T) X = (r^4 - mu r^2) 1 + k,
+    whose determinant is det M - mu 1^T adj M 1: mu = 0 unless
+    |det M| < |1^T adj M 1| max|M|, else mu = -+max|M| with the sign that
+    makes both terms add.  So only a continuum (both terms near zero), or
+    an overflow, raises DegenerateCoupling.  Near a continuum the quadratic's
+    coefficients cancel, so each root then takes two Newton steps on the
+    stationarity equations M X - (1^T X)^2 1 - k = 0, whose Jacobian
+    M - 2 (1^T X) 11^T is one more shift of M.
+    """
+    m = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]  # entries 00, 11, 22, 01, 02, 12
+    k, e = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]  # e: the block's indicator vector
+    for i in idx:
+        a, k[i] = pairs[i]
+        m[i], e[i] = 2.0 * a, 1.0
+    for i, j, u in cross:
+        if i in idx and j in idx:
+            m[i + j + 2] = u
+    (A, B, C, D, E, F), (k0, k1, k2), (e0, e1, e2) = m, k, e
+    scale = max(abs(D), abs(E), abs(F), e0 * abs(A), e1 * abs(B), e2 * abs(C))
+    s00, s11, s22, s01, s02, s12, det = _adjugate(m, e, 0.0)
+    ae0, ae1, ae2 = s00 * e0 + s01 * e1 + s02 * e2, s01 * e0 + s11 * e1 + s12 * e2, \
+        s02 * e0 + s12 * e1 + s22 * e2
+    lead, const = ae0 * e0 + ae1 * e1 + ae2 * e2, ae0 * k0 + ae1 * k1 + ae2 * k2
+    mu, shifted = 0.0, det
+    if abs(det) < abs(lead) * scale:
+        mu = -scale if det * lead >= 0.0 else scale
+        s00, s11, s22, s01, s02, s12, shifted = _adjugate(m, e, mu)
+    # scale^n by products: an overflow gives inf, and so a raise, not an OverflowError
+    bound = 1e-12 * scale * scale * (scale if len(idx) == 3 else 1.0)
+    if not bound < abs(shifted) < math.inf:
+        raise DegenerateCoupling(
+            f"coupling matrix of {''.join(AXES[i] for i in idx)} is singular "
+            f"(shifted det = {shifted:g}); its linear solve is undefined"
+        )
+    out = []
+    for r2, tag in _positive_quadratic_roots(lead, -det, const):
+        w = r2 * r2 - mu * r2
+        y0, y1, y2 = w * e0 + k0, w * e1 + k1, w * e2 + k2
+        x0 = (s00 * y0 + s01 * y1 + s02 * y2) / shifted
+        x1 = (s01 * y0 + s11 * y1 + s12 * y2) / shifted
+        x2 = (s02 * y0 + s12 * y1 + s22 * y2) / shifted
+        for _step in range(2):
+            rad = x0 * e0 + x1 * e1 + x2 * e2  # 1^T X
+            j00, j11, j22, j01, j02, j12, jdet = _adjugate(m, e, 2.0 * rad)
+            if 0.0 < abs(jdet) < math.inf:  # zero at an exact double root
+                g0 = (A * x0 + D * x1 + E * x2 - rad * rad - k0) * e0
+                g1 = (D * x0 + B * x1 + F * x2 - rad * rad - k1) * e1
+                g2 = (E * x0 + F * x1 + C * x2 - rad * rad - k2) * e2
+                x0 -= (j00 * g0 + j01 * g1 + j02 * g2) / jdet
+                x1 -= (j01 * g0 + j11 * g1 + j12 * g2) / jdet
+                x2 -= (j02 * g0 + j12 * g1 + j22 * g2) / jdet
+        X, sq = (x0, x1, x2), [0.0] * len(pairs)
+        for i in idx:
+            sq[i] = X[i]
+            if not X[i] > _POSITIVITY_ATOL:
+                break
+        else:  # R^2 is the sum of the squares, after the steps
+            out.append((sq, x0 * e0 + x1 * e1 + x2 * e2, tag))
+    return out
+
+
+def _off_axis(spec, pairs):
+    """Every off-axis root of a butterfly spec with axis pairs ``pairs``:
+    ([squared coordinates], R^2, subfamily, branch) tuples, from
+    :func:`_linear_form` on each coupled plane (i, j) and, in 3D, on the
+    bulk."""
+    cross = couplings(spec)
+    blocks = [((i, j), f"plane_{AXES[i]}{AXES[j]}") for i, j, _u in cross]
+    if len(pairs) == 3:
+        blocks.append(((0, 1, 2), "bulk"))
+    return [(sq, r2, subfamily, tag) for idx, subfamily in blocks
+            for sq, r2, tag in _linear_form(pairs, cross, idx)]
+
+
 def quadratic_aux(spec: PotentialSpec) -> QuadraticAux:
-    """In-plane auxiliary quantities (w(u), z(u), uz+1, discriminant)."""
+    """In-plane auxiliary quantities (w(u), z(u), uz+1, discriminant) of a
+    butterfly2d spec.  Raises DegenerateCoupling at u = 2a or u = 2b, where
+    w and z are undefined (the roots are not: see :func:`off_axis_roots_2d`)."""
     if spec.family != "butterfly2d":
         raise ValueError("quadratic_aux applies to butterfly2d specs")
     ((a, c), (b, d)), ((_i, _j, u),) = axis_pairs(spec), couplings(spec)
-    return _quadratic_aux(a, b, c, d, u)
+    scale = max(1.0, abs(a), abs(b), abs(u))
+    if abs(2.0 * a - u) <= 1e-12 * scale or abs(2.0 * b - u) <= 1e-12 * scale:
+        raise DegenerateCoupling(
+            f"u = {u:g} collides with a quartic diagonal (2a = {2 * a:g}, 2b = {2 * b:g})"
+        )
+    z = 1.0 / (2.0 * a - u) + 1.0 / (2.0 * b - u)
+    w = c / (2.0 * a - u) + d / (2.0 * b - u)
+    uzp1 = u * z + 1.0
+    return QuadraticAux(w, z, uzp1, uzp1 * uzp1 - 4.0 * z * w)
 
 
 def off_axis_roots_2d(spec: PotentialSpec) -> list[tuple[float, float, float]]:
@@ -280,68 +374,13 @@ def off_axis_roots_2d(spec: PotentialSpec) -> list[tuple[float, float, float]]:
 
     Returns (X^2, Y^2, R^2) tuples with strictly positive squared
     coordinates, R^2 ascending; empty when the in-plane quadratic has no
-    admissible real root.  Raises DegenerateCoupling at u = 2a or u = 2b.
+    admissible real root.  Raises DegenerateCoupling only where the roots
+    are not isolated (a = b and u = 2a) or the coefficients overflow (see
+    :func:`_linear_form`).
     """
     if spec.family != "butterfly2d":
         raise ValueError("off_axis_roots_2d applies to butterfly2d specs")
     return [(x2, y2, r2) for (x2, y2), r2, _sub, _tag in _off_axis(spec, axis_pairs(spec))]
-
-
-# ---------------------------------------------------------------------------
-# off-axis roots: one planar block per coupled plane, plus the 3D bulk
-# ---------------------------------------------------------------------------
-
-def _off_axis(spec, pairs):
-    """Every off-axis root of a butterfly spec with axis pairs ``pairs``:
-    ([squared coordinates], R^2, subfamily, branch) tuples.  Each coupled
-    plane (i, j) is the in-plane solve on its block (pairs[i], pairs[j],
-    u_ij) with the other coordinates zero; in 3D the bulk roots follow."""
-    cross, n = couplings(spec), len(pairs)
-    out = []
-    for i, j, u in cross:
-        (a, c), (b, d) = pairs[i], pairs[j]
-        subfamily = f"plane_{AXES[i]}{AXES[j]}"
-        aux = _quadratic_aux(a, b, c, d, u)
-        for r2, tag in _positive_quadratic_roots(aux.z_of_u, -aux.uzp1, aux.w_of_u):
-            r4 = r2 * r2
-            x2 = (r4 - u * r2 + c) / (2.0 * a - u)
-            y2 = (r4 - u * r2 + d) / (2.0 * b - u)
-            if x2 > _POSITIVITY_ATOL and y2 > _POSITIVITY_ATOL:
-                sq = [0.0] * n
-                sq[i], sq[j] = x2, y2
-                out.append((sq, r2, subfamily, tag))
-    if n == 3:
-        out.extend((sq, r2, "bulk", tag) for sq, r2, tag in _bulk_tagged(pairs, cross))
-    return out
-
-
-def _bulk_tagged(pairs, cross):
-    """([X^2, Y^2, Z^2], R^2, branch) of every bulk root of the 3D block with
-    axis pairs ``pairs`` and couplings ``cross`` (see :func:`bulk_roots_3d`)."""
-    M = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    for i, (a, _c) in enumerate(pairs):
-        M[i][i] = 2.0 * a
-    for i, j, u in cross:
-        M[i][j] = M[j][i] = u
-    M = np.array(M)
-    try:
-        scale = max(1.0, float(np.abs(M).max())) ** 3
-    except OverflowError:  # an entry above ~5.6e102: every det counts as singular
-        scale = math.inf
-    det = float(np.linalg.det(M))
-    if abs(det) <= 1e-12 * scale:
-        raise DegenerateCoupling(
-            f"coupling matrix is singular (det = {det:g}); "
-            "the bulk linear solve is undefined"
-        )
-    g = np.linalg.solve(M, np.ones(3))
-    h = np.linalg.solve(M, np.array([c for _a, c in pairs]))
-    out = []
-    for r2, tag in _positive_quadratic_roots(float(g.sum()), -1.0, float(h.sum())):
-        sq = g * r2 * r2 + h
-        if (sq > _POSITIVITY_ATOL).all():
-            out.append((sq.tolist(), r2, tag))
-    return out
 
 
 def bulk_roots_3d(spec: PotentialSpec) -> list[tuple[float, float, float, float]]:
@@ -350,22 +389,23 @@ def bulk_roots_3d(spec: PotentialSpec) -> list[tuple[float, float, float, float]
     Treating r^4 as a parameter, the stationarity system is
     M (X^2, Y^2, Z^2)^T = r^4 + (p, q, s)^T with the symmetric coupling
     matrix M = [[2a, u, v], [u, 2b, w], [v, w, 2c]]; re-imposing
-    r^2 = X^2 + Y^2 + Z^2 closes a quadratic G r^4 - r^2 + H = 0 where
-    G and H are the summed solution weights.  Returns
-    (X^2, Y^2, Z^2, R^2) for every admissible root, R^2 ascending.
+    r^2 = X^2 + Y^2 + Z^2 closes the quadratic
+    (1^T adj M 1) r^4 - (det M) r^2 + 1^T adj M (p, q, s)^T = 0
+    (see :func:`_linear_form`).  Returns (X^2, Y^2, Z^2, R^2) for every
+    admissible root, R^2 ascending.
     """
     if spec.family != "butterfly3d":
         raise ValueError("bulk_roots_3d applies to butterfly3d specs")
-    return [(*sq, r2) for sq, r2, _tag in _bulk_tagged(axis_pairs(spec), couplings(spec))]
+    return [(*sq, r2) for sq, r2, _tag
+            in _linear_form(axis_pairs(spec), couplings(spec), (0, 1, 2))]
 
 
 def off_axis_roots_3d(spec: PotentialSpec) -> list[tuple]:
     """All off-axis stationary points of a butterfly3d spec.
 
-    Planar subfamilies (one coordinate zero) reduce exactly to the 2D
-    in-plane solve on the corresponding coefficient block; the bulk
-    subfamily comes from :func:`bulk_roots_3d`.  Returns tuples
-    (X^2, Y^2, Z^2, R^2, subfamily).
+    Planar subfamilies (one coordinate zero) are the 2D in-plane solve on
+    the corresponding coefficient block; the bulk subfamily comes from
+    :func:`bulk_roots_3d`.  Returns tuples (X^2, Y^2, Z^2, R^2, subfamily).
     """
     if spec.family != "butterfly3d":
         raise ValueError("off_axis_roots_3d applies to butterfly3d specs")

@@ -548,24 +548,27 @@ def scan_sample_reference(build, t, params):
 # the closed-form root algebra read from raw coefficient keys
 # ---------------------------------------------------------------------------
 
-# (subfamily, coordinate indices, (quartic, quartic, cross, quad, quad) keys)
-_PLANE_KEYS = (
-    ("plane_xy", (0, 1), ("a", "b", "u", "p", "q")),
-    ("plane_xz", (0, 2), ("a", "c", "v", "p", "s")),
-    ("plane_yz", (1, 2), ("b", "c", "w", "q", "s")),
-)
+# per family: the (quartic, quadratic) keys of each axis, and (cross key,
+# i, j) of each coupled plane
+_AXIS_KEYS = {"butterfly2d": (("a", "c"), ("b", "d")),
+              "butterfly3d": (("a", "p"), ("b", "q"), ("c", "s"))}
+_CROSS_KEYS = {"butterfly2d": (("u", 0, 1),),
+               "butterfly3d": (("u", 0, 1), ("v", 0, 2), ("w", 1, 2))}
+_BULK = ((0, 1, 2), "bulk")
 
 
-def _off_axis_tagged_reference(a, b, c, d, u):
-    aux = stationary._quadratic_aux(a, b, c, d, u)
-    out = []
-    for r2, tag in stationary._positive_quadratic_roots(aux.z_of_u, -aux.uzp1, aux.w_of_u):
-        r4 = r2 * r2
-        x2 = (r4 - u * r2 + c) / (2.0 * a - u)
-        y2 = (r4 - u * r2 + d) / (2.0 * b - u)
-        if x2 > 1e-12 and y2 > 1e-12:
-            out.append((x2, y2, r2, tag))
-    return out
+def _off_axis_tagged_reference(family, raw, blocks=None):
+    """(squares, R^2, subfamily, tag) of every root of the coupled blocks,
+    by default every plane and then the 3D bulk: each block goes through
+    the library's _linear_form with its axis pairs and couplings read key
+    by key."""
+    pairs = [(raw[quartic], raw[quad]) for quartic, quad in _AXIS_KEYS[family]]
+    cross = [(i, j, raw[key]) for key, i, j in _CROSS_KEYS[family]]
+    if blocks is None:
+        blocks = [((i, j), f"plane_{'xyz'[i]}{'xyz'[j]}") for _key, i, j in _CROSS_KEYS[family]]
+        blocks += [_BULK] if family == "butterfly3d" else []
+    return [(sq, r2, subfamily, tag) for idx, subfamily in blocks
+            for sq, r2, tag in stationary._linear_form(pairs, cross, idx)]
 
 
 def _axis_roots_reference(spec, idx):
@@ -584,52 +587,11 @@ def _axis_roots_reference(spec, idx):
     return [("_inner", a - root), ("_outer", a + root)]
 
 
-def _bulk_tagged_reference(raw):
-    M = np.array([
-        [2.0 * raw["a"], raw["u"], raw["v"]],
-        [raw["u"], 2.0 * raw["b"], raw["w"]],
-        [raw["v"], raw["w"], 2.0 * raw["c"]],
-    ])
-    try:
-        scale = max(1.0, float(np.max(np.abs(M)))) ** 3
-    except OverflowError:
-        scale = math.inf
-    det = float(np.linalg.det(M))
-    if abs(det) <= 1e-12 * scale:
-        raise stationary.DegenerateCoupling(
-            f"coupling matrix is singular (det = {det:g}); "
-            "the bulk linear solve is undefined"
-        )
-    g = np.linalg.solve(M, np.ones(3))
-    h = np.linalg.solve(M, np.array([raw["p"], raw["q"], raw["s"]]))
-    out = []
-    for r2, tag in stationary._positive_quadratic_roots(float(g.sum()), -1.0, float(h.sum())):
-        sq = g * r2 * r2 + h
-        if np.all(sq > 1e-12):
-            out.append((float(sq[0]), float(sq[1]), float(sq[2]), r2, tag))
-    return out
-
-
-def _off_axis_tagged_3d_reference(raw):
-    out = []
-    for subfamily, idx, (k1, k2, kc, kq1, kq2) in _PLANE_KEYS:
-        for x2, y2, r2, tag in _off_axis_tagged_reference(
-                raw[k1], raw[k2], raw[kq1], raw[kq2], raw[kc]):
-            sq = [0.0, 0.0, 0.0]
-            sq[idx[0]] = x2
-            sq[idx[1]] = y2
-            out.append((sq[0], sq[1], sq[2], r2, subfamily, tag))
-    for x2, y2, z2, r2, tag in _bulk_tagged_reference(raw):
-        out.append((x2, y2, z2, r2, "bulk", tag))
-    return out
-
-
 def representatives_reference(spec):
     """stationary._representatives with every coefficient read by its raw
-    key: each axis re-reads the axis pairs, butterfly2d solves its plane
-    from raw["a"] ... raw["u"], and butterfly3d walks a table of per-plane
-    key tuples and builds the coupling matrix key by key.  The library's
-    own _quadratic_aux and _positive_quadratic_roots solve the quadratics."""
+    key: each axis re-reads the axis pairs, and every coupled block is
+    built from per-axis and per-plane key tables.  The library's own
+    _linear_form solves the blocks."""
     dim = spec.dimension
     reps = [((0.0,) * dim, "origin", "origin")]
     warnings = []
@@ -648,14 +610,9 @@ def representatives_reference(spec):
             coords = [0.0] * dim
             coords[idx] = math.sqrt(t)
             reps.append((tuple(coords), f"axis_{axis}", f"axis_{axis}{suffix}"))
-    r = spec.raw
-    if spec.family == "butterfly2d":
-        for x2, y2, _r2, tag in _off_axis_tagged_reference(r["a"], r["b"], r["c"], r["d"], r["u"]):
-            reps.append(((math.sqrt(x2), math.sqrt(y2)), "plane_xy", f"plane_xy_{tag}"))
-    elif spec.family == "butterfly3d":
-        for x2, y2, z2, _r2, subfamily, tag in _off_axis_tagged_3d_reference(r):
-            reps.append(((math.sqrt(x2), math.sqrt(y2), math.sqrt(z2)),
-                         subfamily, f"{subfamily}_{tag}"))
+    if spec.family in _AXIS_KEYS:
+        for sq, _r2, subfamily, tag in _off_axis_tagged_reference(spec.family, spec.raw):
+            reps.append((tuple(math.sqrt(x) for x in sq), subfamily, f"{subfamily}_{tag}"))
     return reps, warnings
 
 
@@ -671,25 +628,32 @@ def quadratic_aux_reference(spec):
     if spec.family != "butterfly2d":
         raise ValueError("quadratic_aux applies to butterfly2d specs")
     r = spec.raw
-    return stationary._quadratic_aux(r["a"], r["b"], r["c"], r["d"], r["u"])
+    a, b, c, d, u = r["a"], r["b"], r["c"], r["d"], r["u"]
+    if min(abs(2.0 * a - u), abs(2.0 * b - u)) <= 1e-12 * max(1.0, abs(a), abs(b), abs(u)):
+        raise stationary.DegenerateCoupling(
+            f"u = {u:g} collides with a quartic diagonal (2a = {2 * a:g}, 2b = {2 * b:g})"
+        )
+    z = 1.0 / (2.0 * a - u) + 1.0 / (2.0 * b - u)
+    w = c / (2.0 * a - u) + d / (2.0 * b - u)
+    return stationary.QuadraticAux(w, z, u * z + 1.0, (u * z + 1.0) ** 2 - 4.0 * z * w)
 
 
 def off_axis_roots_2d_reference(spec):
     if spec.family != "butterfly2d":
         raise ValueError("off_axis_roots_2d applies to butterfly2d specs")
-    r = spec.raw
-    return [(x2, y2, r2) for x2, y2, r2, _tag
-            in _off_axis_tagged_reference(r["a"], r["b"], r["c"], r["d"], r["u"])]
+    return [(*sq, r2) for sq, r2, _sub, _tag in _off_axis_tagged_reference(spec.family, spec.raw)]
 
 
 def off_axis_roots_3d_reference(spec):
     if spec.family != "butterfly3d":
         raise ValueError("off_axis_roots_3d applies to butterfly3d specs")
-    return [entry[:5] for entry in _off_axis_tagged_3d_reference(spec.raw)]
+    return [(*sq, r2, sub) for sq, r2, sub, _tag
+            in _off_axis_tagged_reference(spec.family, spec.raw)]
 
 
 def bulk_roots_3d_reference(spec):
-    return [entry[:4] for entry in _bulk_tagged_reference(spec.raw)]
+    return [(*sq, r2) for sq, r2, _sub, _tag
+            in _off_axis_tagged_reference("butterfly3d", spec.raw, [_BULK])]
 
 
 def coefficients_reference(specs):

@@ -308,30 +308,12 @@ def test_verify_command_deterministic(tmp_path):
 
 
 def test_verify_names_corrupted_routine(monkeypatch):
-    # flip the sign of the constant term in the in-plane quadratic: the
-    # reconstructed points stop satisfying the stationarity equations and
-    # the verdict must name the broken routine
-    original_aux = stationary._quadratic_aux
-
-    def corrupted(a, b, c, d, u):
-        aux = original_aux(a, b, c, d, u)
-        return stationary.QuadraticAux(-aux.w_of_u, aux.z_of_u, aux.uzp1,
-                                       aux.uzp1**2 + 4.0 * aux.z_of_u * aux.w_of_u)
-
-    def corrupted_roots(spec):
-        r = spec.raw
-        aux = corrupted(r["a"], r["b"], r["c"], r["d"], r["u"])
-        out = []
-        for r2, _tag in stationary._positive_quadratic_roots(
-                aux.z_of_u, -aux.uzp1, aux.w_of_u):
-            x2 = (r2 * r2 - r["u"] * r2 + r["c"]) / (2 * r["a"] - r["u"])
-            y2 = (r2 * r2 - r["u"] * r2 + r["d"]) / (2 * r["b"] - r["u"])
-            if x2 > 0 and y2 > 0:
-                out.append((x2, y2, r2))
-        return out
-
-    monkeypatch.setattr(stationary, "off_axis_roots_2d", corrupted_roots)
-    monkeypatch.setattr(verify.stationary, "off_axis_roots_2d", corrupted_roots)
+    # flip the sign of the constant term of the quadratic that closes every
+    # off-axis linear form: the reconstructed points stop satisfying the
+    # stationarity equations and the verdict must name the broken routine
+    original = stationary._positive_quadratic_roots
+    monkeypatch.setattr(stationary, "_positive_quadratic_roots",
+                        lambda q2, q1, q0: original(q2, q1, -q0))
     verdict = verify.run_verify(seed=3)
     assert not verdict["passed"]
     failing = [s for s in verdict["suites"] if not s["passed"]]

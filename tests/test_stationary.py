@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from polydot.stationary import (
     quadratic_aux,
     stationary_points,
 )
-from polydot.verify import corpus_specs
+from polydot.verify import corpus_specs, oracle_agreement
 
 from helpers import (
     DRAWERS,
@@ -155,8 +156,14 @@ def test_complex_quadrant_gives_empty_list():
 
 
 def test_degenerate_coupling_raises():
-    spec = spec_from_raw("butterfly2d", dict(a=2.0, b=2.5, c=3.0, d=3.0, u=4.0))
-    with pytest.raises(DegenerateCoupling):
+    # a = b, c = d, u = 2a: both rows read 2a (X^2 + Y^2) = r^4 + c, so the
+    # in-plane points form a continuum along X^2 + Y^2 = r^2
+    spec = spec_from_raw("butterfly2d", dict(a=2.0, b=2.0, c=3.0, d=3.0, u=4.0))
+    with pytest.raises(DegenerateCoupling, match="singular"):
+        off_axis_roots_2d(spec)
+    # with c != d the two rows contradict each other: no solve either
+    spec = spec_from_raw("butterfly2d", dict(a=2.0, b=2.0, c=3.0, d=1.0, u=4.0))
+    with pytest.raises(DegenerateCoupling, match="singular"):
         off_axis_roots_2d(spec)
 
 
@@ -252,6 +259,145 @@ def test_singular_coupling_matrix_raises():
                               p=1.0, q=1.0, s=1.0))
     with pytest.raises(DegenerateCoupling, match="singular"):
         bulk_roots_3d(spec)
+
+
+# ---------------------------------------------------------------------------
+# the off-axis linear form on and near the loci of older solves: u = 2a,
+# u = 2b, u^2 = 4ab and a singular 3D coupling matrix
+# ---------------------------------------------------------------------------
+
+def relative_residual(spec, squares):
+    """Largest |dV/dx_i| / (6 |x_i|) over the nonzero coordinates, relative
+    to the sum of the magnitudes of its terms r^4, c_i, 2a_i X_i^2 and
+    u_ij X_j^2; exact rational arithmetic on the float squares."""
+    s = [Fraction(x) for x in squares]
+    r4 = sum(s) ** 2
+    worst = 0.0
+    for i, (a, c) in enumerate(potentials.axis_pairs(spec)):
+        if s[i] == 0:
+            continue
+        terms = [r4, Fraction(c), -2 * Fraction(a) * s[i]]
+        terms += [-Fraction(u) * s[j if k == i else k]
+                  for k, j, u in potentials.couplings(spec) if i in (k, j)]
+        worst = max(worst, float(abs(sum(terms)) / sum(abs(t) for t in terms)))
+    return worst
+
+
+def _offset(draw):
+    """+-10^e with e drawn from U(-9, -3)."""
+    return draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-9.0, -3.0))
+
+
+def _designed(draw, M):
+    """Squares X > 0 summing to r^2 in [0.05, 0.9], and the quadratic
+    coefficients k = M X - r^4 that make X a stationary point, or None
+    when some k_i <= 0 (outside the family's domain) or r^2 is within
+    1e-3 of a double root.  With lead = 1^T adj M 1 = det(M + 11^T) - det M
+    the closing quadratic is (t - r^2) (lead (t + r^2) - det M)."""
+    weights = [draw(st.floats(0.05, 1.0)) for _ in M]
+    r2 = draw(st.floats(0.05, 0.9))
+    X = [w * r2 / sum(weights) for w in weights]
+    k = [sum(m * x for m, x in zip(row, X)) - r2 * r2 for row in M]
+    det = np.linalg.det(M)
+    lead = np.linalg.det(np.add(M, 1.0)) - det
+    simple = abs(det - 2.0 * lead * r2) > 1e-3 * (abs(det) + abs(lead) * r2)
+    return k if min(k) > 0.0 and simple else None
+
+
+@st.composite
+def butterfly2d_near_a_locus(draw):
+    """(spec, designed): u within 1e-9..1e-3 of 2a, 2b, 2 sqrt(ab) or
+    -2 sqrt(ab), with a and b apart (a = b, u = 2a is a continuum); c and d
+    put a plane point at drawn squares when that keeps them positive
+    (designed), and are drawn otherwise."""
+    a, b = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))
+    assume(abs(a - b) >= 0.05)
+    root = 2.0 * math.sqrt(a * b)
+    u = draw(st.sampled_from((2.0 * a, 2.0 * b, root, -root))) + _offset(draw)
+    k = _designed(draw, [[2.0 * a, u], [u, 2.0 * b]])
+    c, d = k or (draw(st.floats(0.1, 4.0)), draw(st.floats(0.1, 4.0)))
+    return spec_from_raw("butterfly2d", dict(a=a, b=b, c=c, d=d, u=u)), k is not None
+
+
+@st.composite
+def butterfly3d_near_singular(draw):
+    """(spec, designed): det M within 1e-9..1e-3 (times 2(4ab - u^2)) of
+    zero, or exactly zero up to rounding, where
+    det M = 2c (4ab - u^2) - 2 (a w^2 + b v^2 - u v w); p, q, s as in
+    butterfly2d_near_a_locus."""
+    a, b = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 3.0))
+    u = draw(st.floats(-0.9, 0.9)) * 2.0 * math.sqrt(a * b)
+    v, w = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    c = (a * w * w + b * v * v - u * v * w) / (4.0 * a * b - u * u)
+    if draw(st.booleans()):
+        c += _offset(draw)
+    assume(c >= 0.0)
+    k = _designed(draw, [[2.0 * a, u, v], [u, 2.0 * b, w], [v, w, 2.0 * c]])
+    p, q, s = k or [draw(st.floats(0.1, 4.0)) for _ in range(3)]
+    raw = dict(a=a, b=b, c=c, u=u, v=v, w=w, p=p, q=q, s=s)
+    return spec_from_raw("butterfly3d", raw), k is not None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(butterfly2d_near_a_locus())
+def test_plane_roots_near_the_old_loci_solve_to_rounding(drawn):
+    spec, designed = drawn
+    roots = off_axis_roots_2d(spec)
+    assert roots or not designed
+    for x2, y2, _r2 in roots:
+        assert relative_residual(spec, (x2, y2)) <= 1e-12, (spec.raw, x2, y2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(butterfly3d_near_singular())
+def test_bulk_roots_near_a_singular_coupling_matrix_solve_to_rounding(drawn):
+    spec, designed = drawn
+    roots = off_axis_roots_3d(spec)
+    assert any(sub == "bulk" for *_sq, sub in roots) or not designed
+    for x2, y2, z2, _r2, sub in roots:
+        assert relative_residual(spec, (x2, y2, z2)) <= 1e-12, (spec.raw, sub)
+
+
+def test_quadratic_roots_are_scale_free_over_the_float_range():
+    # the coefficients of a coupled block scale as max|M|^n: at u = 1e100 the
+    # bulk quadratic of butterfly3d_ordered is (-1e200, 4e200, -2.56e200), and
+    # q1^2 overflows (2^600) or underflows (2^-600) unless rescaled first
+    unit = stationary._real_quadratic_roots(-1.0, 4.0, -2.56)
+    assert [tag for _t, tag in unit] == ["minus", "plus"]
+    assert [t for t, _tag in unit] == pytest.approx([0.8, 3.2], rel=1e-15)
+    for f in (2.0 ** 600, 2.0 ** -600):  # exact rescalings: the same bits
+        assert stationary._real_quadratic_roots(-f, 4.0 * f, -2.56 * f) == unit
+    roots = stationary._real_quadratic_roots(-1e200, 4e200, -2.56e200)
+    assert [t for t, _tag in roots] == pytest.approx([0.8, 3.2], rel=1e-15)
+
+
+# specs at which an older solve raised DegenerateCoupling though the
+# stationary set is finite
+OLD_LOCI = {
+    "u_2a": ("butterfly2d", dict(a=1.0, b=2.0, c=0.5, d=1.5, u=2.0)),
+    "u_2b": ("butterfly2d", dict(a=2.0, b=1.0, c=1.5, d=0.5, u=2.0)),
+    # u^2 = 4ab exactly, with a plane point at squares (0.3, 0.2)
+    "u_sq_4ab": ("butterfly2d", dict(a=1.0, b=4.0, c=1.15, d=2.55, u=4.0)),
+    # det M = 0 at rank 2, without and with a bulk orbit
+    "det_0": ("butterfly3d", dict(a=1.0, b=1.0, c=1.0, u=1.0, v=1.0, w=-1.0,
+                                  p=0.5, q=0.6, s=0.7)),
+    "det_0_bulk": ("butterfly3d", dict(a=1.0, b=1.0, c=1.0, u=1.0, v=1.0, w=-1.0,
+                                       p=0.25, q=0.13, s=0.07)),
+    "xy_plane_u_2a": ("butterfly3d", dict(a=1.0, b=2.0, c=1.5, u=2.0, v=0.3, w=-0.2,
+                                          p=0.5, q=1.5, s=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(OLD_LOCI))
+def test_linear_form_matches_newton_on_the_old_loci(name):
+    family, raw = OLD_LOCI[name]
+    spec = spec_from_raw(family, raw)
+    _found, missing, spurious = oracle_agreement(spec)
+    assert missing == [] and spurious == []
+    off_axis = [p for p in stationary_points(spec) if p.subfamily.startswith(("plane", "bulk"))]
+    assert off_axis
+    if name == "det_0_bulk":
+        assert "bulk" in {p.subfamily for p in off_axis}
 
 
 # ---------------------------------------------------------------------------
