@@ -20,6 +20,7 @@ configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -292,7 +293,10 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: callers
+    parse with it and must not add to it."""
     spec_flags = argparse.ArgumentParser(add_help=False)
     group = spec_flags.add_argument_group("potential spec")
     group.add_argument("--family", choices=FAMILIES, help="potential family")

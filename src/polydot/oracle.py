@@ -41,6 +41,8 @@ _ARPACK_MAXITER = 10_000
 _LOBPCG_MAXITER = 2000
 # the lowest wall potential should lie this far above the top level found
 _WALL_MARGIN = 10.0
+# Newton orbits closer than this (max-norm) are one orbit; an absolute length
+_DEDUP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,6 @@ def newton_stationary(
     spec: PotentialSpec,
     grid: GridSpec,
     max_iter: int = 50,
-    dedup_tol: float = 1e-6,
 ) -> list[StationaryPoint]:
     """Stationary points found by Newton iteration seeded at the grid nodes
     of one orthant.
@@ -136,7 +137,7 @@ def newton_stationary(
     that fail to converge (scaled gradient norm 1e-12 * (1 + |x|^5) after
     their last step, or that wander far outside the box) are dropped;
     survivors are folded onto sign-orbit representatives, deduplicated
-    greedily in lexicographic order within dedup_tol (max-norm), and
+    greedily in lexicographic order within _DEDUP_TOL (max-norm), and
     classified by the Hessian.  The output mirrors the closed-form
     enumeration so the two lists can be diffed directly.
     """
@@ -182,10 +183,10 @@ def newton_stationary(
     if len(found) == 0:
         return []
     reps = np.abs(found)
-    reps[reps < 10.0 * dedup_tol] = 0.0  # snap near-axis coordinates
+    reps[reps < 10.0 * _DEDUP_TOL] = 0.0  # snap near-axis coordinates
 
     # greedy dedup in lexicographic order: the first fresh representative
-    # is kept and retires every one within dedup_tol of it
+    # is kept and retires every one within _DEDUP_TOL of it
     reps = reps[np.lexsort(reps.T[::-1])]
     fresh = np.ones(len(reps), dtype=bool)
     kept = []
@@ -193,7 +194,7 @@ def newton_stationary(
         i = int(np.argmax(fresh))
         kept.append(i)
         fresh[i] = False
-        fresh[np.max(np.abs(reps - reps[i]), axis=1) < dedup_tol] = False
+        fresh[np.max(np.abs(reps - reps[i]), axis=1) < _DEDUP_TOL] = False
 
     reps = [(tuple(rep.tolist()), "oracle", "oracle") for rep in reps[kept]]
     out = point_list(reps, *classify_points([spec], [reps]))
@@ -234,43 +235,35 @@ def match_stationary(
 # finite-difference eigensolver
 # ---------------------------------------------------------------------------
 
-def _second_difference(n: int, dx: float) -> sp.csr_matrix:
-    main = np.full(n, 2.0 / dx**2)
-    off = np.full(n - 1, -1.0 / dx**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-
-
 def _mirror_bases(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     """Orthonormal even and odd bases, shape (n, m), of one symmetric axis
     under x -> -x: the (x, -x) node pairs over sqrt(2), summed or
     differenced, and for odd n the centre node as a last even column."""
-    h, c = n // 2, n % 2
-    pairs = np.arange(h)
-    rows = np.concatenate([pairs, n - 1 - pairs, np.full(c, h)])
-    cols = np.concatenate([pairs, pairs, np.full(c, h)])
-    r = math.sqrt(0.5)
-    even = sp.csr_matrix((np.concatenate([np.full(2 * h, r), np.ones(c)]), (rows, cols)),
-                         shape=(n, h + c))
-    odd = sp.csr_matrix((np.concatenate([np.full(h, r), np.full(h, -r)]),
-                         (rows[:2 * h], cols[:2 * h])), shape=(n, h))
-    return even, odd
+    h = n // 2
+    eye = sp.identity(n, format="csr")
+    pair = eye[:, :h] * math.sqrt(0.5)
+    mirror = pair[::-1]
+    return sp.hstack([pair + mirror, eye[:, h:n - h]], format="csr"), pair - mirror
 
 
 def hamiltonian(spec_or_callable, grid: GridSpec, dim: int) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Sparse -Laplacian + V on the grid (Dirichlet just outside the box)."""
-    axes = grid.axes(dim)
-    dxs = grid.spacings(dim)
+    """Sparse -Laplacian + V on the grid, as the (2D+1)-point stencil:
+    2/h^2 per axis on the diagonal and -1/h^2 to each neighbour along an
+    axis of spacing h, with nothing across the box wall (Dirichlet just
+    outside the box)."""
     mesh = grid.mesh(dim)
     v = _potential_on(spec_or_callable, mesh if dim > 1 else mesh[..., 0])
-    kin = None
-    for i in range(dim):
-        t = _second_difference(len(axes[i]), dxs[i])
-        left = sp.identity(int(np.prod([len(a) for a in axes[:i]])), format="csr")
-        right = sp.identity(int(np.prod([len(a) for a in axes[i + 1:]])), format="csr")
-        term = sp.kron(sp.kron(left, t), right, format="csr")
-        kin = term if kin is None else kin + term
-    H = kin + sp.diags(v.ravel(order="C"))
-    return H.tocsr(), v
+    size = stride = grid.size(dim)
+    main, bands, offsets = np.zeros(size), [], []
+    for n, h in zip(mesh.shape[:-1], grid.spacings(dim)):
+        stride //= n
+        main += 2.0 / h**2
+        # node k and node k + stride are neighbours unless k ends its line
+        wall = np.arange(size - stride) // stride % n == n - 1
+        band = np.where(wall, 0.0, -1.0 / h**2)
+        bands += [band, band]
+        offsets += [-stride, stride]
+    return sp.diags([main + v.ravel(), *bands], [0, *offsets], format="csr"), v
 
 
 def fd_eigensolve(
@@ -309,12 +302,16 @@ def fd_eigensolve(
 
     Memory: the (2D+1)-point stencil holds n^D unknowns, and each solve
     adds the LU factors of one sector at a time, whose fill grows faster
-    than n^D.  A k=3 solve on cusp3d_ordered peaks at 91 MB RSS at 33^3,
-    179 MB at 49^3 and 528 MB at 64^3 (within the default budget).  A
-    k=3 solve on fig1_cusp2d peaks at 84 MB at 201^2, 161 MB at 401^2 and
-    442 MB at 801^2 (beyond the default budget), against 123, 344 and
-    1336 MB for one whole-grid factor.  Solves beyond the budget of grid
-    unknowns raise BudgetExceeded.
+    than n^D.  With one BLAS thread and one process per solve, a k=3
+    solve on cusp3d_ordered peaks at 91 MB RSS at 33^3, 179 MB at 49^3
+    and 528 MB at 64^3 (within the default budget).  A k=3 solve on
+    fig1_cusp2d peaks at 84 MB at 201^2, 158 MB at 401^2 and 422 MB at
+    801^2 (beyond the default budget), against 123, 344 and 1336 MB for
+    one whole-grid factor.  Those peaks are set in the sector stage, not
+    by the 39 MB operator at 801^2, and move with glibc's adaptive mmap
+    threshold: with MALLOC_MMAP_THRESHOLD_=131072 the 801^2 solve peaks
+    at 416 MB.  Solves beyond the budget of grid unknowns raise
+    BudgetExceeded.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

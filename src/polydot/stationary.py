@@ -26,7 +26,7 @@ import numpy as np
 
 from . import potentials
 from .errors import DegenerateCoupling, NoRealShape
-from .potentials import AXES, PotentialSpec, axis_pairs, couplings, gradient
+from .potentials import AXES, PotentialSpec, axis_pairs, couplings
 
 MINIMUM = "minimum"
 MAXIMUM = "maximum"
@@ -165,10 +165,6 @@ def point_list(reps, values, eigs, kinds) -> list[StationaryPoint]:
         for (loc, subfamily, label), value, row, kind
         in zip(reps, values.tolist(), eigs.tolist(), kinds)
     ]
-
-
-def gradient_at(spec, coords) -> np.ndarray:
-    return gradient(spec, np.reshape(coords, (1, -1)))[0]
 
 
 # ---------------------------------------------------------------------------

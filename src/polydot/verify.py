@@ -31,7 +31,6 @@ from .stationary import (
     SMALL_COUPLING_THRESHOLD,
     bulk_reality_large_couplings,
     bulk_reality_small_couplings,
-    gradient_at,
 )
 
 ORACLE_DIFF_TOL = 1e-8
@@ -162,7 +161,7 @@ def suite_offaxis_backsubstitution(rng, draws: int = 60) -> dict:
                     failures.append(f"{routine}: radius identity broken {where}")
                     continue
                 loc = tuple(math.sqrt(sq) for sq in squares)
-                res = float(np.max(np.abs(gradient_at(spec, loc))))
+                res = float(np.max(np.abs(potentials.gradient(spec, loc))))
                 if res > RESIDUAL_TOL * _residual_scale(loc):
                     failures.append(f"{routine}: gradient residual {res:.2e} {where}")
     return {

@@ -2,6 +2,7 @@
 strategy over all families, a call counter, the loop references of the
 Newton oracle and of its orbit matching, the bisection references of
 scan refinement, the whole-grid references of the 2D and 3D eigensolves,
+the Kronecker references of the eigensolver's operator and mirror bases,
 the hand-written reference of an eigensolution's report, the per-axis
 references of parameter overrides and raster cells, and the single-point
 reference of one scan sample."""
@@ -428,6 +429,39 @@ def fd_eigensolve_wholegrid_reference(spec_or_callable, grid, k, dim=2):
     residuals = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
     converged = converged and bool(np.all(residuals <= 1e-8 * np.abs(vals) + 1e-10))
     return vals, residuals, converged
+
+
+def hamiltonian_reference(spec_or_callable, grid, dim):
+    """oracle.hamiltonian as a sum of Kronecker products: per axis, the
+    tridiagonal second difference between identities on the other axes,
+    summed in axis order, plus diag(V)."""
+    axes, dxs = grid.axes(dim), grid.spacings(dim)
+    mesh = grid.mesh(dim)
+    v = oracle._potential_on(spec_or_callable, mesh if dim > 1 else mesh[..., 0])
+    kin = None
+    for i in range(dim):
+        n, dx = len(axes[i]), dxs[i]
+        off = np.full(n - 1, -1.0 / dx**2)
+        t = sp.diags([off, np.full(n, 2.0 / dx**2), off], [-1, 0, 1], format="csr")
+        left = sp.identity(int(np.prod([len(a) for a in axes[:i]])), format="csr")
+        right = sp.identity(int(np.prod([len(a) for a in axes[i + 1:]])), format="csr")
+        term = sp.kron(sp.kron(left, t), right, format="csr")
+        kin = term if kin is None else kin + term
+    return (kin + sp.diags(v.ravel(order="C"))).tocsr(), v
+
+
+def mirror_bases_reference(n):
+    """oracle._mirror_bases from hand-written COO index lists."""
+    h, c = n // 2, n % 2
+    pairs = np.arange(h)
+    rows = np.concatenate([pairs, n - 1 - pairs, np.full(c, h)])
+    cols = np.concatenate([pairs, pairs, np.full(c, h)])
+    r = math.sqrt(0.5)
+    even = sp.csr_matrix((np.concatenate([np.full(2 * h, r), np.ones(c)]), (rows, cols)),
+                         shape=(n, h + c))
+    odd = sp.csr_matrix((np.concatenate([np.full(h, r), np.full(h, -r)]),
+                         (rows[:2 * h], cols[:2 * h])), shape=(n, h))
+    return even, odd
 
 
 def with_param_reference(spec, name, value):

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from polydot import cli
+from polydot import cli, potentials
 from polydot.catastrophe import CLASSICAL, QUANTUM, ParamPath, locate_boundary
 from polydot.oracle import (
     GridSpec,
@@ -26,7 +26,6 @@ from polydot.stationary import (
     SMALL_COUPLING_THRESHOLD,
     bulk_reality_large_couplings,
     bulk_roots_3d,
-    gradient_at,
     off_axis_roots_2d,
     off_axis_roots_3d,
     quadratic_aux,
@@ -56,7 +55,7 @@ def criterion(num, name, limit_s):
 
 def residual(spec, coords):
     scale = 1.0 + max(abs(c) for c in coords) ** 5
-    return float(np.max(np.abs(gradient_at(spec, coords)))) / scale
+    return float(np.max(np.abs(potentials.gradient(spec, coords)))) / scale
 
 
 def test_01_quartic_3d_stationary_table():

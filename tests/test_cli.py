@@ -32,6 +32,18 @@ def test_analyze_inline_cusp3d(tmp_path, capsys):
     assert "7 stationary points" in out
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["analyze", "--family", "cusp3d", "--alpha", 1.4, "--beta", 1.2,
+                "--gamma", 1, "--json", "--out", first]) == 0
+    assert run(["analyze", "--family", "cusp2d", "--alpha", 1.4, "--beta", 1.2,
+                "--out", second]) == 0
+    assert sorted(p.name for p in first.iterdir()) == ["stationary.json"]
+    assert sorted(p.name for p in second.iterdir()) == ["stationary.csv", "stationary.json"]
+    assert json.loads((second / "stationary.json").read_text())["spec"]["family"] == "cusp2d"
+
+
 def test_analyze_spec_file_round_trip(tmp_path):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({

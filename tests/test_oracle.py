@@ -11,7 +11,9 @@ from polydot import potentials, reports
 from polydot.errors import BudgetExceeded
 from polydot.oracle import (
     GridSpec,
+    _mirror_bases,
     fd_eigensolve,
+    hamiltonian,
     localization,
     match_stationary,
     min_orbit_distance,
@@ -28,7 +30,9 @@ from helpers import (
     eigensolution_dict_reference,
     fd_eigensolve_lobpcg_reference,
     fd_eigensolve_wholegrid_reference,
+    hamiltonian_reference,
     match_stationary_reference,
+    mirror_bases_reference,
     newton_stationary_reference,
 )
 
@@ -88,7 +92,7 @@ def assert_agrees_with_full_grid(spec, grid=None):
     orbit, of the same kind, label and multiplicity, within 1e-12
     characteristic radii.  Newton converges only linearly onto a root
     with a singular Hessian (a double root), so such an orbit ends where
-    the seed's path stops it and need only agree within dedup_tol, the
+    the seed's path stops it and need only agree within _DEDUP_TOL, the
     search's own resolution.  Orbits of equal value may sort either way."""
     grid = grid or _oracle_grid(spec)
     found = newton_stationary(spec, grid)
@@ -571,6 +575,65 @@ def test_fd_rejects_more_pairs_than_the_solver_returns(monkeypatch):
         with pytest.raises(ValueError, match=f"k = {k} .* {16**3 - 8}"):
             fd_eigensolve(corpus_specs()["cusp3d_ordered"], grid, k=k)
     assert calls == {"eigsh": 1, "lobpcg": 0}
+
+
+# ---------------------------------------------------------------------------
+# operators: the stencil and the mirror bases against Kronecker references
+# ---------------------------------------------------------------------------
+
+def assert_same_csr(got, want):
+    """Bitwise equal CSR arrays: shape, and the dtype and bytes of indptr,
+    indices and data."""
+    assert got.format == want.format == "csr"
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("butterfly1d_outer", GridSpec(extent=3.0, n=2001)),
+    ("butterfly1d_outer", GridSpec(extent=(3.0,), n=(16,))),
+    ("fig1_cusp2d", GridSpec(extent=2.6, n=91)),
+    ("fig1_cusp2d", GridSpec(extent=2.6, n=40)),
+    ("fig2_butterfly2d", GridSpec(extent=(2.5, 3.0), n=(81, 71))),
+    ("cusp3d_ordered", GridSpec(extent=2.4, n=19)),
+    ("cusp3d_ordered", GridSpec(extent=(2.4, 2.0, 1.8), n=(19, 21, 17))),
+    ("butterfly3d_ordered", GridSpec(extent=2.0, n=(16, 18, 17))),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_hamiltonian_matches_kronecker_reference_spec(name, grid):
+    spec = corpus_specs()[name]
+    H, v = hamiltonian(spec, grid, spec.dimension)
+    H_ref, v_ref = hamiltonian_reference(spec, grid, spec.dimension)
+    assert_same_csr(H, H_ref)
+    assert v.tobytes() == v_ref.tobytes()
+
+
+def tilted_bowl(mesh):
+    """Not mirror-even on the first axis."""
+    return (mesh**2).sum(axis=-1) + 0.5 * mesh[..., 0]
+
+
+@pytest.mark.parametrize("fn, dim, grid", [
+    (lambda x: x**2 + 0.5 * x, 1, GridSpec(extent=4.0, n=33)),
+    # V = -2/h^2 at x = 1 cancels the diagonal there: both drop the zero
+    (lambda x: np.where(x == 1.0, -2.0, x**2), 1, GridSpec(extent=4.0, n=9)),
+    (tilted_bowl, 2, GridSpec(extent=(5.0, 4.5), n=(16, 17))),
+    (tilted_bowl, 2, GridSpec(extent=3.0, n=24)),
+    (tilted_bowl, 3, GridSpec(extent=(5.0, 4.5, 4.0), n=(17, 16, 18))),
+    (tilted_bowl, 3, GridSpec(extent=4.0, n=21)),
+])
+def test_hamiltonian_matches_kronecker_reference_callable(fn, dim, grid):
+    H, v = hamiltonian(fn, grid, dim)
+    H_ref, v_ref = hamiltonian_reference(fn, grid, dim)
+    assert_same_csr(H, H_ref)
+    assert v.tobytes() == v_ref.tobytes()
+
+
+def test_mirror_bases_match_coo_reference():
+    for n in range(16, 92):
+        for basis, ref in zip(_mirror_bases(n), mirror_bases_reference(n)):
+            assert_same_csr(basis, ref)
 
 
 def test_grid_mesh_shapes():

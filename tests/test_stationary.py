@@ -17,7 +17,6 @@ from polydot.stationary import (
     bulk_roots_3d,
     classify,
     enumerate_stationary,
-    gradient_at,
     off_axis_roots_2d,
     off_axis_roots_3d,
     on_axis_roots,
@@ -44,7 +43,7 @@ def by_label(points):
 
 
 def residual_ok(spec, p, coef=1e-10):
-    res = float(np.max(np.abs(gradient_at(spec, p.location))))
+    res = float(np.max(np.abs(potentials.gradient(spec, p.location))))
     scale = 1.0 + max(abs(c) for c in p.location) ** 5
     return res < coef * scale
 
