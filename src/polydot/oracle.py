@@ -132,10 +132,12 @@ def newton_stationary(
     by index, not by sign, because linspace may put the middle node a
     rounding error below zero.
 
-    A seed stops iterating once a Newton step leaves it bitwise unchanged;
-    max_iter caps only seeds that never reach such a fixed point.  Seeds
-    that fail to converge (scaled gradient norm 1e-12 * (1 + |x|^5) after
-    their last step, or that wander far outside the box) are dropped;
+    A seed stops iterating after its first rounding-level step: one that
+    moves no coordinate by more than eps * max|x|, with eps the float64
+    machine epsilon and x the seed before the step (at the origin, only an
+    exact no-op).  max_iter caps only seeds that never take such a step.
+    Seeds that fail to converge (scaled gradient norm 1e-12 * (1 + |x|^5)
+    after their last step, or that wander far outside the box) are dropped;
     survivors are folded onto sign-orbit representatives, deduplicated
     greedily in lexicographic order within _DEDUP_TOL (max-norm), and
     classified by the Hessian.  The output mirrors the closed-form
@@ -148,11 +150,14 @@ def newton_stationary(
     box = max(grid.axis_extent(i) for i in range(dim))
     alive = np.ones(len(pts), dtype=bool)
     moving = np.ones(len(pts), dtype=bool)
+    eps = np.finfo(float).eps
 
-    # a seed retires once a step leaves it bitwise unchanged: every later
-    # step would start from the same point and be the same exact no-op.
-    # Seeds that converge only linearly (degenerate roots) or end in a
-    # rounding-level cycle keep moving and still get the whole budget.
+    # a seed retires after a step no larger than eps times its own largest
+    # coordinate: it sits on a root to rounding, and every later step would
+    # be a no-op or an ulp-sized hop in a rounding-level cycle.  The step is
+    # still applied.  The rule is relative to the seed, so it has no unit.
+    # Seeds that converge only linearly (degenerate roots) keep moving
+    # until their steps shrink to that size or the budget runs out.
     for _ in range(max_iter):
         idx = np.flatnonzero(alive & moving)
         if len(idx) == 0:
@@ -171,7 +176,8 @@ def newton_stationary(
         except np.linalg.LinAlgError:
             step = (np.linalg.pinv(H) @ g[..., None])[..., 0]
         new = x - step
-        moving[idx[(new == x).all(axis=1)]] = False
+        settled = np.abs(new - x).max(axis=1) <= eps * np.abs(x).max(axis=1)
+        moving[idx[settled]] = False
         pts[idx] = new
         escaped = np.linalg.norm(new, axis=1) > 50.0 * box
         alive[idx[escaped]] = False

@@ -22,16 +22,17 @@ from .potentials import PotentialSpec
 from .spectra import GroundCandidates, HarmonicWell
 from .stationary import StationaryReport
 
+_CSV_BLOCK = 4096  # grid nodes per block of eigensolution rows
+
 
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(path, rows) -> None:
+    """Rows to CSV; csv writes None as an empty cell."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow(["" if v is None else v for v in row])
+        csv.writer(fh).writerows(rows)
 
 
 def _num(x):
@@ -192,12 +193,12 @@ def potential_grid_rows(xs, ys, values, clip=None):
     """Matrix CSV of V over a window; header row/column carry coordinates.
     Cells above the clip level are left empty (plot-ready masking)."""
     yield ["y\\x"] + [float(x) for x in xs]
+    values = np.asarray(values, dtype=float)
     for j in range(len(ys)):
-        row = [float(ys[j])]
-        for i in range(len(xs)):
-            v = float(values[i, j])
-            row.append(None if (clip is not None and v > clip) else v)
-        yield row
+        row = values[:, j].tolist()
+        if clip is not None:
+            row = [None if v > clip else v for v in row]
+        yield [float(ys[j])] + row
 
 
 def potential_line_rows(xs, values, clip=None):
@@ -212,18 +213,17 @@ def eigensolution_dict(sol: EigenSolution) -> dict:
 
 
 def eigensolution_csv_rows(sol: EigenSolution, potential_values=None):
+    """One row per grid node: its coordinates, V if given, and every state.
+    Rows are read off whole-array blocks of _CSV_BLOCK nodes, so no column
+    is ever held as a Python list."""
     k = sol.states.shape[0]
-    mesh = sol.grid.mesh(sol.dim).reshape(-1, sol.dim)
     header = [f"x{i}" for i in range(sol.dim)]
+    columns = [sol.grid.mesh(sol.dim).reshape(-1, sol.dim)]
     if potential_values is not None:
         header.append("V")
-        vflat = np.asarray(potential_values).reshape(-1)
+        columns.append(np.asarray(potential_values).reshape(-1, 1))
     header += [f"psi{i}" for i in range(k)]
     yield header
-    states = [sol.states[i].reshape(-1) for i in range(k)]
-    for idx in range(mesh.shape[0]):
-        row = [float(c) for c in mesh[idx]]
-        if potential_values is not None:
-            row.append(float(vflat[idx]))
-        row.extend(float(s[idx]) for s in states)
-        yield row
+    columns.append(sol.states.reshape(k, -1).T)
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        yield from np.hstack([c[lo:lo + _CSV_BLOCK] for c in columns]).tolist()

@@ -3,10 +3,12 @@ strategy over all families, a call counter, the loop references of the
 Newton oracle and of its orbit matching, the bisection references of
 scan refinement, the whole-grid references of the 2D and 3D eigensolves,
 the Kronecker references of the eigensolver's operator and mirror bases,
-the hand-written reference of an eigensolution's report, the per-axis
+the hand-written reference of an eigensolution's report, the row-by-row
+references of the array CSV writers, the per-axis
 references of parameter overrides and raster cells, and the single-point
 reference of one scan sample."""
 
+import csv
 import math
 import sys
 import warnings
@@ -152,13 +154,16 @@ def any_family_spec(draw, families=potentials.FAMILIES):
         family, {**_axis_shapes(draw, "xyz"), **{k: draw(cross) for k in "uvw"}})
 
 
-def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6, orthant=False):
-    """The Newton oracle as a plain loop: every live seed runs the whole
-    iteration budget, every found representative is compared with every
-    kept one, and each kept orbit is classified by single-point calls.
-    Seeds are every grid node, or with orthant=True the nodes from index
-    (n - 1) // 2 on along each axis of n nodes; oracle.newton_stationary
-    must return exactly the orthant-seeded list."""
+def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6, orthant=False,
+                                retire=True):
+    """The Newton oracle as a plain loop: every found representative is
+    compared with every kept one, and each kept orbit is classified by
+    single-point calls.  Seeds are every grid node, or with orthant=True
+    the nodes from index (n - 1) // 2 on along each axis of n nodes;
+    oracle.newton_stationary must return exactly the orthant-seeded list.
+    With retire=True a seed stops after its first step of at most
+    eps * max|x| per coordinate, as in the oracle; with retire=False every
+    live seed runs the whole iteration budget (the loop before that rule)."""
     gradient, hessian = potentials.gradient, potentials.hessian
     dim = spec.dimension
     if orthant:
@@ -168,10 +173,11 @@ def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6, orthant
         pts = grid.mesh(dim).reshape(-1, dim).copy()
     box = max(grid.axis_extent(i) for i in range(dim))
     alive = np.ones(len(pts), dtype=bool)
+    moving = np.ones(len(pts), dtype=bool)
     for _ in range(max_iter):
-        if not alive.any():
+        if not (alive & moving).any():
             break
-        idx = np.flatnonzero(alive)
+        idx = np.flatnonzero(alive & moving)
         x = pts[idx]
         g = np.atleast_2d(gradient(spec, x))
         H = hessian(spec, x).reshape(len(x), dim, dim)
@@ -184,7 +190,11 @@ def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6, orthant
             step = np.linalg.solve(H, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, g[..., None], rcond=None)[0][..., 0]
-        x = x - step
+        new = x - step
+        for i, before, after in zip(idx, x, new):
+            if retire and max(abs(after - before)) <= np.finfo(float).eps * max(abs(before)):
+                moving[i] = False
+        x = new
         pts[idx] = x
         escaped = np.linalg.norm(x, axis=1) > 50.0 * box
         alive[idx[escaped]] = False
@@ -386,6 +396,45 @@ def eigensolution_dict_reference(sol):
         "converged": sol.converged,
         "warnings": list(sol.warnings),
     }
+
+
+def write_csv_reference(path, rows):
+    """reports.write_csv one row at a time, with None made empty by hand."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in rows:
+            writer.writerow(["" if v is None else v for v in row])
+
+
+def eigensolution_csv_rows_reference(sol, potential_values=None):
+    """reports.eigensolution_csv_rows one node at a time, each cell a
+    float() of one array entry."""
+    k = sol.states.shape[0]
+    mesh = sol.grid.mesh(sol.dim).reshape(-1, sol.dim)
+    header = [f"x{i}" for i in range(sol.dim)]
+    if potential_values is not None:
+        header.append("V")
+        vflat = np.asarray(potential_values).reshape(-1)
+    header += [f"psi{i}" for i in range(k)]
+    yield header
+    states = [sol.states[i].reshape(-1) for i in range(k)]
+    for idx in range(mesh.shape[0]):
+        row = [float(c) for c in mesh[idx]]
+        if potential_values is not None:
+            row.append(float(vflat[idx]))
+        row.extend(float(s[idx]) for s in states)
+        yield row
+
+
+def potential_grid_rows_reference(xs, ys, values, clip=None):
+    """reports.potential_grid_rows one cell at a time."""
+    yield ["y\\x"] + [float(x) for x in xs]
+    for j in range(len(ys)):
+        row = [float(ys[j])]
+        for i in range(len(xs)):
+            v = float(values[i, j])
+            row.append(None if (clip is not None and v > clip) else v)
+        yield row
 
 
 def fd_eigensolve_lobpcg_reference(spec_or_callable, grid, k, dim=3, maxiter=2000):

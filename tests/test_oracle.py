@@ -27,6 +27,7 @@ from polydot.verify import _oracle_grid, corpus_specs
 from helpers import (
     any_family_spec,
     count_calls,
+    eigensolution_csv_rows_reference,
     eigensolution_dict_reference,
     fd_eigensolve_lobpcg_reference,
     fd_eigensolve_wholegrid_reference,
@@ -34,6 +35,8 @@ from helpers import (
     match_stationary_reference,
     mirror_bases_reference,
     newton_stationary_reference,
+    potential_grid_rows_reference,
+    write_csv_reference,
 )
 
 
@@ -132,6 +135,39 @@ def test_newton_matches_loop_reference_drawn(spec):
     assert_matches_reference(spec)
 
 
+def assert_agrees_with_full_budget(spec):
+    """Retiring a seed at its first rounding-level step changes no orbit
+    of the loop that runs every seed the whole budget: the same count,
+    and each orbit pairs one to one with its nearest full-budget orbit, of
+    the same kind, label and multiplicity, within 4 eps of its largest
+    coordinate."""
+    grid = _oracle_grid(spec)
+    found = newton_stationary(spec, grid)
+    full = newton_stationary_reference(spec, grid, orthant=True, retire=False)
+    assert len(found) == len(full)
+    if not found:
+        return
+    locs = np.array([p.location for p in found])
+    dist = np.abs(locs[:, None] - np.array([q.location for q in full])[None]).max(-1)
+    nearest = dist.argmin(axis=1)
+    assert sorted(nearest) == list(range(len(full)))
+    for i, p in enumerate(found):
+        q = full[nearest[i]]
+        assert (p.kind, p.label, p.multiplicity) == (q.kind, q.label, q.multiplicity)
+        assert dist[i, nearest[i]] <= 4 * np.finfo(float).eps * np.abs(locs[i]).max()
+
+
+@pytest.mark.parametrize("name", sorted(corpus_specs()))
+def test_newton_agrees_with_full_budget_corpus(name):
+    assert_agrees_with_full_budget(corpus_specs()[name])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(any_family_spec())
+def test_newton_agrees_with_full_budget_drawn(spec):
+    assert_agrees_with_full_budget(spec)
+
+
 @pytest.mark.parametrize("name", sorted(corpus_specs()))
 def test_newton_orthant_agrees_with_full_grid_corpus(name):
     assert_agrees_with_full_grid(corpus_specs()[name])
@@ -174,9 +210,13 @@ def test_newton_seeds_keep_a_middle_row_just_below_zero(monkeypatch):
     assert_agrees_with_full_grid(spec, grid)
 
 
-@pytest.mark.parametrize("name, limit", [("cusp3d_ordered", 30), ("fig1_cusp2d", 50)])
+@pytest.mark.parametrize("name, limit", [
+    ("cusp3d_ordered", 30), ("fig1_cusp2d", 50), ("butterfly1d_outer", 40),
+    ("butterfly2d_offaxis", 40), ("butterfly3d_ordered", 40)])
 def test_newton_stops_when_no_seed_moves(monkeypatch, name, limit):
-    # the full budget is 50 Newton steps plus the final residual check
+    # the full budget is 50 Newton steps plus the final residual check; the
+    # butterfly grids hold seeds that end in rounding-level cycles, which
+    # never reach a bitwise fixed point
     spec = corpus_specs()[name]
     calls = count_calls(monkeypatch, potentials.gradient)
     newton_stationary(spec, _oracle_grid(spec))
@@ -684,7 +724,7 @@ def test_localization_orbit_input_deep_outer_regime():
 
 
 # ---------------------------------------------------------------------------
-# eigensolution report against its hand-written reference
+# eigensolution and potential grid reports against their references
 # ---------------------------------------------------------------------------
 
 EIGEN_REPORTS = {
@@ -705,3 +745,32 @@ def test_eigensolution_dict_matches_reference(name):
         return json.dumps(d, sort_keys=True, indent=2)
 
     assert text(reports.eigensolution_dict(sol)) == text(eigensolution_dict_reference(sol))
+
+
+def assert_same_csv(tmp_path, rows, reference_rows):
+    reports.write_csv(tmp_path / "rows.csv", rows)
+    write_csv_reference(tmp_path / "reference.csv", reference_rows)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("name", list(EIGEN_REPORTS))
+def test_eigensolution_csv_matches_reference(tmp_path, monkeypatch, name, block):
+    # block=7 splits every solution over many row blocks, with a short last one
+    if block:
+        monkeypatch.setattr(reports, "_CSV_BLOCK", block)
+    sol = EIGEN_REPORTS[name]()
+    v = (sol.grid.mesh(sol.dim) ** 2).sum(-1)
+    for values in (None, v):
+        assert_same_csv(tmp_path, reports.eigensolution_csv_rows(sol, values),
+                        eigensolution_csv_rows_reference(sol, values))
+
+
+@pytest.mark.parametrize("clip", [None, 0.0])
+def test_potential_grid_csv_matches_reference(tmp_path, clip):
+    spec = make_spec("cusp2d", alpha=1.4, beta=1.0)
+    xs = np.linspace(-2.8, 2.8, 57)
+    values = potentials.evaluate(spec, np.stack(np.meshgrid(xs, xs, indexing="ij"), -1))
+    assert (values > 0.0).any() and (values <= 0.0).any()
+    assert_same_csv(tmp_path, reports.potential_grid_rows(xs, xs, values, clip=clip),
+                    potential_grid_rows_reference(xs, xs, values, clip=clip))
