@@ -6,23 +6,23 @@ Three instruments, deliberately decoupled from the closed forms they check:
   from the nodes of a coarse grid in one orthant (every family is even in
   each coordinate, so the other orthants hold only mirror copies),
   deduplicated and classified; used to diff against the closed-form
-  stationary enumeration.  A seed stops at a bitwise fixed point; the
-  iteration budget caps only seeds that never reach one.
+  stationary enumeration.  A seed stops after its first rounding-level
+  step; the iteration budget caps only seeds that never take one.
 * :func:`fd_eigensolve` - second-order central finite differences for
   -Laplacian + V with Dirichlet boundaries just outside the grid box,
   lowest-k eigenpairs via shift-invert Lanczos: on the whole grid in 1D,
   on the 2^D mirror-parity sectors in 2D and 3D when V is even in each
   coordinate (every family is), on the whole grid for a 2D callable that
   is not, and by LOBPCG for a 3D callable that is not.  A 2D or 3D sector
-  is factored once as the symmetric positive definite matrix its shifted
-  operator is.  Energies converge at O(dx^2).
+  is the stencil on its own half of the box, built with the shift on its
+  diagonal and factored once as the symmetric positive definite matrix it
+  is.  Energies converge at O(dx^2).
 * :func:`localization` - probability mass of an eigenstate inside capture
   balls around well orbits; the operational notion of "localized near".
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceeded
 from .potentials import PotentialSpec, evaluate, gradient, hessian
-from .stationary import StationaryPoint, classify_points, orbit_members, point_list
+from .stationary import DEGENERATE, StationaryPoint, classify_points, point_list
 
 DEFAULT_BUDGET = 300_000  # grid unknowns (n^D); 64^3 fits
 _ARPACK_MAXITER = 10_000
@@ -214,11 +214,14 @@ def match_stationary(
     tol: float = 1e-8,
     max_radius: float | None = None,
 ) -> tuple[list, list]:
-    """Diff two orbit lists by representative location.
+    """Diff two orbit lists by representative location and kind.
 
-    Returns (missing, spurious): closed-form orbits with no oracle partner
-    within tol, and oracle orbits with no closed-form partner.  Orbits
-    beyond max_radius are ignored on both sides.
+    Two orbits are partners when their locations lie within tol (max-norm)
+    and their kinds agree, or one of them is degenerate: a degenerate
+    Hessian leaves the kind to rounding noise.  Returns (missing,
+    spurious): closed-form orbits with no oracle partner, and oracle orbits
+    with no closed-form partner.  Orbits beyond max_radius are ignored on
+    both sides.
     """
 
     def kept(points):
@@ -232,6 +235,9 @@ def match_stationary(
     closed, A = kept(closed)
     oracle, B = kept(oracle)
     dist = np.abs(A[:, None] - B[None]).max(-1)
+    kinds = np.array([[DEGENERATE in (p.kind, q.kind) or p.kind == q.kind for q in oracle]
+                      for p in closed], dtype=bool).reshape(dist.shape)
+    dist[~kinds] = np.inf
     missing = [p for p, d in zip(closed, dist.min(-1, initial=np.inf)) if d > tol]
     spurious = [p for p, d in zip(oracle, dist.min(0, initial=np.inf)) if d > tol]
     return missing, spurious
@@ -241,15 +247,63 @@ def match_stationary(
 # finite-difference eigensolver
 # ---------------------------------------------------------------------------
 
-def _mirror_bases(n: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Orthonormal even and odd bases, shape (n, m), of one symmetric axis
-    under x -> -x: the (x, -x) node pairs over sqrt(2), summed or
-    differenced, and for odd n the centre node as a last even column."""
-    h = n // 2
-    eye = sp.identity(n, format="csr")
-    pair = eye[:, :h] * math.sqrt(0.5)
-    mirror = pair[::-1]
-    return sp.hstack([pair + mirror, eye[:, h:n - h]], format="csr"), pair - mirror
+# what lies past the last node of an axis, as two terms in units of 1/h^2:
+# one added to that node's diagonal, and its coupling to the node before it.
+# The box wall (Dirichlet just outside the box) adds nothing.
+_WALL = (0.0, -1.0)
+
+
+def _half_axis(n: int, odd: int) -> tuple[int, tuple[float, float]]:
+    """Nodes 0 ... m - 1 of one axis of n nodes that carry its even (odd=0)
+    or odd (odd=1) mirror parity, and the face past the last of them.
+
+    For even n the last node's mirror image is its neighbour, plus or minus
+    the node itself: -1/h^2 or +1/h^2 on its diagonal.  For odd n the even
+    parity keeps the centre node, which the node before it reaches by both
+    members of its mirror pair: -sqrt(2)/h^2.  The odd parity vanishes on
+    the centre, which then acts as a wall.
+    """
+    if n % 2 == 0:
+        return n // 2, (1.0 if odd else -1.0, -1.0)
+    return (n // 2, _WALL) if odd else (n // 2 + 1, (0.0, -math.sqrt(2.0)))
+
+
+def _stencil(v: np.ndarray, spacings, faces, fmt: str, shift: float = 0.0) -> sp.spmatrix:
+    """-Laplacian + diag(v) - shift I on the node box of v, as the
+    (2D+1)-point stencil: 2/h^2 per axis on the diagonal and -1/h^2 to each
+    neighbour along an axis of spacing h, with nothing past the end of a
+    line.  The last node of axis i takes the terms of its face, faces[i]
+    (see _WALL)."""
+    shape = v.shape
+    size = stride = v.size
+    main, bands, offsets = np.zeros(shape), [], []
+    for i, (m, h, (face, join)) in enumerate(zip(shape, spacings, faces)):
+        stride //= m
+        along = (m,) + (1,) * (len(shape) - 1 - i)  # broadcasts along axis i
+        diag = np.full(m, 2.0 / h**2)
+        diag[-1] += face / h**2
+        main += diag.reshape(along)
+        # link[j] couples node j of a line to node j + 1
+        link = np.full(m, -1.0 / h**2)
+        link[-2:] = join / h**2, 0.0
+        band = np.broadcast_to(link.reshape(along), shape).ravel()[:size - stride]
+        bands += [band, band]
+        offsets += [-stride, stride]
+    return sp.diags([(main + v - shift).ravel(), *bands], [0, *offsets], format=fmt)
+
+
+def _unfold(y: np.ndarray, shape, odd) -> np.ndarray:
+    """Whole-grid columns of the half-box columns y of one parity sector:
+    along each axis of n nodes, the kept pairs times sqrt(1/2), then the
+    centre node for odd n (zero in the odd parity), then the pairs mirrored
+    and times +-sqrt(1/2)."""
+    y = y.reshape(*(_half_axis(n, o)[0] for n, o in zip(shape, odd)), -1)
+    for axis, (n, o) in enumerate(zip(shape, odd)):
+        y = np.moveaxis(y, axis, 0)
+        pairs = math.sqrt(0.5) * y[:n // 2]
+        centre = np.zeros((n % 2,) + y.shape[1:]) if o else y[n // 2:]
+        y = np.moveaxis(np.concatenate([pairs, centre, (-pairs if o else pairs)[::-1]]), 0, axis)
+    return y.reshape(-1, y.shape[-1])
 
 
 def hamiltonian(spec_or_callable, grid: GridSpec, dim: int) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -259,17 +313,7 @@ def hamiltonian(spec_or_callable, grid: GridSpec, dim: int) -> tuple[sp.csr_matr
     outside the box)."""
     mesh = grid.mesh(dim)
     v = _potential_on(spec_or_callable, mesh if dim > 1 else mesh[..., 0])
-    size = stride = grid.size(dim)
-    main, bands, offsets = np.zeros(size), [], []
-    for n, h in zip(mesh.shape[:-1], grid.spacings(dim)):
-        stride //= n
-        main += 2.0 / h**2
-        # node k and node k + stride are neighbours unless k ends its line
-        wall = np.arange(size - stride) // stride % n == n - 1
-        band = np.where(wall, 0.0, -1.0 / h**2)
-        bands += [band, band]
-        offsets += [-stride, stride]
-    return sp.diags([main + v.ravel(), *bands], [0, *offsets], format="csr"), v
+    return _stencil(v, grid.spacings(dim), [_WALL] * dim, "csr"), v
 
 
 def fd_eigensolve(
@@ -289,15 +333,19 @@ def fd_eigensolve(
     * 1D: one sector, the whole grid.
     * 2D and 3D, V mirror-even on every axis (every PotentialSpec): the
       operator splits into 2^D sectors of about n^D / 2^D unknowns each.
-      A sector with j odd axes asks for at most k // 2^j pairs and is
-      skipped when that is 0, so k = 1 solves only the all-even sector.
+      Each is the stencil on its half of the box, with the mirror face
+      of :func:`_half_axis`, and its states unfold to the whole grid by
+      mirror flips.  A sector with j odd axes asks for at most k // 2^j
+      pairs and is skipped when that is 0, so k = 1 solves only the
+      all-even sector.
     * 2D callable that is not mirror-even: one sector, the whole grid.
     * 3D callable that is not mirror-even: LOBPCG on the whole grid with
       a diagonal preconditioner.
 
-    In 2D and 3D the shifted sector, H - sigma I >= I, is factored once by
-    SuperLU with the minimum-degree ordering of its symmetric pattern and
-    no pivoting; 1D keeps ARPACK's own factor of its tridiagonal.
+    In 2D and 3D the shifted sector, H - sigma I >= I with sigma built into
+    its diagonal, is factored once by SuperLU with the minimum-degree
+    ordering of its symmetric pattern and no pivoting; 1D keeps ARPACK's
+    own factor of its tridiagonal.
 
     One k limit holds on every route: unknowns - 2^D pairs in 2D and 3D,
     and unknowns - 1 in 1D.  A larger k raises ValueError before any
@@ -309,15 +357,15 @@ def fd_eigensolve(
     Memory: the (2D+1)-point stencil holds n^D unknowns, and each solve
     adds the LU factors of one sector at a time, whose fill grows faster
     than n^D.  With one BLAS thread and one process per solve, a k=3
-    solve on cusp3d_ordered peaks at 91 MB RSS at 33^3, 179 MB at 49^3
-    and 528 MB at 64^3 (within the default budget).  A k=3 solve on
-    fig1_cusp2d peaks at 84 MB at 201^2, 158 MB at 401^2 and 422 MB at
+    solve on cusp3d_ordered peaks at 86 MB RSS at 33^3, 179 MB at 49^3
+    and 512 MB at 64^3 (within the default budget).  A k=3 solve on
+    fig1_cusp2d peaks at 83 MB at 201^2, 154 MB at 401^2 and 414 MB at
     801^2 (beyond the default budget), against 123, 344 and 1336 MB for
     one whole-grid factor.  Those peaks are set in the sector stage, not
-    by the 39 MB operator at 801^2, and move with glibc's adaptive mmap
-    threshold: with MALLOC_MMAP_THRESHOLD_=131072 the 801^2 solve peaks
-    at 416 MB.  Solves beyond the budget of grid unknowns raise
-    BudgetExceeded.
+    by the 39 MB operator at 801^2 (160 MB RSS after its assembly), and
+    move with glibc's adaptive mmap threshold: with
+    MALLOC_MMAP_THRESHOLD_=131072 the 801^2 solve peaks at 396 MB.
+    Solves beyond the budget of grid unknowns raise BudgetExceeded.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -369,26 +417,28 @@ def fd_eigensolve(
         # own.  With j odd axes there are 2^j such sectors, itself included,
         # so its l-th level is among the lowest k only if l <= k // 2^j.
         # 1D, whose tridiagonal factor is already cheap, and a 2D V that is
-        # not mirror-even split no axis: their one sector is H itself.
-        bases = [_mirror_bases(n) for n in shape] if mirror_even else []
+        # not mirror-even split no axis: their one sector is the whole grid.
+        # A split sector is the stencil on the half box of its parities.
         shift = vmin - 1.0
+        spacings = grid.spacings(dim)
         found_vals, found_vecs = [], []
-        for odd in sorted(itertools.product((0, 1), repeat=len(bases)), key=sum):
+        for odd in sorted(itertools.product((0, 1), repeat=dim if mirror_even else 0), key=sum):
             want = k >> sum(odd)
             if want == 0:
                 continue
-            sector, P, opinv = H, None, None
-            if bases:
-                P = functools.reduce(lambda a, b: sp.kron(a, b, format="csr"),
-                                     (basis[o] for basis, o in zip(bases, odd)))
-                sector = (P.T @ H @ P).tocsc()
+            sector, opinv = H, None
+            if dim > 1:
+                # the sector less the shift, >= I: symmetric positive
+                # definite.  With OPinv given, eigsh reads only its shape.
+                halves = ([_half_axis(n, o) for n, o in zip(shape, odd)] if mirror_even
+                          else [(n, _WALL) for n in shape])
+                box = tuple(slice(m) for m, _face in halves)
+                sector = _stencil(v[box], spacings, [face for _m, face in halves], "csc", shift)
+                lu = spla.splu(sector, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                               options={"SymmetricMode": True})
+                opinv = spla.LinearOperator(sector.shape, matvec=lu.solve, dtype=float)
             m = sector.shape[0]
             want = min(want, m - 1)
-            if dim > 1:  # sector - shift >= I: symmetric positive definite
-                lu = spla.splu((sector - shift * sp.identity(m)).tocsc(),
-                               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
-                opinv = spla.LinearOperator((m, m), matvec=lu.solve, dtype=float)
             try:
                 vals, vecs = spla.eigsh(
                     sector, k=want, sigma=shift, which="LM", OPinv=opinv,
@@ -397,10 +447,10 @@ def fd_eigensolve(
             except spla.ArpackNoConvergence as err:
                 vals, vecs = err.eigenvalues, err.eigenvectors
                 converged = False
-                where = f" in parity sector {odd} (1 = odd axis)" if bases else ""
+                where = f" in parity sector {odd} (1 = odd axis)" if mirror_even else ""
                 notes.append(f"ARPACK stopped early{where} with {len(vals)} of {want} pairs")
             found_vals.append(vals)
-            found_vecs.append(vecs if P is None else P @ vecs)
+            found_vecs.append(_unfold(vecs, shape, odd) if mirror_even else vecs)
         vals = np.concatenate(found_vals)
         keep = np.argsort(vals)[:k]
         vals, vecs = vals[keep], np.hstack(found_vecs)[:, keep]
@@ -509,6 +559,20 @@ def min_orbit_distance(wells) -> float:
     return best
 
 
+def _orbit_distances(mesh: np.ndarray, orbits) -> np.ndarray:
+    """(orbits, points) distances from each of the (N, D) mesh points to
+    the nearest member of each orbit, one member at a time.  sqrt is
+    monotone, so the root of the least squared distance is the least
+    distance, bit for bit."""
+    out = np.empty((len(orbits), len(mesh)))
+    for row, (_label, members) in zip(out, orbits):
+        row.fill(np.inf)
+        for member in members:
+            d = mesh - member
+            np.minimum(row, (d * d).sum(-1), out=row)
+    return np.sqrt(out, out=out)
+
+
 def localization(
     sol: EigenSolution,
     wells,
@@ -538,10 +602,7 @@ def localization(
     density = (sol.states[state].reshape(-1) ** 2) * cell
     # each grid point is counted for its nearest orbit only, so the balls
     # partition the captured mass even if they touch
-    dists = np.stack([
-        np.linalg.norm(mesh[:, None, :] - members[None, :, :], axis=-1).min(axis=1)
-        for _label, members in orbits
-    ])
+    dists = _orbit_distances(mesh, orbits)
     nearest = np.argmin(dists, axis=0)
     captured = np.take_along_axis(dists, nearest[None, :], axis=0)[0] < radius
     weights = {}

@@ -134,6 +134,12 @@ class PotentialSpec:
         except NoRealShape:
             return None
 
+    @functools.cached_property
+    def _shared(self) -> tuple:
+        """Coefficient arrays of this spec (see :func:`_coefficients`),
+        shared by every point of a stack; built from ``raw`` on first read."""
+        return tuple(c[0] for c in _coefficients([self]))
+
     @property
     def dimension(self) -> int:
         return _DIMENSION[self.family]
@@ -490,11 +496,6 @@ def _coefficients(specs) -> tuple:
     return pairs[..., 0], U, pairs[..., 1]
 
 
-def _shared(spec) -> tuple:
-    """Coefficient arrays of one spec, shared by every point of a stack."""
-    return tuple(c[0] for c in _coefficients([spec]))
-
-
 def _dot(s, c):
     """s @ c over the coordinate axis.  Shared coefficients ((D,) or
     (D, D)) take one product for the whole stack; per-point coefficients
@@ -554,21 +555,21 @@ def evaluate(spec: PotentialSpec, pts) -> np.ndarray | float:
     """V at the given point(s); last axis of pts indexes the coordinates.
     One point gives a float (see :func:`_prep_points`)."""
     x, single = _prep_points(pts, spec.dimension)
-    v = _value(x, _shared(spec))
+    v = _value(x, spec._shared)
     return float(v[0]) if single else v
 
 
 def gradient(spec: PotentialSpec, pts) -> np.ndarray:
     """Analytic gradient of V; appends a (D,) axis to the point batch."""
     x, single = _prep_points(pts, spec.dimension)
-    g = _gradient(x, _shared(spec))
+    g = _gradient(x, spec._shared)
     return g[0] if single else g
 
 
 def hessian(spec: PotentialSpec, pts) -> np.ndarray:
     """Analytic Hessian of V; appends a (D, D) axis to the point batch."""
     x, single = _prep_points(pts, spec.dimension)
-    h = _hessian(x, _shared(spec))
+    h = _hessian(x, spec._shared)
     return h[0] if single else h
 
 

@@ -2,13 +2,15 @@
 strategy over all families, a call counter, the loop references of the
 Newton oracle and of its orbit matching, the bisection references of
 scan refinement, the whole-grid references of the 2D and 3D eigensolves,
-the Kronecker references of the eigensolver's operator and mirror bases,
+the Kronecker references of the eigensolver's operator, mirror bases and
+parity sectors, the norm-stack reference of localization,
 the hand-written reference of an eigensolution's report, the row-by-row
 references of the array CSV writers, the per-axis
 references of parameter overrides and raster cells, and the single-point
 reference of one scan sample."""
 
 import csv
+import itertools
 import math
 import sys
 import warnings
@@ -236,8 +238,9 @@ def newton_stationary_reference(spec, grid, max_iter=50, dedup_tol=1e-6, orthant
 
 def match_stationary_reference(closed, oracle, tol=1e-8, max_radius=None):
     """oracle.match_stationary as nested loops: each orbit's nearest
-    max-norm distance to the other list, orbits beyond max_radius dropped
-    from both lists first."""
+    max-norm distance to the orbits of the other list whose kind is its
+    own (any kind when either is degenerate), orbits beyond max_radius
+    dropped from both lists first."""
     def keep(p):
         if max_radius is None:
             return True
@@ -249,6 +252,8 @@ def match_stationary_reference(closed, oracle, tol=1e-8, max_radius=None):
     def nearest(p, pool):
         best = math.inf
         for q in pool:
+            if p.kind != q.kind and "degenerate" not in (p.kind, q.kind):
+                continue
             d = max(abs(a - b) for a, b in zip(p.location, q.location))
             best = min(best, d)
         return best
@@ -500,7 +505,10 @@ def hamiltonian_reference(spec_or_callable, grid, dim):
 
 
 def mirror_bases_reference(n):
-    """oracle._mirror_bases from hand-written COO index lists."""
+    """Orthonormal even and odd bases, shape (n, m), of one symmetric axis
+    under x -> -x, from hand-written COO index lists: the (x, -x) node
+    pairs over sqrt(2), summed or differenced, and for odd n the centre
+    node as a last even column."""
     h, c = n // 2, n % 2
     pairs = np.arange(h)
     rows = np.concatenate([pairs, n - 1 - pairs, np.full(c, h)])
@@ -511,6 +519,49 @@ def mirror_bases_reference(n):
     odd = sp.csr_matrix((np.concatenate([np.full(h, r), np.full(h, -r)]),
                          (rows[:2 * h], cols[:2 * h])), shape=(n, h))
     return even, odd
+
+
+def mirror_projection_reference(shape, odd):
+    """P of one parity sector: the Kronecker product over the axes of the
+    even (odd[i] = 0) or odd (odd[i] = 1) basis of each axis."""
+    P = None
+    for n, o in zip(shape, odd):
+        basis = mirror_bases_reference(n)[o]
+        P = basis if P is None else sp.kron(P, basis, format="csr")
+    return P
+
+
+def fd_eigensolve_projection_reference(spec_or_callable, grid, k, dim):
+    """The 2D or 3D eigensolve of a mirror-even V on its parity sectors
+    P^T H P: per sector, one shift-invert ARPACK call for at most k // 2^j
+    pairs (j odd axes) with the shift 1 below min V and v0 drawn in sector
+    order from seed 12345.  Returns the lowest k energies."""
+    H, v = oracle.hamiltonian(spec_or_callable, grid, dim)
+    shape = tuple(grid.axis_n(i) for i in range(dim))
+    rng = np.random.default_rng(12345)
+    found = []
+    for odd in sorted(itertools.product((0, 1), repeat=dim), key=sum):
+        want = k >> sum(odd)
+        if want == 0:
+            continue
+        P = mirror_projection_reference(shape, odd)
+        sector = (P.T @ H @ P).tocsc()
+        m = sector.shape[0]
+        vals = spla.eigsh(sector, k=min(want, m - 1), sigma=float(v.min()) - 1.0,
+                          which="LM", v0=rng.standard_normal(m), maxiter=10_000,
+                          return_eigenvectors=False)
+        found.extend(vals.tolist())
+    return np.sort(found)[:k]
+
+
+def localization_distances_reference(mesh, orbits):
+    """Each grid point's distance to the nearest member of each orbit, as
+    oracle.localization took it from np.linalg.norm over the (N, M, D)
+    stack of point-member differences."""
+    return np.stack([
+        np.linalg.norm(mesh[:, None, :] - members[None, :, :], axis=-1).min(axis=1)
+        for _label, members in orbits
+    ])
 
 
 def with_param_reference(spec, name, value):

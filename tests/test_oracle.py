@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -7,11 +8,10 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from scipy.linalg import eigh_tridiagonal
 
-from polydot import potentials, reports
+from polydot import oracle, potentials, reports
 from polydot.errors import BudgetExceeded
 from polydot.oracle import (
     GridSpec,
-    _mirror_bases,
     fd_eigensolve,
     hamiltonian,
     localization,
@@ -30,10 +30,12 @@ from helpers import (
     eigensolution_csv_rows_reference,
     eigensolution_dict_reference,
     fd_eigensolve_lobpcg_reference,
+    fd_eigensolve_projection_reference,
     fd_eigensolve_wholegrid_reference,
     hamiltonian_reference,
+    localization_distances_reference,
     match_stationary_reference,
-    mirror_bases_reference,
+    mirror_projection_reference,
     newton_stationary_reference,
     potential_grid_rows_reference,
     write_csv_reference,
@@ -223,6 +225,21 @@ def test_newton_stops_when_no_seed_moves(monkeypatch, name, limit):
     assert len(calls) <= limit
 
 
+def test_newton_builds_the_coefficient_arrays_once(monkeypatch):
+    # every gradient and Hessian call of the search reads the arrays the
+    # spec built on its first evaluation; the only other build is the one
+    # batch of classify_points, which classifies the orbits found
+    spec = corpus_specs()["butterfly2d_offaxis"]
+    builds = count_calls(monkeypatch, potentials._coefficients)
+    steps = count_calls(monkeypatch, potentials.gradient)
+    hessians = count_calls(monkeypatch, potentials.hessian)
+    newton_stationary(spec, _oracle_grid(spec))
+    assert len(steps) > 10 and len(hessians) == len(steps) - 1
+    assert [args[0] for args in builds] == [[spec], [spec]]
+    newton_stationary(spec, _oracle_grid(spec))
+    assert len(builds) == 3
+
+
 def test_newton_step_falls_back_when_the_stacked_solve_fails(monkeypatch):
     # np.linalg.solve raises for a whole stack when one Hessian in it is
     # singular; the fallback step must take stacked Hessians as well
@@ -244,16 +261,42 @@ def test_newton_step_falls_back_when_the_stacked_solve_fails(monkeypatch):
     assert [p.kind for p in found] == [p.kind for p in expected]
 
 
-def _orbit(location):
+def _orbit(location, kind="minimum"):
     return StationaryPoint(location=tuple(float(c) for c in location), subfamily="drawn",
-                           value=0.0, hessian_eigs=(), kind="minimum", multiplicity=1,
+                           value=0.0, hessian_eigs=(), kind=kind, multiplicity=1,
                            label="drawn")
+
+
+def test_match_stationary_reports_a_kind_mismatch():
+    minimum, saddle = _orbit((1.0, 0.5)), _orbit((1.0, 0.5), "saddle")
+    assert match_stationary([minimum], [saddle]) == ([minimum], [saddle])
+    degenerate = _orbit((1.0, 0.5), "degenerate")
+    assert match_stationary([minimum], [degenerate]) == ([], [])
+    assert match_stationary([degenerate], [saddle]) == ([], [])
+    # a partner of the right kind anywhere within tol still matches
+    near = _orbit((1.0, 0.5 + 1e-9))
+    assert match_stationary([minimum], [saddle, near]) == ([], [saddle])
+
+
+def test_match_stationary_accepts_a_degenerate_double_root():
+    # the closed form calls this double root degenerate; Newton converges
+    # only linearly there and classifies it by a Hessian eigenvalue of
+    # rounding size (a saddle)
+    a = 0.05
+    spec = spec_from_raw("butterfly3d", dict(a=a, b=a, c=a, u=0.0, v=0.0, w=0.0,
+                                             p=a * a, q=a * a, s=a * a))
+    closed = stationary_points(spec)
+    found = newton_stationary(spec, _oracle_grid(spec))
+    double = [p for p in closed if p.label == "axis_x_double"]
+    assert [p.kind for p in double] == ["degenerate"]
+    assert match_stationary(closed, found, 1e-8) == ([], [])
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_match_stationary_matches_loop_reference(seed):
-    # drawn orbit lists: shared locations nudged to either side of tol,
-    # strays on both sides, empty pools, and a radius cut through the lists.
+    # drawn orbit lists: shared locations nudged to either side of tol and
+    # of drawn kinds, strays on both sides, empty pools, and a radius cut
+    # through the lists.
     # Shared locations and nudges are dyadic, so a distance equal to tol and
     # an orbit on the radius occur exactly.
     rng = np.random.default_rng(seed)
@@ -265,8 +308,13 @@ def test_match_stationary_matches_loop_reference(seed):
     def strays():
         return [_orbit(x) for x in rng.uniform(0.0, 3.0, size=(int(rng.integers(0, 3)), dim))]
 
-    closed = [_orbit(x) for x in shared] + strays()
-    found = [_orbit(x) for x in shared + nudge] + strays()
+    kinds = ("minimum", "saddle", "degenerate")
+
+    def drawn(x):
+        return _orbit(x, kinds[int(rng.integers(3))])
+
+    closed = [drawn(x) for x in shared] + strays()
+    found = [drawn(x) for x in shared + nudge] + strays()
     found = [found[i] for i in rng.permutation(len(found))]
     radius = [None, float(rng.uniform(0.5, 3.0))][int(rng.integers(2))]
     if closed and rng.random() < 0.5:
@@ -670,10 +718,70 @@ def test_hamiltonian_matches_kronecker_reference_callable(fn, dim, grid):
     assert v.tobytes() == v_ref.tobytes()
 
 
-def test_mirror_bases_match_coo_reference():
-    for n in range(16, 92):
-        for basis, ref in zip(_mirror_bases(n), mirror_bases_reference(n)):
-            assert_same_csr(basis, ref)
+def mirror_even_potential(rng, shape):
+    """Random values on a node box, exactly even under every axis flip."""
+    v = rng.uniform(-2.0, 2.0, shape)
+    for axis in range(len(shape)):
+        v = v + np.flip(v, axis)
+    return v
+
+
+@pytest.mark.parametrize("grid, dim", [
+    (GridSpec(extent=2.0, n=16), 2),
+    (GridSpec(extent=2.0, n=17), 2),
+    (GridSpec(extent=(2.5, 3.0), n=(16, 19)), 2),
+    (GridSpec(extent=(2.5, 3.0), n=(21, 18)), 2),
+    (GridSpec(extent=1.5, n=10), 3),
+    (GridSpec(extent=1.5, n=9), 3),
+    (GridSpec(extent=(2.4, 2.0, 1.8), n=(9, 12, 11)), 3),
+], ids=lambda x: str(x.n) if isinstance(x, GridSpec) else None)
+def test_half_box_sectors_match_projection_reference(grid, dim):
+    # each parity sector is the stencil on its half box: P^T H P to
+    # rounding, entry for entry, and its vectors unfold to P y
+    rng = np.random.default_rng(dim)
+    shape = tuple(grid.axis_n(i) for i in range(dim))
+    v = mirror_even_potential(rng, shape)
+    H = hamiltonian(lambda _mesh: v, grid, dim)[0]
+    tol = 4.0 * np.finfo(float).eps
+    for odd in itertools.product((0, 1), repeat=dim):
+        P = mirror_projection_reference(shape, odd)
+        halves = [oracle._half_axis(n, o) for n, o in zip(shape, odd)]
+        box = tuple(slice(m) for m, _face in halves)
+        sector = oracle._stencil(v[box], grid.spacings(dim), [f for _m, f in halves], "csc")
+        got, want = sector.toarray(), (P.T @ H @ P).toarray()
+        assert np.all(np.abs(got - want) <= tol * np.abs(want)), odd
+        y = rng.standard_normal((sector.shape[0], 3))
+        unfolded, want = oracle._unfold(y, shape, odd), P @ y
+        assert np.all(np.abs(unfolded - want) <= tol * np.abs(want)), odd
+
+
+SECTOR_PROBLEMS = {
+    # the 2D and 3D eigensolves of the oracle benchmark workload
+    "fig1_cusp2d_91": lambda: (corpus_specs()["fig1_cusp2d"], GridSpec(extent=2.6, n=91), 4, 2),
+    "fig2_butterfly2d_91": lambda: (corpus_specs()["fig2_butterfly2d"],
+                                    GridSpec(extent=2.6, n=91), 4, 2),
+    "separable_2d": lambda: (separable(SEPARABLE_AXES[:2]),
+                             GridSpec(extent=(6.0, 5.0), n=(81, 71)), 4, 2),
+    "cusp3d_ordered_19": lambda: (corpus_specs()["cusp3d_ordered"],
+                                  GridSpec(extent=2.4, n=19), 2, 3),
+    "separable_3d": lambda: (separable(SEPARABLE_AXES), GridSpec(extent=(5.0, 4.5, 4.0), n=17),
+                             2, 3),
+    # even n on every axis, where the mirror face sits on the diagonal
+    "fig1_cusp2d_90": lambda: (corpus_specs()["fig1_cusp2d"], GridSpec(extent=2.6, n=90), 6, 2),
+    "separable_2d_even": lambda: (separable(SEPARABLE_AXES[:2]),
+                                  GridSpec(extent=(6.0, 5.0), n=(80, 70)), 5, 2),
+    "butterfly3d_ordered_18": lambda: (corpus_specs()["butterfly3d_ordered"],
+                                       GridSpec(extent=2.0, n=(16, 18, 20)), 8, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(SECTOR_PROBLEMS))
+def test_fd_half_box_sectors_match_projection_levels(name):
+    potential, grid, k, dim = SECTOR_PROBLEMS[name]()
+    sol = fd_eigensolve(potential, grid, k=k, dim=dim)
+    assert sol.converged
+    want = fd_eigensolve_projection_reference(potential, grid, k, dim)
+    assert sol.energies == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_grid_mesh_shapes():
@@ -710,6 +818,25 @@ def test_localization_overlapping_balls_rejected():
                         GridSpec(extent=7.0, n=201), k=1, dim=1)
     with pytest.raises(ValueError, match="overlap"):
         localization(sol, [(2.5,), (-2.5,)], radius=3.0)
+
+
+@pytest.mark.parametrize("name, grid", [
+    ("fig1_cusp2d", GridSpec(extent=2.6, n=91)),
+    ("fig2_butterfly2d", GridSpec(extent=(2.6, 2.4), n=(40, 45))),
+    ("cusp3d_ordered", GridSpec(extent=2.4, n=16)),
+    ("butterfly3d_ordered", GridSpec(extent=2.0, n=17)),
+])
+def test_localization_distances_match_norm_reference(name, grid):
+    spec = corpus_specs()[name]
+    sol = fd_eigensolve(spec, grid, k=2)
+    wells = [p for p in stationary_points(spec) if p.kind == "minimum"]
+    wells += [(0.3,) * spec.dimension]
+    mesh = grid.mesh(spec.dimension).reshape(-1, spec.dimension)
+    orbits = oracle._orbit_arrays(wells)
+    got = oracle._orbit_distances(mesh, orbits)
+    assert got.tobytes() == localization_distances_reference(mesh, orbits).tobytes()
+    w = localization(sol, wells, state=1)
+    assert sum(w.weights.values()) + w.leftover == pytest.approx(1.0, abs=1e-12)
 
 
 def test_localization_orbit_input_deep_outer_regime():
