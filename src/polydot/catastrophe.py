@@ -379,11 +379,8 @@ def _locate_orbit_event(path, t_lo, t_hi, label, width_tol, labels_at=None):
 
     def present(t):
         if t not in labels_at:
-            try:
-                reps, _warnings = stat._representatives(path.spec_at(t))
-                labels_at[t] = {rep_label for _loc, _sub, rep_label in reps}
-            except (PolydotError, ValueError):
-                labels_at[t] = set()
+            _spec, reps, _error = _prepare(lambda: path.spec_at(t))
+            labels_at[t] = {rep_label for _loc, _sub, rep_label in reps or ()}
         return label in labels_at[t]
 
     p_lo = present(t_lo)

@@ -209,8 +209,6 @@ def cmd_scan(args) -> int:
 
 def cmd_grid(args) -> int:
     spec = _load_spec(args)
-    if args.grid_L is not None and args.grid_L <= 0:
-        raise CliError("--grid-L must be positive")
     if args.grid_n is not None and args.grid_n < 2:
         raise CliError("--grid-n must be at least 2")
     L = args.grid_L or 1.6 * characteristic_radius(spec)
@@ -348,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="run the numerical oracle on a spec", parents=both)
     p.add_argument("--grid-n", type=int, default=None, help="eigensolver points per axis")
-    p.add_argument("--grid-L", type=float, default=None, help="eigensolver half-width")
+    p.add_argument("--grid-L", type=float, default=None,
+                   help="half-width of the Newton seed box and the eigensolver grid")
     p.add_argument("--k", type=int, default=0,
                    help="also compute the k lowest eigenpairs")
     p.set_defaults(func=cmd_oracle)
@@ -364,6 +363,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "grid_L", None) is not None and not 0 < args.grid_L < np.inf:
+            raise CliError("--grid-L must be positive and finite")  # grid and oracle
         return args.func(args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -16,7 +16,8 @@ Three instruments, deliberately decoupled from the closed forms they check:
   is not, and by LOBPCG for a 3D callable that is not.  A 2D or 3D sector
   is the stencil on its own half of the box, built with the shift on its
   diagonal and factored once as the symmetric positive definite matrix it
-  is.  Energies converge at O(dx^2).
+  is.  Energies converge at O(dx^2) only while the states are negligible
+  at the wall, which moves with n (see :func:`fd_eigensolve`).
 * :func:`localization` - probability mass of an eigenstate inside capture
   balls around well orbits; the operational notion of "localized near".
 """
@@ -57,7 +58,10 @@ class GridSpec:
     n: int | tuple = 201
 
     def axis_extent(self, i: int) -> float:
-        return float(self.extent[i] if isinstance(self.extent, (tuple, list)) else self.extent)
+        L = float(self.extent[i] if isinstance(self.extent, (tuple, list)) else self.extent)
+        if not 0.0 < L < math.inf:
+            raise ValueError(f"grid half-width must be positive and finite, got {L:g}")
+        return L
 
     def axis_n(self, i: int) -> int:
         n = int(self.n[i] if isinstance(self.n, (tuple, list)) else self.n)
@@ -75,10 +79,7 @@ class GridSpec:
         return [2.0 * self.axis_extent(i) / (self.axis_n(i) - 1) for i in range(dim)]
 
     def size(self, dim: int) -> int:
-        out = 1
-        for i in range(dim):
-            out *= self.axis_n(i)
-        return out
+        return math.prod(self.axis_n(i) for i in range(dim))
 
     def mesh(self, dim: int) -> np.ndarray:
         """Stacked coordinates, shape (*n_per_axis, dim)."""
@@ -107,8 +108,7 @@ class LocalizationWeights:
 def _potential_on(spec_or_callable, mesh):
     if callable(spec_or_callable) and not isinstance(spec_or_callable, PotentialSpec):
         return np.asarray(spec_or_callable(mesh), dtype=float)
-    spec = spec_or_callable
-    return np.asarray(evaluate(spec, mesh), dtype=float)
+    return np.asarray(evaluate(spec_or_callable, mesh), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,10 @@ def fd_eigensolve(
     solve.  Residuals are always taken against the whole-grid operator.
     ARPACK stops after 10000 iterations and LOBPCG after 2000;
     non-converged solves are returned flagged, not raised.  A warning
-    notes a wall potential less than 10 above the top level found.
+    notes a wall potential less than 10 above the top level found.  The
+    wall sits at +-(L + h), so it moves with n: the error falls as dx^2
+    only where the states are negligible there, and about linearly in dx
+    on a tight box (fig1_cusp2d at 1.6 characteristic radii).
 
     Memory: the (2D+1)-point stencil holds n^D unknowns, and each solve
     adds the LU factors of one sector at a time, whose fill grows faster
@@ -515,7 +518,9 @@ def richardson_ground_energies(spec_or_callable, grid: GridSpec, k: int = 1,
     """O(dx^2)-extrapolated energies from the grid and its refinement.
 
     Runs at n and 2n-1 points (halved spacing) and combines
-    (4 E_fine - E_coarse) / 3; also returns both raw solves.
+    (4 E_fine - E_coarse) / 3, which assumes an O(dx^2) error and so is
+    biased on a tight box (see :func:`fd_eigensolve`); also returns both
+    raw solves.
     """
     coarse = fd_eigensolve(spec_or_callable, grid, k=k, dim=dim, budget=budget)
     n = grid.n
@@ -538,25 +543,15 @@ def _orbit_arrays(wells):
     """(label, members) per entry.  StationaryPoint orbits expand over sign
     flips; bare coordinate tuples are taken literally as single capture
     centers (so a symmetric pair can be split into two wells)."""
-    out = []
-    for i, w in enumerate(wells):
-        if isinstance(w, StationaryPoint):
-            out.append((w.label, w.orbit_members()))
-        else:
-            out.append((f"well{i}", np.atleast_1d(np.asarray(w, float)).reshape(1, -1)))
-    return out
+    return [(w.label, w.orbit_members()) if isinstance(w, StationaryPoint)
+            else (f"well{i}", np.asarray(w, float).reshape(1, -1)) for i, w in enumerate(wells)]
 
 
 def min_orbit_distance(wells) -> float:
-    """Smallest distance between members of distinct orbits."""
+    """Smallest distance between members of distinct orbits (:func:`_orbit_distances`)."""
     orbits = _orbit_arrays(wells)
-    best = math.inf
-    for i in range(len(orbits)):
-        for j in range(i + 1, len(orbits)):
-            a, b = orbits[i][1], orbits[j][1]
-            d = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1).min()
-            best = min(best, float(d))
-    return best
+    return min((float(_orbit_distances(members, orbits[i + 1:]).min())
+                for i, (_label, members) in enumerate(orbits[:-1])), default=math.inf)
 
 
 def _orbit_distances(mesh: np.ndarray, orbits) -> np.ndarray:
@@ -604,10 +599,9 @@ def localization(
     # partition the captured mass even if they touch
     dists = _orbit_distances(mesh, orbits)
     nearest = np.argmin(dists, axis=0)
-    captured = np.take_along_axis(dists, nearest[None, :], axis=0)[0] < radius
-    weights = {}
-    for i, (label, _members) in enumerate(orbits):
-        weights[label] = float(density[captured & (nearest == i)].sum())
+    captured = dists.min(axis=0) < radius
+    weights = {label: float(density[captured & (nearest == i)].sum())
+               for i, (label, _members) in enumerate(orbits)}
     return LocalizationWeights(
         weights=weights,
         leftover=float(1.0 - sum(weights.values())),

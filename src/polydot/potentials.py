@@ -171,21 +171,29 @@ class PotentialSpec:
 # per-axis shape algebra
 # ---------------------------------------------------------------------------
 
+def _on_axis_roots(a: float, c: float) -> tuple[float, float, float] | None:
+    """The one solve of the on-axis quadratic t^2 - 2 a t + c = 0: its roots
+    a -+ s and half gap s = sqrt(a^2 - c) as (a - s, s, a + s); None if a^2 < c."""
+    disc = a * a - c
+    if disc < 0.0:
+        return None
+    root = math.sqrt(disc)
+    return a - root, root, a + root
+
+
 def axis_shape_from_pair(a: float, c: float) -> tuple[float, float, float]:
     """Solve a = alpha^2 + beta^2, c = alpha^2 (alpha^2 + 2 beta^2).
 
     alpha^2 is the smaller root of t^2 - 2 a t + c = 0, so
     alpha^2 = a - sqrt(a^2 - c), beta^2 = sqrt(a^2 - c),
-    gamma^2 = a + sqrt(a^2 - c).
+    gamma^2 = a + sqrt(a^2 - c) (see :func:`_on_axis_roots`).
     """
-    disc = a * a - c
-    if disc < 0.0:
+    roots = _on_axis_roots(a, c)
+    if roots is None:
         raise NoRealShape(f"a^2 = {a * a:g} < c = {c:g}: on-axis roots are complex")
-    root = math.sqrt(disc)
-    alpha_sq = a - root
-    if alpha_sq <= 0.0:
-        raise NoRealShape(f"pair (a={a:g}, c={c:g}) gives alpha^2 = {alpha_sq:g} <= 0")
-    return alpha_sq, root, a + root
+    if roots[0] <= 0.0:
+        raise NoRealShape(f"pair (a={a:g}, c={c:g}) gives alpha^2 = {roots[0]:g} <= 0")
+    return roots
 
 
 def axis_pair_from_shape(alpha_sq: float, beta_sq: float) -> tuple[float, float]:
@@ -580,8 +588,6 @@ def characteristic_radius(spec: PotentialSpec) -> float:
         return math.sqrt(k) if k > 0 else 1.0
     best = 0.0
     for a, c in axis_pairs(spec):
-        disc = a * a - c
-        if disc >= 0.0 and a + math.sqrt(disc) > best:
-            best = a + math.sqrt(disc)
-        best = max(best, math.sqrt(abs(c)) if c > 0 else 0.0)
+        roots = _on_axis_roots(a, c)
+        best = max(best, roots[2] if roots else 0.0, math.sqrt(c) if c > 0 else 0.0)
     return math.sqrt(best) if best > 0 else 1.0

@@ -19,6 +19,7 @@ the orbit size as ``multiplicity``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -72,18 +73,16 @@ class StationaryReport:
     warnings: tuple[str, ...]
 
 
+@dataclass(slots=True, eq=False)
 class QuadraticAux:
     """Auxiliary quantities of the in-plane quadratic
     z r^4 - (u z + 1) r^2 + w = 0 with
     w = c/(2a-u) + d/(2b-u) and z = 1/(2a-u) + 1/(2b-u)."""
 
-    __slots__ = ("w_of_u", "z_of_u", "uzp1", "disc")
-
-    def __init__(self, w_of_u, z_of_u, uzp1, disc):
-        self.w_of_u = w_of_u
-        self.z_of_u = z_of_u
-        self.uzp1 = uzp1
-        self.disc = disc
+    w_of_u: float
+    z_of_u: float
+    uzp1: float
+    disc: float
 
     def __repr__(self):
         return (f"QuadraticAux(w={self.w_of_u:g}, z={self.z_of_u:g}, "
@@ -91,18 +90,9 @@ class QuadraticAux:
 
 
 def orbit_members(location) -> np.ndarray:
-    """Sign orbit of a representative point, shape (2**nnz, D)."""
-    loc = np.asarray(location, dtype=float)
-    out = np.zeros((1, 0))
-    for coord in loc:
-        if abs(coord) > 0.0:
-            out = np.concatenate(
-                [np.column_stack([out, np.full(len(out), coord)]),
-                 np.column_stack([out, np.full(len(out), -coord)])]
-            )
-        else:
-            out = np.column_stack([out, np.zeros(len(out))])
-    return out
+    """Sign orbit of a representative point, shape (2**nnz, D); the first sign flips fastest."""
+    signs = [(c, -c) if abs(c) > 0.0 else (0.0,) for c in map(float, reversed(location))]
+    return np.array([m[::-1] for m in itertools.product(*signs)])
 
 
 def classify(eigs) -> str:
@@ -191,21 +181,21 @@ def _axis_roots(spec, idx, pairs):
     """(label suffix, squared radius) of every on-axis root of axis number
     idx, ascending: ("", alpha_j^2) for a cusp (pairs None), ("_inner", a - s)
     and ("_outer", a + s) with (a, c) = pairs[idx] and s = sqrt(a^2 - c) for
-    a butterfly, both tagged "_double" when s <= 1e-12 max(1, |a|).
-    Raises NoRealShape when a^2 < c."""
+    a butterfly (:func:`potentials._on_axis_roots`), both tagged "_double"
+    when s <= 1e-12 max(1, |a|).  Raises NoRealShape when a^2 < c."""
     if pairs is None:
         return [("", float(spec.raw[potentials._RAW_KEYS[spec.family][idx]]))]
     a, c = pairs[idx]
-    disc = a * a - c
-    if disc < 0.0:
+    roots = potentials._on_axis_roots(a, c)
+    if roots is None:
         raise NoRealShape(
             f"axis {spec.axis_names()[idx]}: a^2 = {a * a:g} < c = {c:g}, "
             "on-axis points complex"
         )
-    root = math.sqrt(disc)
+    inner, root, outer = roots
     if root <= _POSITIVITY_ATOL * max(1.0, abs(a)):
-        return [("_double", a - root), ("_double", a + root)]
-    return [("_inner", a - root), ("_outer", a + root)]
+        return [("_double", inner), ("_double", outer)]
+    return [("_inner", inner), ("_outer", outer)]
 
 
 # ---------------------------------------------------------------------------

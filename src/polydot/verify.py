@@ -51,7 +51,7 @@ def corpus_specs() -> dict:
 def _oracle_grid(spec, extent=None) -> GridSpec:
     """The Newton seed grid, of half-width extent (by default 1.6
     characteristic radii)."""
-    L = extent or 1.6 * potentials.characteristic_radius(spec)
+    L = 1.6 * potentials.characteristic_radius(spec) if extent is None else extent
     n = {1: 64, 2: 21, 3: 17}[spec.dimension]
     return GridSpec(extent=L, n=n)
 
@@ -76,10 +76,9 @@ def _culprit(spec, point) -> str:
 
 def suite_stationary_oracle_agreement(rng) -> dict:
     failures = []
-    checked = 0
-    for name, spec in corpus_specs().items():
+    specs = corpus_specs()
+    for name, spec in specs.items():
         _found, missing, spurious = oracle_agreement(spec)
-        checked += 1
         for p in missing:
             failures.append(
                 f"{name}: {_culprit(spec, p)} orbit at {p.location} not found by the oracle"
@@ -91,7 +90,7 @@ def suite_stationary_oracle_agreement(rng) -> dict:
     return {
         "name": "stationary_oracle_agreement",
         "passed": not failures,
-        "details": {"specs_checked": checked, "failures": failures},
+        "details": {"specs_checked": len(specs), "failures": failures},
     }
 
 
@@ -99,11 +98,8 @@ def _draw_shape(rng, axes, alpha_range, beta_range):
     """Shape view with per-axis alpha^2 and beta^2 drawn uniformly."""
     shape = {}
     for ax in axes:
-        al = rng.uniform(*alpha_range)
-        be = rng.uniform(*beta_range)
-        shape[f"alpha_{ax}_sq"] = al
-        shape[f"beta_{ax}_sq"] = be
-        shape[f"gamma_{ax}_sq"] = al + 2.0 * be
+        shape[f"alpha_{ax}_sq"] = rng.uniform(*alpha_range)
+        shape[f"beta_{ax}_sq"] = rng.uniform(*beta_range)
     return shape
 
 

@@ -3,11 +3,14 @@ strategy over all families, a call counter, the loop references of the
 Newton oracle and of its orbit matching, the bisection references of
 scan refinement, the whole-grid references of the 2D and 3D eigensolves,
 the Kronecker references of the eigensolver's operator, mirror bases and
-parity sectors, the norm-stack reference of localization,
+parity sectors, the norm-stack references of localization and of the
+least orbit distance,
 the hand-written reference of an eigensolution's report, the row-by-row
 references of the array CSV writers, the per-axis
-references of parameter overrides and raster cells, and the single-point
-reference of one scan sample."""
+references of parameter overrides and raster cells, the single-point
+reference of one scan sample, and the raw-key references of the root
+algebra, of orbit members, of the shape view and of the characteristic
+radius."""
 
 import csv
 import itertools
@@ -564,6 +567,16 @@ def localization_distances_reference(mesh, orbits):
     ])
 
 
+def min_orbit_distance_reference(wells):
+    """oracle.min_orbit_distance as it was taken from np.linalg.norm over
+    the (M_i, M_j, D) stack of member differences of each pair of orbits."""
+    orbits = oracle._orbit_arrays(wells)
+    best = math.inf
+    for (_la, a), (_lb, b) in itertools.combinations(orbits, 2):
+        best = min(best, float(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1).min()))
+    return best
+
+
 def with_param_reference(spec, name, value):
     """potentials.with_param with the shape algebra written out per axis:
     raw names move in raw space, cusp stems set the squared axis constant,
@@ -719,6 +732,62 @@ def _axis_roots_reference(spec, idx):
     if root <= 1e-12 * max(1.0, abs(a)):
         return [("_double", a - root), ("_double", a + root)]
     return [("_inner", a - root), ("_outer", a + root)]
+
+
+def orbit_members_reference(location):
+    """stationary.orbit_members built one coordinate at a time: a nonzero
+    coordinate stacks the rows so far with +x on top of the same rows
+    with -x, a zero one appends a zero column."""
+    out = np.zeros((1, 0))
+    for coord in np.asarray(location, dtype=float):
+        if abs(coord) > 0.0:
+            out = np.concatenate([np.column_stack([out, np.full(len(out), coord)]),
+                                  np.column_stack([out, np.full(len(out), -coord)])])
+        else:
+            out = np.column_stack([out, np.zeros(len(out))])
+    return out
+
+
+def _butterfly_pairs_reference(family, raw):
+    """(a, c) of the on-axis quadratic t^2 - 2 a t + c of each axis, read
+    by raw key; butterfly1d stores -3a and 3c."""
+    if family == "butterfly1d":
+        return [(-raw["a"] / 3.0, raw["c"] / 3.0)]
+    return [(raw[quartic], raw[quad]) for quartic, quad in _AXIS_KEYS[family]]
+
+
+def raw_to_shape_reference(family, raw):
+    """potentials.raw_to_shape of a butterfly raw set with each axis solved
+    inline: alpha^2 = a - s, beta^2 = s and gamma^2 = a + s with
+    s = sqrt(a^2 - c), then the cross couplings by key."""
+    pairs = _butterfly_pairs_reference(family, raw)
+    prefixes = ("",) if family == "butterfly1d" else tuple(f"{ax}_" for ax in "xyz"[:len(pairs)])
+    shape = {}
+    for prefix, (a, c) in zip(prefixes, pairs):
+        if a * a - c < 0.0:
+            raise NoRealShape(f"a^2 = {a * a:g} < c = {c:g}: on-axis roots are complex")
+        s = math.sqrt(a * a - c)
+        if a - s <= 0.0:
+            raise NoRealShape(f"pair (a={a:g}, c={c:g}) gives alpha^2 = {a - s:g} <= 0")
+        shape.update({f"alpha_{prefix}sq": a - s, f"beta_{prefix}sq": s,
+                      f"gamma_{prefix}sq": a + s})
+    for key, _i, _j in _CROSS_KEYS.get(family, ()):
+        shape[key] = raw[key]
+    return shape
+
+
+def characteristic_radius_reference(spec):
+    """potentials.characteristic_radius of a butterfly spec from its raw
+    keys: the root of the largest outer on-axis root a + sqrt(a^2 - c),
+    where it is real, and sqrt(c) over the axes, or 1 when none is
+    positive."""
+    best = 0.0
+    for a, c in _butterfly_pairs_reference(spec.family, spec.raw):
+        if a * a - c >= 0.0:
+            best = max(best, a + math.sqrt(a * a - c))
+        if c > 0.0:
+            best = max(best, math.sqrt(c))
+    return math.sqrt(best) if best > 0.0 else 1.0
 
 
 def representatives_reference(spec):

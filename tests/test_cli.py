@@ -263,6 +263,23 @@ def test_oracle_eigensolver_usage_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert "error: k = 400 exceeds the 396 pairs a 2D solve on 400 unknowns returns" in captured.err
 
 
+@pytest.mark.parametrize("half_width", [0, -3, "nan", "inf"])
+def test_grid_L_must_be_positive_and_finite_exit_1(tmp_path, capsys, monkeypatch, half_width):
+    # oracle: 0 used to fall back to the default box, and -3, nan and inf to
+    # report "0 orbits" and exit 0; grid wrote a window of nan for nan and inf
+    calls = count_calls(monkeypatch, oracle.newton_stationary)
+    flags = ["--family", "cusp2d", "--alpha", 2, "--beta", 1, "--grid-L", half_width,
+             "--out", tmp_path]
+    assert run(["oracle", *flags]) == 1
+    assert run(["oracle", *flags, "--k", 2, "--grid-n", 41]) == 1
+    assert run(["grid", *flags]) == 1
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: --grid-L must be positive and finite") == 3
+    assert not list(tmp_path.iterdir())
+
+
 def test_oracle_command(tmp_path):
     code = run(["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1,
                 "--k", 2, "--grid-n", 101, "--grid-L", 5, "--out", tmp_path])

@@ -22,7 +22,7 @@ from polydot.oracle import (
 )
 from polydot.potentials import characteristic_radius, make_spec, spec_from_raw
 from polydot.stationary import StationaryPoint, stationary_points
-from polydot.verify import _oracle_grid, corpus_specs
+from polydot.verify import _oracle_grid, corpus_specs, oracle_agreement
 
 from helpers import (
     any_family_spec,
@@ -35,6 +35,7 @@ from helpers import (
     hamiltonian_reference,
     localization_distances_reference,
     match_stationary_reference,
+    min_orbit_distance_reference,
     mirror_projection_reference,
     newton_stationary_reference,
     potential_grid_rows_reference,
@@ -837,6 +838,30 @@ def test_localization_distances_match_norm_reference(name, grid):
     assert got.tobytes() == localization_distances_reference(mesh, orbits).tobytes()
     w = localization(sol, wells, state=1)
     assert sum(w.weights.values()) + w.leftover == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["fig1_cusp2d", "cusp3d_ordered", "butterfly3d_ordered"])
+def test_min_orbit_distance_matches_norm_reference(name):
+    # every orbit of every kind, a bare centre, and a single orbit (inf)
+    spec = corpus_specs()[name]
+    points = stationary_points(spec)
+    for wells in (points, points + [(0.3,) * spec.dimension], points[:1]):
+        got = min_orbit_distance(wells)
+        assert repr(got) == repr(min_orbit_distance_reference(wells))
+
+
+def test_grid_half_width_must_be_positive_and_finite():
+    spec = make_spec("cusp2d", alpha=2.0, beta=1.0)
+    for extent in (0.0, -3.0, (2.0, 0.0), math.nan, math.inf):
+        with pytest.raises(ValueError, match="grid half-width must be positive and finite"):
+            GridSpec(extent=extent, n=21).axes(2)
+    # the Newton seed box: 0 used to fall back to the default half-width,
+    # and -3 used to retire every seed as escaped
+    assert _oracle_grid(spec).extent == 1.6 * characteristic_radius(spec)
+    for extent in (0.0, -3.0):
+        assert _oracle_grid(spec, extent).extent == extent
+        with pytest.raises(ValueError, match="grid half-width must be positive and finite"):
+            oracle_agreement(spec, extent)
 
 
 def test_localization_orbit_input_deep_outer_regime():

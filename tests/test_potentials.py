@@ -23,7 +23,14 @@ from polydot.potentials import (
     with_param,
 )
 
-from helpers import DRAWERS, any_family_spec, random_points, with_param_reference
+from helpers import (
+    DRAWERS,
+    any_family_spec,
+    characteristic_radius_reference,
+    random_points,
+    raw_to_shape_reference,
+    with_param_reference,
+)
 
 
 def _ev(spec, x):
@@ -298,6 +305,35 @@ def test_no_real_shape_raises():
     assert spec.shape is None
     assert spec.to_dict() == {"family": "butterfly2d",
                               "raw": dict(a=1.0, b=1.0, c=1.5, d=0.5, u=0.0)}
+
+
+@st.composite
+def scaled_butterfly_spec(draw):
+    """A butterfly spec with every raw coefficient times 10^e, e in [-8, 8]."""
+    spec = draw(any_family_spec(("butterfly1d", "butterfly2d", "butterfly3d")))
+    scale = 10.0 ** draw(st.floats(-8.0, 8.0))
+    return spec_from_raw(spec.family, {k: v * scale for k, v in spec.raw.items()})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scaled_butterfly_spec())
+@example(spec_from_raw("butterfly1d", {"a": -6.0, "c": 9.0}))  # double root
+@example(spec_from_raw("butterfly1d", {"a": -3e-8, "c": 3e-22}))  # c << a^2
+@example(spec_from_raw("butterfly2d", dict(a=1.0, b=1.0, c=1.5, d=0.5, u=0.0)))  # complex x
+@example(spec_from_raw("butterfly3d", dict(a=2e8, b=1e-8, c=1.0, u=0.0, v=0.0, w=0.0,
+                                           p=1e-6, q=1e-17, s=1.0)))
+def test_on_axis_callers_match_raw_key_reference_at_any_scale(spec):
+    # both callers of the one on-axis quadratic solve, bit for bit
+    def outcome(fn, *args):
+        try:
+            return repr(fn(*args))
+        except NoRealShape as err:
+            return f"NoRealShape: {err}"
+
+    assert (outcome(raw_to_shape, spec.family, spec.raw)
+            == outcome(raw_to_shape_reference, spec.family, spec.raw))
+    assert (outcome(potentials.characteristic_radius, spec)
+            == outcome(characteristic_radius_reference, spec))
 
 
 def test_reparametrize_rejects_unknown_direction():

@@ -33,6 +33,7 @@ from helpers import (
     coefficients_reference,
     draw_butterfly2d_with_roots,
     draw_butterfly3d_ordered,
+    orbit_members_reference,
 )
 
 FIG2 = dict(alpha=1.0, gamma=1.9, u=-16.0 / 3.0)
@@ -481,6 +482,16 @@ def test_orbit_members_shape():
     assert {tuple(m) for m in members} == {
         (1.5, 0.0, 2.0), (1.5, 0.0, -2.0), (-1.5, 0.0, 2.0), (-1.5, 0.0, -2.0)
     }
+
+
+def test_orbit_members_match_concatenate_reference():
+    # the first coordinate's sign flips fastest, as the row-stacking build gave
+    rng = np.random.default_rng(21)
+    for dim in (1, 2, 3):
+        for _ in range(40):
+            loc = tuple(rng.uniform(0.1, 3.0, dim) * (rng.random(dim) < 0.7))
+            assert orbit_members(loc).tobytes() == orbit_members_reference(loc).tobytes()
+            assert orbit_members(loc).shape == orbit_members_reference(loc).shape
 
 
 def test_oracle_agreement_randomized_all_families():
