@@ -303,7 +303,7 @@ def _unfold(y: np.ndarray, shape, odd) -> np.ndarray:
         pairs = math.sqrt(0.5) * y[:n // 2]
         centre = np.zeros((n % 2,) + y.shape[1:]) if o else y[n // 2:]
         y = np.moveaxis(np.concatenate([pairs, centre, (-pairs if o else pairs)[::-1]]), 0, axis)
-    return y.reshape(-1, y.shape[-1])
+    return y.reshape(math.prod(shape), -1)
 
 
 def hamiltonian(spec_or_callable, grid: GridSpec, dim: int) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -408,6 +408,7 @@ def fd_eigensolve(
     rng = np.random.default_rng(12345)
     shape = tuple(grid.axis_n(i) for i in range(dim))
     converged = True
+    found_vals, found_vecs = [], []
     mirror_even = dim > 1 and all(
         np.abs(v - np.flip(v, axis=ax)).max() <= 1e-12 * np.abs(v).max() for ax in range(dim))
     if dim < 3 or mirror_even:
@@ -424,7 +425,6 @@ def fd_eigensolve(
         # A split sector is the stencil on the half box of its parities.
         shift = vmin - 1.0
         spacings = grid.spacings(dim)
-        found_vals, found_vecs = [], []
         for odd in sorted(itertools.product((0, 1), repeat=dim if mirror_even else 0), key=sum):
             want = k >> sum(odd)
             if want == 0:
@@ -454,9 +454,6 @@ def fd_eigensolve(
                 notes.append(f"ARPACK stopped early{where} with {len(vals)} of {want} pairs")
             found_vals.append(vals)
             found_vecs.append(_unfold(vecs, shape, odd) if mirror_even else vecs)
-        vals = np.concatenate(found_vals)
-        keep = np.argsort(vals)[:k]
-        vals, vecs = vals[keep], np.hstack(found_vecs)[:, keep]
     else:
         # A 3D V that is not mirror-even has no sectors to split.  LOBPCG stays
         # for it: whole-grid shift-invert factors all n^3 unknowns at once.
@@ -473,11 +470,11 @@ def fd_eigensolve(
             )
         for item in caught:
             notes.append(f"lobpcg: {item.message}")
-        vals, vecs = vals[:k], vecs[:, :k]
-
-    order = np.argsort(vals)
-    vals = np.asarray(vals)[order]
-    vecs = np.asarray(vecs)[:, order]
+        found_vals.append(vals[:k])
+        found_vecs.append(vecs[:, :k])
+    vals = np.concatenate(found_vals)
+    keep = np.argsort(vals)[:k]
+    vals, vecs = vals[keep], np.hstack(found_vecs)[:, keep]
 
     # normalize each state to unit probability, gate its residual, and fix
     # its overall sign

@@ -79,6 +79,9 @@ _SHAPE_STEMS = ("alpha", "beta", "gamma")
 
 _CROSS_KEYS = {"butterfly1d": (), "butterfly2d": ("u",), "butterfly3d": ("u", "v", "w")}
 
+_SHAPE_VIEW_KEYS = {family: frozenset(itertools.chain(*keys, _CROSS_KEYS[family]))
+                    for family, keys in _SHAPE_KEYS.items()}
+
 # (key, (i, j)) of every cross coupling, in plane order xy, xz, yz
 _CROSS_PLANES = {family: tuple(zip(keys, itertools.combinations(range(_DIMENSION[family]), 2)))
                  for family, keys in _CROSS_KEYS.items()}
@@ -245,10 +248,14 @@ def raw_to_shape(family: str, raw: dict) -> dict:
 
 
 def shape_to_raw(family: str, shape: dict) -> dict:
-    """Raw coefficients from a shape view (exact identities)."""
+    """Raw coefficients from a shape view (exact identities); a butterfly
+    shape key the family does not take is rejected."""
     _check_family(family)
     if family.startswith("cusp"):
         return dict(shape)
+    extra = sorted(shape.keys() - _SHAPE_VIEW_KEYS[family])
+    if extra:
+        raise ValueError(f"{family} shape parameters do not include {extra}")
     raw: dict = {}
     for (ka, kb, kg), (qk, ck) in zip(_SHAPE_KEYS[family], _AXIS_PAIR_KEYS[family]):
         al, be, _ga = _shape_triple(shape.get(ka), shape.get(kb), shape.get(kg))
@@ -395,13 +402,17 @@ def make_spec(family: str, **params) -> PotentialSpec:
 
 
 def spec_from_dict(data: dict) -> PotentialSpec:
-    """Parse the JSON object form {"family", "raw"?, "shape"?}.
+    """Parse the JSON object form {"family", "raw"?, "shape"?}; any other
+    field is rejected.
 
     Either raw or shape may be omitted; when both are present they must
     agree through the conversion identities.
     """
     if "family" not in data:
         raise ValueError("spec object needs a 'family' field")
+    extra = sorted(data.keys() - {"family", "raw", "shape"})
+    if extra:
+        raise ValueError(f"spec object fields are family, raw and shape, not {extra}")
     family = data["family"]
     _check_family(family)
     raw = data.get("raw")

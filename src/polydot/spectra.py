@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import DegenerateWell, NoMinimum
 from .potentials import PotentialSpec
-from .stationary import DEGENERATE, MINIMUM, StationaryPoint, enumerate_stationary
+from .stationary import DEGENERATE, MINIMUM, StationaryPoint, classify, enumerate_stationary
 
-_DEGENERATE_REL_TOL = 1e-9
 _TIE_REL_TOL = 1e-12
 
 
@@ -91,18 +90,6 @@ def _zero_point(omegas) -> np.ndarray:
     return total
 
 
-def _flat(h) -> np.ndarray:
-    """Rows of stiffnesses with one at or below 1e-9 times the row's
-    largest magnitude (a vanishing stiffness)."""
-    h = np.asarray(h, dtype=float)
-    tol = _DEGENERATE_REL_TOL * np.abs(h).max(axis=-1, initial=0.0)
-    return (h <= tol[..., None]).any(axis=-1)
-
-
-def _flat_text(label, h) -> str:
-    return f"well {label} has a vanishing stiffness (eigs {list(h)})"
-
-
 def harmonic_expand(
     spec: PotentialSpec,
     minimum: StationaryPoint,
@@ -119,8 +106,8 @@ def harmonic_expand(
     if minimum.kind != MINIMUM:
         raise ValueError(f"harmonic_expand needs a minimum, got {minimum.kind}")
     h = minimum.hessian_eigs
-    if _flat(h):
-        raise DegenerateWell(_flat_text(minimum.label, h))
+    if classify(h) != MINIMUM:
+        raise DegenerateWell(f"well {minimum.label} has a vanishing stiffness (eigs {list(h)})")
     if stationary is None:
         stationary = list(enumerate_stationary(spec).points)
     barriers = [
@@ -164,9 +151,9 @@ def _candidate_tables(family, labels, values, eigs, kinds, counts) -> list:
     """The candidate step over many enumerations of one family.
 
     The enumerations are stacked: counts[i] consecutive entries of labels,
-    values (N,), eigs (N, D) and kinds belong to enumeration i.  Each
-    minimum orbit gets the ground candidate v0 + sum_i sqrt(h_i / 2);
-    degenerate (flat-direction) minima are skipped with a warning record.
+    values (N,), eigs (N, D) and kinds belong to enumeration i.  Each orbit
+    of kind minimum gets the ground candidate v0 + sum_i sqrt(h_i / 2); a
+    degenerate (flat-direction) orbit gets no candidate and a warning record.
     Returns per enumeration (kept, energies, depths, warnings): the stack
     indices of the minima kept, and the label -> candidate and label -> v0
     tables in stack order.  An enumeration without a candidate gives the
@@ -175,22 +162,17 @@ def _candidate_tables(family, labels, values, eigs, kinds, counts) -> list:
     with np.errstate(invalid="ignore"):  # saddles and maxima: no frequencies
         energies = (values + _zero_point(_frequencies(eigs))).tolist()
     depths = values.tolist()
-    flat = _flat(eigs).tolist()
     out = []
     stop = 0
     for count in counts:
         start, stop = stop, stop + count
-        kept, table_e, table_v, warnings = [], {}, {}, []
+        kept, table_e, table_v = [], {}, {}
         for i in range(start, stop):
-            if kinds[i] != MINIMUM:
-                continue
-            if flat[i]:
-                warnings.append(_flat_text(labels[i], eigs[i].tolist()))
-            else:
+            if kinds[i] == MINIMUM:
                 kept.append(i)
                 table_e[labels[i]] = energies[i]
                 table_v[labels[i]] = depths[i]
-        warnings += [
+        warnings = [
             f"degenerate stationary orbit {labels[i]} (flat direction); "
             "no harmonic candidate attached"
             for i in range(start, stop) if kinds[i] == DEGENERATE
@@ -207,8 +189,8 @@ def ground_candidates(
     """One harmonic ground candidate per minimum orbit.
 
     stationary is the spec's enumeration when the caller already has it.
-    Degenerate (flat-direction) minima are skipped with a warning record;
-    raises NoMinimum when nothing remains.
+    A degenerate (flat-direction) orbit gets no candidate and a warning
+    record; raises NoMinimum when no minimum remains.
     """
     if stationary is None:
         stationary = list(enumerate_stationary(spec).points)

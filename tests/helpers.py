@@ -1,10 +1,10 @@
 """Shared helpers for the test suite: parameter draws, a hypothesis
 strategy over all families, a call counter, the loop references of the
 Newton oracle and of its orbit matching, the bisection references of
-scan refinement, the whole-grid references of the 2D and 3D eigensolves,
-the Kronecker references of the eigensolver's operator, mirror bases and
-parity sectors, the norm-stack references of localization and of the
-least orbit distance,
+scan refinement, the flat-stiffness reference of the harmonic candidate,
+the whole-grid references of the 2D and 3D eigensolves, the Kronecker
+references of the eigensolver's operator, mirror bases and parity sectors,
+the norm-stack references of localization and of the least orbit distance,
 the hand-written reference of an eigensolution's report, the row-by-row
 references of the array CSV writers, the per-axis
 references of parameter overrides and raster cells, the single-point
@@ -286,6 +286,13 @@ def count_calls(monkeypatch, fn):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapper)
     return calls
+
+
+def flat_stiffness_reference(h) -> bool:
+    """The stiffness test the candidate step once ran on its own: some
+    h_i at or below 1e-9 times the row's largest magnitude."""
+    h = np.asarray(h, dtype=float)
+    return bool((h <= 1e-9 * np.abs(h).max(initial=0.0)).any())
 
 
 def locate_boundary_reference(path, bracket, kind, pair,

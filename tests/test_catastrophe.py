@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -371,6 +372,36 @@ def test_marching_squares_closed_loop():
     chains = catastrophe._marching_squares(blob, xs, ys)
     assert len(chains) == 1
     assert chains[0][0] == chains[0][-1]  # closed polyline
+
+
+def _cell_segments(field, xs, ys):
+    """The unordered (vertex, vertex) segments of every cell of a boolean
+    field, read off the case table one cell at a time."""
+    out = []
+    for i in range(field.shape[0] - 1):
+        for j in range(field.shape[1] - 1):
+            corners = (field[i, j], field[i + 1, j], field[i + 1, j + 1], field[i, j + 1])
+            idx = sum(int(c) << bit for bit, c in enumerate(corners))
+            xm, ym = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
+            mid = {"S": (xm, ys[j]), "N": (xm, ys[j + 1]), "W": (xs[i], ym), "E": (xs[i + 1], ym)}
+            out += [frozenset((mid[a], mid[b])) for a, b in catastrophe._SEGMENTS.get(idx, ())]
+    return out
+
+
+@pytest.mark.parametrize("seed, shape", [(0, (6, 6)), (1, (7, 5)), (2, (9, 9)), (3, (12, 8))])
+def test_marching_squares_chains_are_the_cell_segments(seed, shape):
+    # random fields join segments at a chain's head, at its tail and
+    # between two chains; chains must neither drop nor invent a segment
+    field = np.random.default_rng(seed).random(shape) < 0.5
+    xs = np.linspace(-1.0, 1.0, shape[0])
+    ys = np.linspace(0.0, 2.0, shape[1])
+    chains = catastrophe._marching_squares(field, xs, ys)
+    pairs = [frozenset(pair) for c in chains for pair in zip(c, c[1:])]
+    assert Counter(pairs) == Counter(_cell_segments(field, xs, ys))
+    border = {xs[0], xs[-1]}, {ys[0], ys[-1]}
+    for c in chains:
+        # a chain that does not close runs from the field's border to its border
+        assert c[0] == c[-1] or all(x in border[0] or y in border[1] for x, y in (c[0], c[-1]))
 
 
 # ---------------------------------------------------------------------------

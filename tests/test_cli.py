@@ -4,7 +4,7 @@ import json
 import pytest
 
 from polydot import cli, oracle, stationary, verify
-from polydot.potentials import spec_from_dict
+from polydot.potentials import characteristic_radius, make_spec, spec_from_dict
 
 from helpers import count_calls
 
@@ -81,6 +81,55 @@ def test_analyze_malformed_file_exit_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "line 1" in err and "column" in err
+
+
+def test_analyze_spec_file_with_an_unknown_key_exit_1(tmp_path, capsys):
+    # a misspelt coupling used to build u = 0 and exit 0
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({
+        "family": "butterfly2d",
+        "shape": {"alpha_x_sq": 1.0, "gamma_x_sq": 3.61, "beta_x_sq": 1.305,
+                  "alpha_y_sq": 1.0, "gamma_y_sq": 3.61, "beta_y_sq": 1.305, "U": -5.33},
+    }))
+    assert run(["analyze", "--spec", spec_file, "--out", tmp_path / "out"]) == 1
+    assert "do not include ['U']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--spec", "missing.json"], "error: cannot read spec file"),
+    (["analyze"], "error: a spec is required"),
+    (["analyze", "--family", "cusp2d", "--alpha", 1.4],
+     "error: invalid parameters: cusp2d needs beta"),
+    (["scan", "--family", "cusp2d", "--alpha", 1.1, "--beta", 1, "--vary", "alpha:a:2"],
+     "error: --vary bounds must be numbers, got 'alpha:a:2'"),
+    (["scan", "--family", "butterfly1d", "--alpha", 1, "--beta", 1, "--vary", "alpha:1:2",
+      "--vary", "beta:1:2", "--vary", "gamma:1:2"],
+     "error: scan supports one --vary (line) or two (raster)"),
+    (["grid", "--family", "cusp2d", "--alpha", 1.4, "--beta", 1, "--grid-n", 1],
+     "error: --grid-n must be at least 2"),
+    (["grid", "--family", "cusp3d", "--alpha", 1.4, "--beta", 1.2, "--gamma", 1,
+      "--slice", "w=0"], "error: --slice wants AXIS=VALUE"),
+    # NoMinimum reaches main's handler of the library's own errors
+    (["spectrum", "--family", "cusp2d", "--alpha", 1, "--beta", 1],
+     "error: NoMinimum: cusp2d spec has no confining minimum"),
+])
+def test_usage_and_library_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out", tmp_path / "out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_keyboard_interrupt_exit_130(tmp_path, capsys, monkeypatch):
+    def interrupt(_spec):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "enumerate_stationary", interrupt)
+    assert run(["analyze", "--family", "cusp2d", "--alpha", 1.4, "--beta", 1,
+                "--out", tmp_path]) == 130
+    assert "interrupted; any written report is partial" in capsys.readouterr().err
 
 
 def test_analyze_rejects_two_sources(tmp_path):
@@ -234,6 +283,20 @@ def test_grid_fig1_extrema(tmp_path):
     assert all(v <= 0.0 for v in table.values())
 
 
+def test_grid_1d_line(tmp_path):
+    code = run(["grid", "--family", "butterfly1d", "--alpha", 1.9, "--beta", 2,
+                "--grid-n", 5, "--clip", 3, "--out", tmp_path])
+    assert code == 0
+    rows = read_csv(tmp_path / "grid.csv")
+    assert rows[0] == ["x", "V"]
+    xs = [float(x) for x, _v in rows[1:]]
+    assert len(xs) == 5 and xs[2] == 0.0 and xs == sorted(xs)
+    assert xs[0] == -xs[-1] == pytest.approx(-1.6 * characteristic_radius(
+        make_spec("butterfly1d", alpha=1.9, beta=2)), rel=1e-15)
+    # V(0) = 0 is kept; every other node lies above the clip and is left empty
+    assert [v for _x, v in rows[1:]] == ["", "", "0.0", "", ""]
+
+
 def test_grid_3d_slice(tmp_path):
     code = run(["grid", "--family", "cusp3d", "--alpha", 1.4, "--beta", 1.2,
                 "--gamma", 1, "--grid-L", 2, "--grid-n", 21,
@@ -334,6 +397,19 @@ def test_verify_command_deterministic(tmp_path):
     assert run(["verify", "--seed", 7, "--out", out_a]) == 0
     assert run(["verify", "--seed", 7, "--out", out_b]) == 0
     assert (out_a / "verify.json").read_bytes() == (out_b / "verify.json").read_bytes()
+
+
+def test_verify_exit_3_names_the_failing_suite(tmp_path, capsys, monkeypatch):
+    verdict = {"passed": False, "suites": [
+        {"name": "good", "passed": True, "details": {"failures": []}},
+        {"name": "bad", "passed": False, "details": {"failures": ["case 1 off by 2"]}},
+    ]}
+    monkeypatch.setattr(verify, "run_verify", lambda seed: verdict)
+    assert run(["verify", "--out", tmp_path]) == 3
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["PASS good", "FAIL bad", "     case 1 off by 2",
+                                "verification failed: bad"]
+    assert json.loads((tmp_path / "verify.json").read_text()) == verdict
 
 
 def test_verify_names_corrupted_routine(monkeypatch):

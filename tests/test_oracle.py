@@ -565,6 +565,63 @@ def test_fd3d_states_normalized_and_even(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# failure reports: a solver that stops early or returns loose pairs
+# ---------------------------------------------------------------------------
+
+def test_fd_reports_arpack_stopping_early(monkeypatch):
+    # ARPACK gives up with all but the last of the pairs it was asked for
+    eigsh = spla.eigsh
+
+    def stopped(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        raise spla.ArpackNoConvergence("no convergence", vals[:-1], vecs[:, :-1])
+
+    monkeypatch.setattr(spla, "eigsh", stopped)
+    sol = fd_eigensolve(lambda x: x**2, GridSpec(extent=10.0, n=401), k=3, dim=1)
+    assert not sol.converged
+    assert sol.warnings == ("ARPACK stopped early with 2 of 3 pairs",)
+    assert sol.energies == pytest.approx([1.0, 3.0], abs=1e-3)
+    # in 2D the two sectors with one odd axis, asked for one pair each,
+    # return none at all
+    sol = fd_eigensolve(make_spec("cusp2d", alpha=1.4, beta=1.0),
+                        GridSpec(extent=4.0, n=41), k=2)
+    assert not sol.converged
+    assert sol.warnings[:3] == tuple(
+        f"ARPACK stopped early in parity sector {odd} (1 = odd axis) with {got} of {want} pairs"
+        for odd, got, want in (((0, 0), 1, 2), ((0, 1), 0, 1), ((1, 0), 0, 1)))
+    assert len(sol.energies) == 1 and sol.states.shape == (1, 41, 41)
+
+
+def test_fd_reports_a_lobpcg_warning(monkeypatch):
+    # two iterations leave LOBPCG short of its tolerance: it warns, and the
+    # pairs it returns fail the residual gate
+    lobpcg = spla.lobpcg
+    monkeypatch.setattr(spla, "lobpcg",
+                        lambda *args, **kwargs: lobpcg(*args, **{**kwargs, "maxiter": 2}))
+    axis_fns = (lambda x: x**2 + 0.5 * x, lambda x: 1.7 * x**2, lambda x: 2.3 * x**2)
+    sol = fd_eigensolve(separable(axis_fns), GridSpec(extent=(5.0, 4.5, 4.0), n=17), k=2, dim=3)
+    assert not sol.converged
+    assert any(w.startswith("lobpcg: ") for w in sol.warnings)
+    assert any(w.startswith("pair 0 residual ") for w in sol.warnings)
+
+
+def test_fd_reports_a_pair_above_the_residual_gate(monkeypatch):
+    # every returned eigenvalue is off by 1e-3: each pair's residual is 1e-3
+    eigsh = spla.eigsh
+
+    def loose(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals + 1e-3, vecs
+
+    monkeypatch.setattr(spla, "eigsh", loose)
+    sol = fd_eigensolve(lambda x: x**2, GridSpec(extent=10.0, n=401), k=2, dim=1)
+    assert not sol.converged
+    assert sol.warnings == ("pair 0 residual 1.00e-03 above tolerance",
+                            "pair 1 residual 1.00e-03 above tolerance")
+    assert sol.residuals == pytest.approx([1e-3, 1e-3], rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
 # parity sectors: pairs asked of each sector, and the SPD sector factor
 # ---------------------------------------------------------------------------
 

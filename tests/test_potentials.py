@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -417,6 +418,33 @@ def test_spec_from_dict_rejects_inconsistent_pair():
             "shape": {"alpha_sq": 2.0, "beta_sq": 1.0}}
     with pytest.raises(ValueError, match="disagree"):
         spec_from_dict(data)
+
+
+FIG2_SQUARES = {"alpha_x_sq": 1.0, "gamma_x_sq": 3.61, "beta_x_sq": 1.305,
+                "alpha_y_sq": 1.0, "gamma_y_sq": 3.61, "beta_y_sq": 1.305}
+
+
+@pytest.mark.parametrize("data, unknown", [
+    # a misspelt coupling used to build u = 0 without a word
+    ({"family": "butterfly2d", "shape": {**FIG2_SQUARES, "U": -5.33}}, "['U']"),
+    ({"family": "butterfly1d", "shape": {"alpha_sq": 1.0, "beta_sq": 1.305,
+                                         "alpha_x_sq": 2.0}}, "['alpha_x_sq']"),
+    ({"family": "butterfly3d", "shape": {**FIG2_SQUARES, "alpha_z_sq": 1.0, "beta_z_sq": 1.3,
+                                         "u": 0.0, "v": 0.0, "w": 0.0, "d": 1.0}}, "['d']"),
+    ({"family": "cusp2d", "rwa": {"alpha_sq": 2.0, "beta_sq": 1.0}}, "['rwa']"),
+    ({"family": "cusp2d", "raw": {"alpha_sq": 2.0, "beta_sq": 1.0}, "note": ""}, "['note']"),
+])
+def test_spec_from_dict_rejects_unknown_keys(data, unknown):
+    with pytest.raises(ValueError, match=re.escape(unknown)):
+        spec_from_dict(data)
+
+
+def test_shape_to_raw_takes_exactly_the_shape_view_keys():
+    for family in ("butterfly1d", "butterfly2d", "butterfly3d"):
+        spec = DRAWERS[family](np.random.default_rng(5))
+        assert shape_to_raw(family, spec.shape) == pytest.approx(spec.raw, rel=1e-12)
+        with pytest.raises(ValueError, match=r"do not include \['u_typo'\]"):
+            shape_to_raw(family, {**spec.shape, "u_typo": 1.0})
 
 
 def test_with_param_raw_and_shape_moves():

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydot import potentials, spectra, stationary
 from polydot.errors import DegenerateWell, NoMinimum
@@ -14,9 +17,9 @@ from polydot.spectra import (
     harmonic_expand,
     levels,
 )
-from polydot.stationary import MINIMUM, StationaryPoint, stationary_points
+from polydot.stationary import MINIMUM, StationaryPoint, classify, stationary_points
 
-from helpers import count_calls
+from helpers import count_calls, flat_stiffness_reference
 
 SQRT3 = math.sqrt(3.0)
 
@@ -60,8 +63,31 @@ def test_harmonic_expand_flags_flat_direction():
     fake = StationaryPoint(location=(1.0, 0.0), subfamily="axis_x",
                            value=-1.0, hessian_eigs=(0.0, 8.0),
                            kind=MINIMUM, multiplicity=2, label="axis_x")
-    with pytest.raises(DegenerateWell):
+    with pytest.raises(DegenerateWell,
+                       match=r"^well axis_x has a vanishing stiffness \(eigs \[0\.0, 8\.0\]\)$"):
         harmonic_expand(spec, fake)
+
+
+@st.composite
+def stiffness_rows(draw):
+    """Finite rows of 1-3 stiffnesses: +-0 and +-1e-300..1e300, and some
+    with an entry on or one ulp either side of 1e-9 times the largest."""
+    entry = st.builds(lambda sign, mag: sign * mag, st.sampled_from((1.0, -1.0)),
+                      st.one_of(st.just(0.0), st.floats(1e-300, 1e300)))
+    row = draw(st.lists(entry, min_size=1, max_size=3))
+    if len(row) < 3 and draw(st.booleans()):
+        tol = 1e-9 * max(abs(v) for v in row)
+        row.append(draw(st.sampled_from((1.0, -1.0)))
+                   * np.nextafter(tol, draw(st.sampled_from((0.0, tol, np.inf)))))
+    return draw(st.permutations(row))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(stiffness_rows())
+def test_classification_flags_exactly_the_flat_stiffnesses(h):
+    # a minimum's classification holds every stiffness above the zero
+    # tolerance, so no minimum reaches the candidate step with a flat one
+    assert flat_stiffness_reference(h) == (classify(h) != MINIMUM)
 
 
 def test_butterfly1d_outer_well_closed_form():
