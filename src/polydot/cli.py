@@ -241,7 +241,7 @@ def cmd_oracle(args) -> int:
     spec = _load_spec(args)
     sol = None
     if args.k:
-        n = args.grid_n or {1: 2001, 2: 201, 3: 33}[spec.dimension]
+        n = {1: 2001, 2: 201, 3: 33}[spec.dimension] if args.grid_n is None else args.grid_n
         try:
             sol = fd_eigensolve(spec, replace(verify._oracle_grid(spec, args.grid_L), n=n),
                                 k=args.k)

@@ -31,6 +31,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ _AXIS_PAIR_KEYS = {
     "butterfly2d": (("a", "c"), ("b", "d")),
     "butterfly3d": (("a", "p"), ("b", "q"), ("c", "s")),
 }
+
+# raw (quartic, quadratic) coefficients per unit of an axis pair (a, c), where
+# not 1: butterfly1d writes its signed form x^6 + a x^4 + c x^2
+_PAIR_SCALE = {"butterfly1d": (-3.0, 3.0)}
 
 # per-axis (alpha^2, beta^2, gamma^2) shape keys, in the axis order of
 # _AXIS_PAIR_KEYS; the one axis of butterfly1d carries no suffix
@@ -199,18 +204,9 @@ def axis_shape_from_pair(a: float, c: float) -> tuple[float, float, float]:
     return roots
 
 
-def axis_pair_from_shape(alpha_sq: float, beta_sq: float) -> tuple[float, float]:
-    """Inverse of :func:`axis_shape_from_pair` (exact polynomial identities)."""
-    if alpha_sq <= 0.0 or beta_sq < 0.0:
-        raise NoRealShape(
-            f"shape requires alpha^2 > 0 and beta^2 >= 0, got ({alpha_sq:g}, {beta_sq:g})"
-        )
-    gamma_sq = alpha_sq + 2.0 * beta_sq
-    return alpha_sq + beta_sq, alpha_sq * gamma_sq
-
-
-def _shape_triple(alpha_sq=None, beta_sq=None, gamma_sq=None):
-    """Complete (alpha^2, beta^2, gamma^2) from any sufficient subset."""
+def axis_pair_from_shape(alpha_sq=None, beta_sq=None, gamma_sq=None) -> tuple[float, float]:
+    """(a, c) = (alpha^2 + beta^2, alpha^2 gamma^2) of an axis given alpha^2 and beta^2,
+    gamma^2 or both, completed first: the inverse of :func:`axis_shape_from_pair`."""
     if alpha_sq is None:
         raise ValueError("shape parameters need alpha")
     if beta_sq is None and gamma_sq is None:
@@ -219,11 +215,15 @@ def _shape_triple(alpha_sq=None, beta_sq=None, gamma_sq=None):
         beta_sq = 0.5 * (gamma_sq - alpha_sq)
         if beta_sq < 0.0:
             raise NoRealShape(f"gamma^2 = {gamma_sq:g} < alpha^2 = {alpha_sq:g}")
-    if gamma_sq is None:
-        gamma_sq = alpha_sq + 2.0 * beta_sq
-    elif abs(gamma_sq - (alpha_sq + 2.0 * beta_sq)) > _CONSISTENCY_TOL * max(1.0, gamma_sq):
+    elif gamma_sq is not None and (abs(gamma_sq - (alpha_sq + 2.0 * beta_sq))
+                                   > _CONSISTENCY_TOL * abs(gamma_sq)):
         raise ValueError("inconsistent shape: gamma^2 != alpha^2 + 2 beta^2")
-    return float(alpha_sq), float(beta_sq), float(gamma_sq)
+    alpha_sq, beta_sq = float(alpha_sq), float(beta_sq)
+    if alpha_sq <= 0.0 or beta_sq < 0.0:
+        raise NoRealShape(
+            f"shape requires alpha^2 > 0 and beta^2 >= 0, got ({alpha_sq:g}, {beta_sq:g})"
+        )
+    return alpha_sq + beta_sq, alpha_sq * (alpha_sq + 2.0 * beta_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +256,11 @@ def shape_to_raw(family: str, shape: dict) -> dict:
     extra = sorted(shape.keys() - _SHAPE_VIEW_KEYS[family])
     if extra:
         raise ValueError(f"{family} shape parameters do not include {extra}")
+    scale_a, scale_c = _PAIR_SCALE.get(family, (1.0, 1.0))
     raw: dict = {}
     for (ka, kb, kg), (qk, ck) in zip(_SHAPE_KEYS[family], _AXIS_PAIR_KEYS[family]):
-        al, be, _ga = _shape_triple(shape.get(ka), shape.get(kb), shape.get(kg))
-        a, c = axis_pair_from_shape(al, be)
-        if family == "butterfly1d":
-            # signed coefficients of x^6 + a x^4 + c x^2
-            raw["a"] = -3.0 * a
-            raw["c"] = 3.0 * c
-        else:
-            raw[qk] = a
-            raw[ck] = c
+        a, c = axis_pair_from_shape(shape.get(ka), shape.get(kb), shape.get(kg))
+        raw[qk], raw[ck] = scale_a * a, scale_c * c
     for k in _CROSS_KEYS[family]:
         raw[k] = float(shape.get(k, 0.0))
     return raw
@@ -288,9 +282,9 @@ def reparametrize(direction: str, family: str, params: dict) -> dict:
 def _pairs(family, raw):
     """Per-axis (a, c) of the on-axis quartic t^2 - 2 a t + c of a butterfly
     raw coefficient set."""
-    if family == "butterfly1d":
-        return [(-float(raw["a"]) / 3.0, float(raw["c"]) / 3.0)]
-    return [(float(raw[qk]), float(raw[ck])) for qk, ck in _AXIS_PAIR_KEYS[family]]
+    scale_a, scale_c = _PAIR_SCALE.get(family, (1.0, 1.0))
+    return [(float(raw[qk]) / scale_a, float(raw[ck]) / scale_c)
+            for qk, ck in _AXIS_PAIR_KEYS[family]]
 
 
 def axis_pairs(spec: PotentialSpec) -> list[tuple[float, float]]:
@@ -391,23 +385,22 @@ def make_spec(family: str, **params) -> PotentialSpec:
         return spec_from_raw(family, coeffs)
 
     # bare stems first, so an axis-suffixed name wins on its axis
-    squares = [{} for _ in _SHAPE_KEYS[family]]
     for name in sorted(shape_given, key=lambda name: name not in _SHAPE_STEMS):
         _key, stem, axes, v = user[name]
         for i in axes:
-            squares[i][f"{stem}_sq"] = v * v
-    for keys, given in zip(_SHAPE_KEYS[family], squares):
-        coeffs.update(zip(keys, _shape_triple(**given)))
+            coeffs[_SHAPE_KEYS[family][i][_SHAPE_STEMS.index(stem)]] = v * v
     return spec_from_shape(family, coeffs)
 
 
 def spec_from_dict(data: dict) -> PotentialSpec:
-    """Parse the JSON object form {"family", "raw"?, "shape"?}; any other
-    field is rejected.
+    """Parse the JSON object form {"family", "raw"?, "shape"?}, with raw and
+    shape objects of real numbers; any other field or value is rejected.
 
     Either raw or shape may be omitted; when both are present they must
     agree through the conversion identities.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"a spec must be a JSON object, not {type(data).__name__}")
     if "family" not in data:
         raise ValueError("spec object needs a 'family' field")
     extra = sorted(data.keys() - {"family", "raw", "shape"})
@@ -419,13 +412,23 @@ def spec_from_dict(data: dict) -> PotentialSpec:
     shape = data.get("shape")
     if raw is None and shape is None:
         raise ValueError("spec object needs 'raw' or 'shape'")
+    for field, values in (("raw", raw), ("shape", shape)):
+        if values is not None and not isinstance(values, dict):
+            raise ValueError(f"spec field {field!r} must be an object, not {type(values).__name__}")
+        for k, v in (values or {}).items():
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{field} value {k!r} must be a real number, got {v!r}")
     if raw is None:
         return spec_from_shape(family, shape)
     spec = spec_from_raw(family, raw)
     if shape is not None:
-        derived = shape_to_raw(family, shape)
+        derived = spec_from_shape(family, shape).raw
+        # a shape holds c only to a few ulp of a^2, as alpha^2 = a - sqrt(a^2 - c) cancels
+        scale_a, scale_c = _PAIR_SCALE.get(family, (1.0, 1.0))
+        a_sq = {ck: abs(scale_c) * (spec.raw[qk] / scale_a) ** 2
+                for qk, ck in _AXIS_PAIR_KEYS.get(family, ())}
         for k, v in spec.raw.items():
-            if abs(v - derived[k]) > _CONSISTENCY_TOL * max(1.0, abs(v)):
+            if abs(v - derived[k]) > _CONSISTENCY_TOL * max(abs(v), a_sq.get(k, 0.0)):
                 raise ValueError(
                     f"raw and shape disagree on {k}: {v:g} vs {derived[k]:g}"
                 )
@@ -460,15 +463,12 @@ def with_param(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
 
     if spec.shape is None:
         raise NoRealShape(f"cannot vary shape parameter {name!r}: shape view undefined")
-    v2 = value * value
     shape = dict(spec.shape)
     for i in axes:
-        ka, kb, kg = _SHAPE_KEYS[spec.family][i]
-        al, be = shape[ka], shape[kb]
-        shape[ka], shape[kb], shape[kg] = (
-            _shape_triple(v2, be) if stem == "alpha"
-            else _shape_triple(al, v2) if stem == "beta"
-            else _shape_triple(al, gamma_sq=v2))
+        keys = _SHAPE_KEYS[spec.family][i]
+        shape[keys[_SHAPE_STEMS.index(stem)]] = value * value
+        # drop the square that follows from the other two, for shape_to_raw to complete
+        del shape[keys[1 if stem == "gamma" else 2]]
     return spec_from_shape(spec.family, shape)
 
 

@@ -36,8 +36,6 @@ def write_csv(path, rows) -> None:
 
 
 def _num(x):
-    if x is None:
-        return None
     x = float(x)
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"

@@ -7,7 +7,8 @@ references of the eigensolver's operator, mirror bases and parity sectors,
 the norm-stack references of localization and of the least orbit distance,
 the hand-written reference of an eigensolution's report, the row-by-row
 references of the array CSV writers, the per-axis
-references of parameter overrides and raster cells, the single-point
+references of parameter overrides and raster cells, the references of
+the shape layer's completion and conversion, the single-point
 reference of one scan sample, and the raw-key references of the root
 algebra, of orbit members, of the shape view and of the characteristic
 radius."""
@@ -633,6 +634,107 @@ def with_param_reference(spec, name, value):
             shape[ga_key] = value * value
             shape[be_key] = be
     return potentials.spec_from_shape(spec.family, shape)
+
+
+# The shape layer as it was while make_spec and with_param completed each
+# axis's (alpha^2, beta^2, gamma^2) themselves and shape_to_raw completed
+# and checked it again, with an absolute floor under the consistency
+# tolerance; _butterfly_pairs_reference below is the matching reference of
+# potentials._pairs.
+
+def shape_triple_reference(alpha_sq=None, beta_sq=None, gamma_sq=None):
+    """Complete (alpha^2, beta^2, gamma^2) from any sufficient subset."""
+    if alpha_sq is None:
+        raise ValueError("shape parameters need alpha")
+    if beta_sq is None and gamma_sq is None:
+        raise ValueError("shape parameters need beta or gamma")
+    if beta_sq is None:
+        beta_sq = 0.5 * (gamma_sq - alpha_sq)
+        if beta_sq < 0.0:
+            raise NoRealShape(f"gamma^2 = {gamma_sq:g} < alpha^2 = {alpha_sq:g}")
+    if gamma_sq is None:
+        gamma_sq = alpha_sq + 2.0 * beta_sq
+    elif abs(gamma_sq - (alpha_sq + 2.0 * beta_sq)) > 1e-9 * max(1.0, gamma_sq):
+        raise ValueError("inconsistent shape: gamma^2 != alpha^2 + 2 beta^2")
+    return float(alpha_sq), float(beta_sq), float(gamma_sq)
+
+
+def axis_pair_from_shape_reference(alpha_sq, beta_sq):
+    """(a, c) of a completed axis shape (exact polynomial identities)."""
+    if alpha_sq <= 0.0 or beta_sq < 0.0:
+        raise NoRealShape(
+            f"shape requires alpha^2 > 0 and beta^2 >= 0, got ({alpha_sq:g}, {beta_sq:g})"
+        )
+    gamma_sq = alpha_sq + 2.0 * beta_sq
+    return alpha_sq + beta_sq, alpha_sq * gamma_sq
+
+
+def shape_to_raw_reference(family, shape):
+    """potentials.shape_to_raw, completing each axis with
+    shape_triple_reference and writing butterfly1d's signed form inline."""
+    if family.startswith("cusp"):
+        return dict(shape)
+    extra = sorted(shape.keys() - potentials._SHAPE_VIEW_KEYS[family])
+    if extra:
+        raise ValueError(f"{family} shape parameters do not include {extra}")
+    raw = {}
+    for (ka, kb, kg), (qk, ck) in zip(potentials._SHAPE_KEYS[family],
+                                      potentials._AXIS_PAIR_KEYS[family]):
+        al, be, _ga = shape_triple_reference(shape.get(ka), shape.get(kb), shape.get(kg))
+        a, c = axis_pair_from_shape_reference(al, be)
+        if family == "butterfly1d":
+            raw["a"] = -3.0 * a
+            raw["c"] = 3.0 * c
+        else:
+            raw[qk] = a
+            raw[ck] = c
+    for k in potentials._CROSS_KEYS[family]:
+        raw[k] = float(shape.get(k, 0.0))
+    return raw
+
+
+def make_spec_reference(family, **params):
+    """potentials.make_spec with the shape branch completing every axis
+    before shape_to_raw_reference completes it again."""
+    user = {name: (*potentials._param(family, name), float(v))
+            for name, v in params.items() if v is not None}
+    if family.startswith("cusp"):
+        return potentials.make_spec(family, **params)
+    cross_keys = potentials._CROSS_KEYS[family]
+    raw_given = [name for name, (key, *_rest) in user.items()
+                 if key is not None and key not in cross_keys]
+    shape_given = [name for name, (_key, stem, *_rest) in user.items() if stem is not None]
+    if raw_given:
+        return potentials.make_spec(family, **params)
+    coeffs = dict.fromkeys(cross_keys, 0.0)
+    coeffs.update((key, v) for key, stem, _axes, v in user.values() if stem is None)
+    squares = [{} for _ in potentials._SHAPE_KEYS[family]]
+    for name in sorted(shape_given, key=lambda name: name not in ("alpha", "beta", "gamma")):
+        _key, stem, axes, v = user[name]
+        for i in axes:
+            squares[i][f"{stem}_sq"] = v * v
+    for keys, given in zip(potentials._SHAPE_KEYS[family], squares):
+        coeffs.update(zip(keys, shape_triple_reference(**given)))
+    return potentials.spec_from_raw(family, shape_to_raw_reference(family, coeffs))
+
+
+def with_param_shape_reference(spec, name, value):
+    """The shape branch of potentials.with_param, completing each moved
+    axis with shape_triple_reference before shape_to_raw_reference."""
+    _key, stem, axes = potentials._param(spec.family, name)
+    value = float(value)
+    if spec.shape is None:
+        raise NoRealShape(f"cannot vary shape parameter {name!r}: shape view undefined")
+    v2 = value * value
+    shape = dict(spec.shape)
+    for i in axes:
+        ka, kb, kg = potentials._SHAPE_KEYS[spec.family][i]
+        al, be = shape[ka], shape[kb]
+        shape[ka], shape[kb], shape[kg] = (
+            shape_triple_reference(v2, be) if stem == "alpha"
+            else shape_triple_reference(al, v2) if stem == "beta"
+            else shape_triple_reference(al, gamma_sq=v2))
+    return potentials.spec_from_raw(spec.family, shape_to_raw_reference(spec.family, shape))
 
 
 def scan_grid_cells_reference(spec, vary_x, vary_y, resolution):

@@ -113,6 +113,9 @@ def test_analyze_spec_file_with_an_unknown_key_exit_1(tmp_path, capsys):
     # NoMinimum reaches main's handler of the library's own errors
     (["spectrum", "--family", "cusp2d", "--alpha", 1, "--beta", 1],
      "error: NoMinimum: cusp2d spec has no confining minimum"),
+    # 0 used to fall back to the default n = 201 and exit 0
+    (["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--k", 1, "--grid-n", 0],
+     "error: grid needs at least 2 points per axis, got 0"),
 ])
 def test_usage_and_library_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -120,6 +123,26 @@ def test_usage_and_library_errors_exit_1(tmp_path, capsys, monkeypatch, argv, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ('3', "a spec must be a JSON object, not int"),
+    ('{"family": "butterfly2d", "shape": [1, 2]}',
+     "spec field 'shape' must be an object, not list"),
+    ('{"family": "cusp2d", "raw": {"alpha_sq": 1, "beta_sq": 1}, "shape": 5}',
+     "spec field 'shape' must be an object, not int"),
+    ('{"family": "butterfly1d", "raw": {"a": null, "c": 1}}',
+     "raw value 'a' must be a real number, got None"),
+    ('{"family": "butterfly1d", "shape": {"alpha_sq": "1", "beta_sq": 1}}',
+     "shape value 'alpha_sq' must be a real number, got '1'"),
+])
+def test_spec_file_of_the_wrong_json_type_exit_1(tmp_path, capsys, text, message):
+    # each of these used to end in a traceback
+    spec_file = tmp_path / "f.json"
+    spec_file.write_text(text)
+    assert run(["analyze", "--spec", spec_file, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: invalid spec in {spec_file}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -169,6 +192,22 @@ def test_spectrum_warns_on_thin_margin(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "barely confines" in out
+
+
+def test_spectrum_writes_an_unbounded_margin_as_inf(tmp_path):
+    # a^2 < c: the origin is the only well, with no saddle above it
+    assert run(["spectrum", "--family", "butterfly1d", "--a", -1, "--c", 100,
+                "--out", tmp_path]) == 0
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    assert [(w["label"], w["confinement_margin"]) for w in data["wells"]] == [("origin", "inf")]
+
+
+def test_spectrum_prints_an_exact_tie(tmp_path, capsys):
+    assert run(["spectrum", "--family", "butterfly2d", "--alpha", 1.2, "--beta", 1.5,
+                "--out", tmp_path]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["dominant well: axis_x_outer (E0 ~ -4.447742734)",
+                       "  tie between: axis_x_outer, axis_y_outer"]
 
 
 def test_scan_existence_threshold_isotropic_3d(tmp_path):

@@ -26,11 +26,17 @@ from polydot.potentials import (
 
 from helpers import (
     DRAWERS,
+    _butterfly_pairs_reference,
     any_family_spec,
+    axis_pair_from_shape_reference,
     characteristic_radius_reference,
+    make_spec_reference,
     random_points,
     raw_to_shape_reference,
+    shape_to_raw_reference,
+    shape_triple_reference,
     with_param_reference,
+    with_param_shape_reference,
 )
 
 
@@ -420,6 +426,68 @@ def test_spec_from_dict_rejects_inconsistent_pair():
         spec_from_dict(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    (3, "a spec must be a JSON object, not int"),
+    ({"family": "butterfly2d", "shape": [1, 2]}, "spec field 'shape' must be an object"),
+    ({"family": "cusp2d", "raw": {"alpha_sq": 1, "beta_sq": 1}, "shape": 5},
+     "spec field 'shape' must be an object"),
+    ({"family": "cusp2d", "raw": "alpha_sq=1"}, "spec field 'raw' must be an object"),
+    ({"family": "butterfly1d", "raw": {"a": None, "c": 1}},
+     "raw value 'a' must be a real number, got None"),
+    ({"family": "butterfly1d", "shape": {"alpha_sq": "1", "beta_sq": 1}},
+     "shape value 'alpha_sq' must be a real number, got '1'"),
+    ({"family": "butterfly1d", "shape": {"alpha_sq": 1, "beta_sq": True}},
+     "shape value 'beta_sq' must be a real number, got True"),
+    ({"family": "cusp2d", "raw": {"alpha_sq": 1, "beta_sq": [1]}},
+     "raw value 'beta_sq' must be a real number"),
+    # a partial cusp shape beside its raw form used to raise KeyError
+    ({"family": "cusp2d", "raw": {"alpha_sq": 1, "beta_sq": 1}, "shape": {"alpha_sq": 1}},
+     "cusp2d raw parameters missing ['beta_sq']"),
+])
+def test_spec_from_dict_rejects_values_of_the_wrong_json_type(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e3])
+def test_consistency_checks_are_relative_at_every_scale(scale):
+    # both checks used to pass anything within 1e-9 absolute at small scales
+    sq = scale * scale
+    with pytest.raises(ValueError, match="inconsistent shape"):
+        make_spec("butterfly1d", alpha=scale, beta=scale, gamma=5.0 * scale)
+    consistent = make_spec("butterfly1d", alpha=scale, beta=scale, gamma=math.sqrt(3.0) * scale)
+    assert consistent == make_spec("butterfly1d", alpha=scale, beta=scale)
+    shape = {"alpha_sq": sq, "beta_sq": sq}
+    raw = shape_to_raw("butterfly1d", shape)
+    assert spec_from_dict({"family": "butterfly1d", "raw": raw, "shape": shape}).raw == raw
+    with pytest.raises(ValueError, match="raw and shape disagree on a"):
+        spec_from_dict({"family": "butterfly1d", "raw": {**raw, "a": raw["a"] / 3.0},
+                        "shape": shape})
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e3])
+@pytest.mark.parametrize("ratio", [1e-14, 1e-8, 0.5])
+def test_written_spec_parses_back_at_every_c_over_a_squared(scale, ratio):
+    # alpha^2 = a - sqrt(a^2 - c) cancels as c / a^2 -> 0, so the shape a spec
+    # writes holds each axis's c only to a few ulp of a^2
+    a, c = scale, ratio * scale * scale
+    specs = [make_spec("butterfly1d", a=-3.0 * a, c=3.0 * c),
+             make_spec("butterfly2d", a=a, b=2.0 * a, c=c, d=a * a, u=0.5 * a),
+             make_spec("butterfly3d", a=a, b=a, c=a, p=c, q=0.5 * a * a, s=c,
+                       u=0.1 * a, v=0.0, w=-0.1 * a)]
+    if scale == 1.0:
+        specs.append(make_spec("butterfly1d", alpha=1e-4, beta=1.0))
+    for spec in specs:
+        assert spec.shape is not None
+        assert spec_from_dict(spec.to_dict()) == spec
+        assert spec_from_dict(json.loads(spec.to_json())) == spec
+        # a quadratic coefficient off by more than the tolerance of a^2 still fails
+        qk, ck = potentials._AXIS_PAIR_KEYS[spec.family][0]
+        off = {**spec.raw, ck: spec.raw[ck] + 1e-6 * spec.raw[qk] ** 2}
+        with pytest.raises(ValueError, match=f"raw and shape disagree on {ck}"):
+            spec_from_dict({"family": spec.family, "raw": off, "shape": spec.shape})
+
+
 FIG2_SQUARES = {"alpha_x_sq": 1.0, "gamma_x_sq": 3.61, "beta_x_sq": 1.305,
                 "alpha_y_sq": 1.0, "gamma_y_sq": 3.61, "beta_y_sq": 1.305}
 
@@ -475,9 +543,9 @@ _PARAM_NAMES = (
 )
 
 
-def _outcome(fn, spec, name, value):
+def _outcome(fn, *args, **kwargs):
     try:
-        return repr(fn(spec, name, value))
+        return repr(fn(*args, **kwargs))
     except (PolydotError, ValueError) as err:
         return type(err), str(err)
 
@@ -490,3 +558,129 @@ def test_with_param_matches_reference_drawn(spec, value):
     for name in _PARAM_NAMES:
         assert (_outcome(with_param, spec, name, value)
                 == _outcome(with_param_reference, spec, name, value)), name
+
+
+# ---------------------------------------------------------------------------
+# one completion and conversion per axis, against the old shape layer
+# ---------------------------------------------------------------------------
+
+_BUTTERFLIES = ("butterfly1d", "butterfly2d", "butterfly3d")
+_STEMS = ("alpha", "beta", "gamma")
+
+
+@st.composite
+def _axis_values(draw, scale, squared):
+    """One axis's given values {stem: value}, alpha and beta, alpha and
+    gamma, or all three consistent: ints, or floats times scale; squares
+    when squared, else the unsquared lengths."""
+    if draw(st.booleans()):
+        al, be = draw(st.integers(1, 30)), draw(st.integers(0, 30))
+    else:
+        al, be = scale * draw(st.floats(0.05, 3.0)), scale * draw(st.floats(0.0, 3.0))
+    ga = al + 2 * be if squared else math.sqrt(al * al + 2 * be * be)
+    values = dict(zip(_STEMS, (al, be, ga)))
+    dropped = draw(st.sampled_from(("beta", "gamma", None)))
+    values.pop(dropped, None)
+    return values
+
+
+def _break_axis(draw, values, fault, scale):
+    """values with one fault: a missing alpha, no beta or gamma, gamma below
+    alpha, alpha zero or negative, or beta negative; gamma, where it stays
+    beside beta, is kept consistent (in the squares)."""
+    al = values["alpha"]
+    if fault == "need alpha":
+        del values["alpha"]
+    elif fault == "need beta or gamma":
+        values = {"alpha": al}
+    elif fault == "gamma below alpha":
+        values = {"alpha": al, "gamma": al * draw(st.floats(0.0, 0.99))}
+    elif fault == "alpha not positive":
+        values["alpha"] = -scale * draw(st.floats(0.0, 3.0))
+        if "beta" in values and "gamma" in values:
+            values["gamma"] = values["alpha"] + 2 * values["beta"]
+    elif fault == "beta negative":
+        values = {"alpha": al, "beta": -scale * draw(st.floats(0.01, 3.0))}
+    return values
+
+
+_SHAPE_FAULTS = (None, "need alpha", "need beta or gamma", "gamma below alpha",
+                 "alpha not positive", "beta negative", "unknown key")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from(_BUTTERFLIES), st.floats(-6.0, 3.0),
+       st.sampled_from(_SHAPE_FAULTS))
+def test_shape_to_raw_matches_the_old_shape_layer(data, family, log_scale, fault):
+    scale = 10.0 ** log_scale
+    axes = [data.draw(_axis_values(scale, squared=True)) for _ in potentials._SHAPE_KEYS[family]]
+    broken = data.draw(st.integers(0, len(axes) - 1))
+    if fault not in (None, "unknown key"):
+        axes[broken] = _break_axis(data.draw, axes[broken], fault, scale)
+    shape = {keys[_STEMS.index(stem)]: v
+             for keys, values in zip(potentials._SHAPE_KEYS[family], axes)
+             for stem, v in values.items()}
+    shape.update((k, scale * data.draw(st.floats(-3.0, 3.0)))
+                 for k in potentials._CROSS_KEYS[family])
+    if fault == "unknown key":
+        shape[data.draw(st.sampled_from(("u_typo", "alpha_z_sq", "alpha_x_sq", "d")))] = 1.0
+
+    for values in axes:
+        squares = {f"{stem}_sq": v for stem, v in values.items()}
+        completed = _outcome(shape_triple_reference, **squares)
+        expected = (completed if isinstance(completed, tuple) else
+                    _outcome(axis_pair_from_shape_reference, *shape_triple_reference(**squares)[:2]))
+        assert _outcome(potentials.axis_pair_from_shape, **squares) == expected
+    expected = _outcome(shape_to_raw_reference, family, shape)
+    assert _outcome(shape_to_raw, family, shape) == expected
+    if fault is None:
+        spec = potentials.spec_from_shape(family, shape)
+        assert repr(spec) == repr(spec_from_raw(family, shape_to_raw_reference(family, shape)))
+        assert repr(potentials.axis_pairs(spec)) == repr(_butterfly_pairs_reference(family, spec.raw))
+
+
+@st.composite
+def _shape_names(draw, family, scale, fault):
+    """make_spec keywords of a butterfly family: each stem bare where every
+    axis takes it, suffixed where an axis differs or at random, with at most
+    one axis broken by fault."""
+    axes = [draw(_axis_values(scale, squared=False)) for _ in potentials._SHAPE_KEYS[family]]
+    if fault in ("need alpha", "need beta or gamma", "gamma below alpha"):
+        broken = draw(st.integers(0, len(axes) - 1))
+        axes[broken] = _break_axis(draw, axes[broken], fault, scale)
+    elif fault == "alpha zero":
+        axes[draw(st.integers(0, len(axes) - 1))] = {"alpha": 0.0, "beta": scale}
+    params = {}
+    for stem in _STEMS:
+        values = [axis.get(stem) for axis in axes]
+        bare = None not in values and draw(st.booleans())
+        if bare:
+            params[stem] = values[0]
+        for ax, v in zip(potentials.AXES, values):
+            if v is not None and (not bare or v != values[0] or draw(st.booleans())):
+                params[f"{stem}_{ax}"] = v
+    if fault == "unknown key":
+        params[draw(st.sampled_from(("delta", "alpha_w", "gamma_z", "alpha_x_sq")))] = 1.0
+    return params
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from(_BUTTERFLIES), st.floats(-6.0, 3.0),
+       st.sampled_from((None, "need alpha", "need beta or gamma", "gamma below alpha",
+                        "alpha zero", "unknown key")))
+def test_make_spec_and_with_param_match_the_old_shape_layer(data, family, log_scale, fault):
+    scale = 10.0 ** log_scale
+    params = data.draw(_shape_names(family, scale, fault))
+    params.update((k, scale * data.draw(st.floats(-3.0, 3.0)))
+                  for k in potentials._CROSS_KEYS[family] if data.draw(st.booleans()))
+    expected = _outcome(make_spec_reference, family, **params)
+    assert _outcome(make_spec, family, **params) == expected
+    if isinstance(expected, tuple):
+        return
+    spec = make_spec(family, **params)
+    assert repr(potentials.axis_pairs(spec)) == repr(_butterfly_pairs_reference(family, spec.raw))
+    value = scale * data.draw(st.floats(-3.0, 3.0))
+    for name, (_key, stem, _axes) in potentials._PARAMS[family].items():
+        if stem is not None:
+            assert (_outcome(with_param, spec, name, value)
+                    == _outcome(with_param_shape_reference, spec, name, value)), name
