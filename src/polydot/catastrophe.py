@@ -50,8 +50,9 @@ class ParamPath:
     Each varied entry is (name, start, end); shape names move linearly in
     shape space, raw names in raw space (see
     :func:`polydot.potentials.with_param`).  steps is the number of samples
-    placed uniformly on [0, 1].  Construction checks the names and builds
-    no spec: an endpoint outside the valid region fails per sample.  Two
+    placed uniformly on [0, 1].  Construction checks the names and that
+    every start and end is finite, and builds no spec: a finite endpoint
+    outside the valid region fails per sample.  Two
     entries may not set one coefficient: the same raw key (cusp ``alpha``
     and ``alpha_sq``), or the same shape stem on a shared axis (``alpha``
     and ``alpha_x``), since each sample would apply them one over the other.
@@ -68,6 +69,9 @@ class ParamPath:
             raise ValueError("a path needs at least one varied parameter")
         owner = {}  # raw key, or (shape stem, axis) -> the name that sets it
         for name, start, end in self.varied:
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise ValueError(f"parameter {name} needs a finite start and end, "
+                                 f"got {start!r} and {end!r}")
             if start == end:
                 raise ValueError(f"parameter {name} does not vary (start == end)")
             key, stem, axes = _param(self.spec.family, name)

@@ -128,9 +128,12 @@ def cmd_spectrum(args) -> int:
     else:
         well = cands.wells[dominant.label]
         e_max = dominant.energy + 2.0 * sum(well.frequencies)
-    levels_by_label = {
-        label: spectra.levels(well, e_max) for label, well in cands.wells.items()
-    }
+    try:
+        levels_by_label = {
+            label: spectra.levels(well, e_max) for label, well in cands.wells.items()
+        }
+    except ValueError as err:
+        raise CliError(str(err))
     _write(args, {
         "spectrum.json": lambda: reports.spectrum_report_dict(
             spec, cands, dominant, classical, levels_by_label, e_max),
@@ -229,6 +232,8 @@ def cmd_grid(args) -> int:
             fixed = float(value)
         except ValueError:
             raise CliError(f"--slice value must be a number, got {value!r}")
+        if not np.isfinite(fixed):
+            raise CliError(f"--slice value must be finite, got {value!r}")
         planes.insert(spec.axis_names().index(axis), np.full((n, n), fixed))
     values = evaluate(spec, np.stack(planes, axis=-1))
     _write(args, {"grid.csv": lambda: reports.potential_grid_rows(xs, xs, values, clip=args.clip)})
@@ -271,6 +276,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise CliError("--seed must be >= 0")
     verdict = verify.run_verify(seed=args.seed)
     _write(args, {"verify.json": lambda: verdict})
     for suite in verdict["suites"]:

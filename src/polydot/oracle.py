@@ -14,10 +14,11 @@ Three instruments, deliberately decoupled from the closed forms they check:
   on the 2^D mirror-parity sectors in 2D and 3D when V is even in each
   coordinate (every family is), on the whole grid for a 2D callable that
   is not, and by LOBPCG for a 3D callable that is not.  A 2D or 3D sector
-  is the stencil on its own half of the box, built with the shift on its
-  diagonal and factored once as the symmetric positive definite matrix it
-  is.  Energies converge at O(dx^2) only while the states are negligible
-  at the wall, which moves with n (see :func:`fd_eigensolve`).
+  is the stencil on its own half of the box.  Every sector, the 1D whole
+  grid included, is built with the shift on its diagonal and factored once
+  by SuperLU as the symmetric positive definite matrix it is.  Energies
+  converge at O(dx^2) only while the states are negligible at the wall,
+  which moves with n (see :func:`fd_eigensolve`).
 * :func:`localization` - probability mass of an eigenstate inside capture
   balls around well orbits; the operational notion of "localized near".
 """
@@ -247,58 +248,56 @@ def match_stationary(
 # finite-difference eigensolver
 # ---------------------------------------------------------------------------
 
-# what lies past the last node of an axis, as two terms in units of 1/h^2:
-# one added to that node's diagonal, and its coupling to the node before it.
-# The box wall (Dirichlet just outside the box) adds nothing.
-_WALL = (0.0, -1.0)
-
-
-def _half_axis(n: int, odd: int) -> tuple[int, tuple[float, float]]:
-    """Nodes 0 ... m - 1 of one axis of n nodes that carry its even (odd=0)
-    or odd (odd=1) mirror parity, and the face past the last of them.
-
+def _axis_bands(n: int, h: float, odd: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The 3-point -d^2/dx^2 bands of one axis of n nodes and spacing h:
+    diag, 2/h^2 per node, and link, -1/h^2 from node j to node j + 1 and 0
+    past the last.  odd=None keeps the whole axis, with nothing past its
+    ends (Dirichlet just outside the box); odd=0 or 1 folds it onto its even
+    or odd mirror parity, nodes 0 ... m - 1, with a face past the last.
     For even n the last node's mirror image is its neighbour, plus or minus
     the node itself: -1/h^2 or +1/h^2 on its diagonal.  For odd n the even
     parity keeps the centre node, which the node before it reaches by both
     members of its mirror pair: -sqrt(2)/h^2.  The odd parity vanishes on
     the centre, which then acts as a wall.
     """
-    if n % 2 == 0:
-        return n // 2, (1.0 if odd else -1.0, -1.0)
-    return (n // 2, _WALL) if odd else (n // 2 + 1, (0.0, -math.sqrt(2.0)))
+    m, face, join = n, 0.0, -1.0
+    if odd is not None and n % 2 == 0:
+        m, face = n // 2, (1.0 if odd else -1.0)
+    elif odd is not None:
+        m, join = n // 2 + 1 - odd, (-1.0 if odd else -math.sqrt(2.0))
+    diag = np.full(m, 2.0 / h**2)
+    diag[-1] += face / h**2
+    link = np.full(m, -1.0 / h**2)
+    link[-2:] = join / h**2, 0.0
+    return diag, link
 
 
-def _stencil(v: np.ndarray, spacings, faces, fmt: str, shift: float = 0.0) -> sp.spmatrix:
-    """-Laplacian + diag(v) - shift I on the node box of v, as the
-    (2D+1)-point stencil: 2/h^2 per axis on the diagonal and -1/h^2 to each
-    neighbour along an axis of spacing h, with nothing past the end of a
-    line.  The last node of axis i takes the terms of its face, faces[i]
-    (see _WALL)."""
+def _stencil(v: np.ndarray, bands, fmt: str, shift: float = 0.0) -> sp.spmatrix:
+    """-Laplacian + diag(v) - shift I as the (2D+1)-point stencil of the
+    bands of :func:`_axis_bands`, on the first len(diag) nodes of each axis."""
+    v = v[tuple(slice(len(diag)) for diag, _link in bands)]
     shape = v.shape
     size = stride = v.size
-    main, bands, offsets = np.zeros(shape), [], []
-    for i, (m, h, (face, join)) in enumerate(zip(shape, spacings, faces)):
-        stride //= m
-        along = (m,) + (1,) * (len(shape) - 1 - i)  # broadcasts along axis i
-        diag = np.full(m, 2.0 / h**2)
-        diag[-1] += face / h**2
+    main, offdiag, offsets = np.zeros(shape), [], []
+    for i, (diag, link) in enumerate(bands):
+        stride //= len(diag)
+        along = (len(diag),) + (1,) * (len(shape) - 1 - i)  # broadcasts along axis i
         main += diag.reshape(along)
-        # link[j] couples node j of a line to node j + 1
-        link = np.full(m, -1.0 / h**2)
-        link[-2:] = join / h**2, 0.0
         band = np.broadcast_to(link.reshape(along), shape).ravel()[:size - stride]
-        bands += [band, band]
+        offdiag += [band, band]
         offsets += [-stride, stride]
-    return sp.diags([(main + v - shift).ravel(), *bands], [0, *offsets], format=fmt)
+    return sp.diags([(main + v - shift).ravel(), *offdiag], [0, *offsets], format=fmt)
 
 
 def _unfold(y: np.ndarray, shape, odd) -> np.ndarray:
     """Whole-grid columns of the half-box columns y of one parity sector:
     along each axis of n nodes, the kept pairs times sqrt(1/2), then the
     centre node for odd n (zero in the odd parity), then the pairs mirrored
-    and times +-sqrt(1/2)."""
-    y = y.reshape(*(_half_axis(n, o)[0] for n, o in zip(shape, odd)), -1)
+    and times +-sqrt(1/2).  An axis of parity None is whole already."""
+    y = y.reshape(*(n if o is None else (n + 1 - o) // 2 for n, o in zip(shape, odd)), -1)
     for axis, (n, o) in enumerate(zip(shape, odd)):
+        if o is None:
+            continue
         y = np.moveaxis(y, axis, 0)
         pairs = math.sqrt(0.5) * y[:n // 2]
         centre = np.zeros((n % 2,) + y.shape[1:]) if o else y[n // 2:]
@@ -313,7 +312,7 @@ def hamiltonian(spec_or_callable, grid: GridSpec, dim: int) -> tuple[sp.csr_matr
     outside the box)."""
     mesh = grid.mesh(dim)
     v = _potential_on(spec_or_callable, mesh if dim > 1 else mesh[..., 0])
-    return _stencil(v, grid.spacings(dim), [_WALL] * dim, "csr"), v
+    return _stencil(v, [_axis_bands(n, h) for n, h in zip(v.shape, grid.spacings(dim))], "csr"), v
 
 
 def fd_eigensolve(
@@ -333,8 +332,8 @@ def fd_eigensolve(
     * 1D: one sector, the whole grid.
     * 2D and 3D, V mirror-even on every axis (every PotentialSpec): the
       operator splits into 2^D sectors of about n^D / 2^D unknowns each.
-      Each is the stencil on its half of the box, with the mirror face
-      of :func:`_half_axis`, and its states unfold to the whole grid by
+      Each is the stencil on its half of the box, with the mirror faces
+      of :func:`_axis_bands`, and its states unfold to the whole grid by
       mirror flips.  A sector with j odd axes asks for at most k // 2^j
       pairs and is skipped when that is 0, so k = 1 solves only the
       all-even sector.
@@ -342,10 +341,10 @@ def fd_eigensolve(
     * 3D callable that is not mirror-even: LOBPCG on the whole grid with
       a diagonal preconditioner.
 
-    In 2D and 3D the shifted sector, H - sigma I >= I with sigma built into
-    its diagonal, is factored once by SuperLU with the minimum-degree
-    ordering of its symmetric pattern and no pivoting; 1D keeps ARPACK's
-    own factor of its tridiagonal.
+    Every shifted sector, the 1D whole grid included, H - sigma I >= I with
+    sigma built into its diagonal, is factored once by SuperLU with no
+    pivoting: by the minimum-degree ordering of its symmetric pattern in 2D
+    and 3D, and by COLAMD, as ARPACK's own factor, for the 1D tridiagonal.
 
     One k limit holds on every route: unknowns - 2^D pairs in 2D and 3D,
     and unknowns - 1 in 1D.  A larger k raises ValueError before any
@@ -420,31 +419,25 @@ def fd_eigensolve(
         # the l-th level of each sector whose odd axes are a subset of its
         # own.  With j odd axes there are 2^j such sectors, itself included,
         # so its l-th level is among the lowest k only if l <= k // 2^j.
-        # 1D, whose tridiagonal factor is already cheap, and a 2D V that is
-        # not mirror-even split no axis: their one sector is the whole grid.
-        # A split sector is the stencil on the half box of its parities.
+        # 1D and a 2D V that is not mirror-even split no axis: parity None.
         shift = vmin - 1.0
-        spacings = grid.spacings(dim)
-        for odd in sorted(itertools.product((0, 1), repeat=dim if mirror_even else 0), key=sum):
-            want = k >> sum(odd)
+        parities = (0, 1) if mirror_even else (None,)
+        for odd in sorted(itertools.product(parities, repeat=dim), key=lambda o: o.count(1)):
+            want = k >> odd.count(1)
             if want == 0:
                 continue
-            sector, opinv = H, None
-            if dim > 1:
-                # the sector less the shift, >= I: symmetric positive
-                # definite.  With OPinv given, eigsh reads only its shape.
-                halves = ([_half_axis(n, o) for n, o in zip(shape, odd)] if mirror_even
-                          else [(n, _WALL) for n in shape])
-                box = tuple(slice(m) for m, _face in halves)
-                sector = _stencil(v[box], spacings, [face for _m, face in halves], "csc", shift)
-                lu = spla.splu(sector, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                               options={"SymmetricMode": True})
-                opinv = spla.LinearOperator(sector.shape, matvec=lu.solve, dtype=float)
+            # the sector less the shift, >= I: symmetric positive definite.
+            # With OPinv given, eigsh reads only its shape.
+            bands = [_axis_bands(n, h, o) for n, h, o in zip(shape, grid.spacings(dim), odd)]
+            sector = _stencil(v, bands, "csc", shift)
+            lu = spla.splu(sector, permc_spec="MMD_AT_PLUS_A" if dim > 1 else "COLAMD",
+                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             m = sector.shape[0]
             want = min(want, m - 1)
             try:
                 vals, vecs = spla.eigsh(
-                    sector, k=want, sigma=shift, which="LM", OPinv=opinv,
+                    sector, k=want, sigma=shift, which="LM",
+                    OPinv=spla.LinearOperator(sector.shape, matvec=lu.solve, dtype=float),
                     v0=rng.standard_normal(m), maxiter=_ARPACK_MAXITER,
                 )
             except spla.ArpackNoConvergence as err:
@@ -453,7 +446,7 @@ def fd_eigensolve(
                 where = f" in parity sector {odd} (1 = odd axis)" if mirror_even else ""
                 notes.append(f"ARPACK stopped early{where} with {len(vals)} of {want} pairs")
             found_vals.append(vals)
-            found_vecs.append(_unfold(vecs, shape, odd) if mirror_even else vecs)
+            found_vecs.append(_unfold(vecs, shape, odd))
     else:
         # A 3D V that is not mirror-even has no sectors to split.  LOBPCG stays
         # for it: whole-grid shift-invert factors all n^3 unknowns at once.

@@ -84,8 +84,12 @@ _SHAPE_STEMS = ("alpha", "beta", "gamma")
 
 _CROSS_KEYS = {"butterfly1d": (), "butterfly2d": ("u",), "butterfly3d": ("u", "v", "w")}
 
-_SHAPE_VIEW_KEYS = {family: frozenset(itertools.chain(*keys, _CROSS_KEYS[family]))
-                    for family, keys in _SHAPE_KEYS.items()}
+# every key of a shape view; a cusp's shape view is its raw view
+_SHAPE_VIEW_KEYS = {
+    **{family: frozenset(_RAW_KEYS[family]) for family in ("cusp2d", "cusp3d")},
+    **{family: frozenset(itertools.chain(*keys, _CROSS_KEYS[family]))
+       for family, keys in _SHAPE_KEYS.items()},
+}
 
 # (key, (i, j)) of every cross coupling, in plane order xy, xz, yz
 _CROSS_PLANES = {family: tuple(zip(keys, itertools.combinations(range(_DIMENSION[family]), 2)))
@@ -248,14 +252,14 @@ def raw_to_shape(family: str, raw: dict) -> dict:
 
 
 def shape_to_raw(family: str, shape: dict) -> dict:
-    """Raw coefficients from a shape view (exact identities); a butterfly
-    shape key the family does not take is rejected."""
+    """Raw coefficients from a shape view (exact identities); a shape key
+    the family does not take is rejected."""
     _check_family(family)
-    if family.startswith("cusp"):
-        return dict(shape)
     extra = sorted(shape.keys() - _SHAPE_VIEW_KEYS[family])
     if extra:
         raise ValueError(f"{family} shape parameters do not include {extra}")
+    if family.startswith("cusp"):
+        return dict(shape)
     scale_a, scale_c = _PAIR_SCALE.get(family, (1.0, 1.0))
     raw: dict = {}
     for (ka, kb, kg), (qk, ck) in zip(_SHAPE_KEYS[family], _AXIS_PAIR_KEYS[family]):

@@ -24,6 +24,8 @@ from .potentials import PotentialSpec
 from .stationary import DEGENERATE, MINIMUM, StationaryPoint, classify, enumerate_stationary
 
 _TIE_REL_TOL = 1e-12
+# levels() refuses a well with more levels than this below e_max
+_MAX_LEVELS = 100_000
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,13 @@ def harmonic_expand(
 
 
 def levels(well: HarmonicWell, e_max: float) -> list[LevelEstimate]:
-    """All level estimates with energy <= e_max, ascending (complete)."""
+    """All level estimates with energy <= e_max, ascending (complete).
+
+    Raises ValueError for an e_max that is not finite, and once the well
+    has more than _MAX_LEVELS levels up to e_max.
+    """
+    if not math.isfinite(e_max):
+        raise ValueError(f"e_max must be finite, got {e_max!r}")
     omegas = well.frequencies
     dim = len(omegas)
     out: list[LevelEstimate] = []
@@ -134,6 +142,9 @@ def levels(well: HarmonicWell, e_max: float) -> list[LevelEstimate]:
         i = len(prefix)
         base = well.v0 + sum((2 * n + 1) * w for n, w in zip(prefix, omegas))
         if i == dim:
+            if len(out) == _MAX_LEVELS:
+                raise ValueError(f"well {well.label} has more than {_MAX_LEVELS} levels "
+                                 f"up to e_max = {e_max:g}; lower e_max")
             out.append(LevelEstimate(tuple(prefix), base, well.label))
             return
         floor = sum(omegas[i:])  # zero-point of the remaining modes

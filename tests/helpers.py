@@ -2,8 +2,9 @@
 strategy over all families, a call counter, the loop references of the
 Newton oracle and of its orbit matching, the bisection references of
 scan refinement, the flat-stiffness reference of the harmonic candidate,
-the whole-grid references of the 2D and 3D eigensolves, the Kronecker
+the whole-grid references of the 1D, 2D and 3D eigensolves, the Kronecker
 references of the eigensolver's operator, mirror bases and parity sectors,
+the face-list references of its stencil, half axes and unfold,
 the norm-stack references of localization and of the least orbit distance,
 the hand-written reference of an eigensolution's report, the row-by-row
 references of the array CSV writers, the per-axis
@@ -542,6 +543,85 @@ def mirror_projection_reference(shape, odd):
     return P
 
 
+# the box wall as a face: nothing added to the last node's diagonal, and
+# -1/h^2 from it to the node before it
+FACE_WALL_REFERENCE = (0.0, -1.0)
+
+
+def half_axis_reference(n, odd):
+    """Nodes 0 ... m - 1 of one axis of n nodes that carry its even (odd=0)
+    or odd (odd=1) mirror parity, and the face past the last of them, as
+    (diagonal term, coupling to the node before) in units of 1/h^2: -1 or
+    +1 on the diagonal for even n, -sqrt(2) as the coupling of the even
+    parity for odd n, and the wall for the odd parity of odd n."""
+    if n % 2 == 0:
+        return n // 2, (1.0 if odd else -1.0, -1.0)
+    return (n // 2, FACE_WALL_REFERENCE) if odd else (n // 2 + 1, (0.0, -math.sqrt(2.0)))
+
+
+def stencil_reference(v, spacings, faces, fmt, shift=0.0):
+    """-Laplacian + diag(v) - shift I on the node box of v from per-axis
+    spacings and faces: 2/h^2 per axis on the diagonal and -1/h^2 to each
+    neighbour, with the last node of axis i taking the terms of faces[i]."""
+    shape = v.shape
+    size = stride = v.size
+    main, bands, offsets = np.zeros(shape), [], []
+    for i, (m, h, (face, join)) in enumerate(zip(shape, spacings, faces)):
+        stride //= m
+        along = (m,) + (1,) * (len(shape) - 1 - i)
+        diag = np.full(m, 2.0 / h**2)
+        diag[-1] += face / h**2
+        main += diag.reshape(along)
+        link = np.full(m, -1.0 / h**2)
+        link[-2:] = join / h**2, 0.0
+        band = np.broadcast_to(link.reshape(along), shape).ravel()[:size - stride]
+        bands += [band, band]
+        offsets += [-stride, stride]
+    return sp.diags([(main + v - shift).ravel(), *bands], [0, *offsets], format=fmt)
+
+
+def unfold_reference(y, shape, odd):
+    """Whole-grid columns of the half-box columns y of one parity sector
+    (every axis split): per axis, the kept pairs times sqrt(1/2), the
+    centre node for odd n (zero in the odd parity), then the pairs
+    mirrored and times +-sqrt(1/2)."""
+    y = y.reshape(*(half_axis_reference(n, o)[0] for n, o in zip(shape, odd)), -1)
+    for axis, (n, o) in enumerate(zip(shape, odd)):
+        y = np.moveaxis(y, axis, 0)
+        pairs = math.sqrt(0.5) * y[:n // 2]
+        centre = np.zeros((n % 2,) + y.shape[1:]) if o else y[n // 2:]
+        y = np.moveaxis(np.concatenate([pairs, centre, (-pairs if o else pairs)[::-1]]), 0, axis)
+    return y.reshape(math.prod(shape), -1)
+
+
+def fd_eigensolve_arpack1d_reference(spec_or_callable, grid, k):
+    """The 1D eigensolve with ARPACK's own factor: one shift-invert eigsh
+    call on the whole-grid H for at most k pairs, shift 1 below min V, v0
+    from seed 12345 and no OPinv; then, pair by pair, the unit
+    normalization, residual gate and sign rule of oracle.fd_eigensolve.
+    Returns (energies, states, residuals, converged)."""
+    H, v = oracle.hamiltonian(spec_or_callable, grid, 1)
+    n = H.shape[0]
+    rng = np.random.default_rng(12345)
+    converged = True
+    try:
+        vals, vecs = spla.eigsh(H, k=min(k, n - 1), sigma=float(v.min()) - 1.0, which="LM",
+                                v0=rng.standard_normal(n), maxiter=10_000)
+    except spla.ArpackNoConvergence as err:
+        vals, vecs = err.eigenvalues, err.eigenvectors
+        converged = False
+    keep = np.argsort(vals)[:k]
+    vals, vecs = vals[keep], vecs[:, keep]
+    states, residuals = np.empty((len(vals), n)), []
+    for i, e in enumerate(vals):
+        vec = vecs[:, i] / np.linalg.norm(vecs[:, i])
+        residuals.append(float(np.linalg.norm(H @ vec - e * vec)))
+        converged = converged and residuals[-1] <= 1e-8 * abs(e) + 1e-10
+        psi = vec / math.sqrt(grid.spacings(1)[0])
+        states[i] = -psi if psi[np.argmax(np.abs(psi))] < 0 else psi
+    return tuple(float(e) for e in vals), states, tuple(residuals), converged
+
+
 def fd_eigensolve_projection_reference(spec_or_callable, grid, k, dim):
     """The 2D or 3D eigensolve of a mirror-even V on its parity sectors
     P^T H P: per sector, one shift-invert ARPACK call for at most k // 2^j
@@ -672,11 +752,11 @@ def axis_pair_from_shape_reference(alpha_sq, beta_sq):
 def shape_to_raw_reference(family, shape):
     """potentials.shape_to_raw, completing each axis with
     shape_triple_reference and writing butterfly1d's signed form inline."""
-    if family.startswith("cusp"):
-        return dict(shape)
     extra = sorted(shape.keys() - potentials._SHAPE_VIEW_KEYS[family])
     if extra:
         raise ValueError(f"{family} shape parameters do not include {extra}")
+    if family.startswith("cusp"):
+        return dict(shape)
     raw = {}
     for (ka, kb, kg), (qk, ck) in zip(potentials._SHAPE_KEYS[family],
                                       potentials._AXIS_PAIR_KEYS[family]):

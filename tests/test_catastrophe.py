@@ -83,6 +83,28 @@ def test_scan_records_invalid_samples_not_fatal():
     assert good
 
 
+@pytest.mark.parametrize("varied, steps, message", [
+    ((("alpha", 1.5, 2.2),), 1, "a path needs at least 2 steps"),
+    ((), 5, "a path needs at least one varied parameter"),
+    ((("alpha", math.nan, 2.2),), 5,
+     "parameter alpha needs a finite start and end, got nan and 2.2"),
+    ((("alpha", 1.5, math.inf),), 5,
+     "parameter alpha needs a finite start and end, got 1.5 and inf"),
+])
+def test_path_rejects_too_few_steps_no_parameter_and_infinite_ends(varied, steps, message):
+    spec = make_spec("butterfly1d", alpha=1.5, beta=2.0)
+    with pytest.raises(ValueError) as err:
+        ParamPath(spec=spec, varied=varied, steps=steps)
+    assert str(err.value) == message
+
+
+def test_scan_grid_rejects_an_end_that_is_not_finite():
+    spec = make_spec("butterfly1d", alpha=1.5, beta=2.0)
+    with pytest.raises(ValueError) as err:
+        scan_grid(spec, ("alpha", 1.5, 2.2), ("beta", -math.inf, 2.0), resolution=3)
+    assert str(err.value) == "parameter beta needs a finite start and end, got -inf and 2.0"
+
+
 def test_path_endpoints_outside_the_domain_are_per_sample():
     # c < 0 is outside the butterfly2d domain at either end of the path
     spec = make_spec("butterfly2d", a=1.0, b=1.2, c=0.5, d=0.6, u=0.1)

@@ -96,6 +96,21 @@ def test_analyze_spec_file_with_an_unknown_key_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("shape, unknown", [
+    ({"alpha_sq": 2.0, "beta_sq": 1.0, "gamma_sq": 1.0}, "gamma_sq"),
+    ({"alpha_sq": 2.0, "beta_sq": 1.0, "typo": 1.0}, "typo"),
+])
+def test_analyze_cusp_spec_file_with_an_unknown_shape_key_exit_1(tmp_path, capsys, shape,
+                                                                 unknown):
+    # a cusp shape key was passed through unchecked, or named as a raw key
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"family": "cusp2d", "shape": shape}))
+    assert run(["analyze", "--spec", spec_file, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == (f"error: invalid spec in {spec_file}: "
+                                       f"cusp2d shape parameters do not include ['{unknown}']\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["analyze", "--spec", "missing.json"], "error: cannot read spec file"),
     (["analyze"], "error: a spec is required"),
@@ -116,6 +131,25 @@ def test_analyze_spec_file_with_an_unknown_key_exit_1(tmp_path, capsys):
     # 0 used to fall back to the default n = 201 and exit 0
     (["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--k", 1, "--grid-n", 0],
      "error: grid needs at least 2 points per axis, got 0"),
+    # each number below used to hang or to write NaN, Infinity or a CSV of nan
+    (["spectrum", "--family", "butterfly1d", "--alpha", 1.9, "--beta", 2, "--e-max", "inf"],
+     "error: e_max must be finite, got inf"),
+    (["spectrum", "--family", "butterfly1d", "--alpha", 1.9, "--beta", 2, "--e-max", "nan"],
+     "error: e_max must be finite, got nan"),
+    (["spectrum", "--family", "butterfly1d", "--alpha", 1.9, "--beta", 2, "--e-max", "1e12"],
+     "error: well axis_x_outer has more than 100000 levels up to e_max = 1e+12; lower e_max"),
+    (["scan", "--family", "butterfly1d", "--alpha", 1.5, "--beta", 2,
+      "--vary", "alpha:nan:2.2", "--steps", 5],
+     "error: parameter alpha needs a finite start and end, got nan and 2.2"),
+    (["scan", "--family", "butterfly1d", "--alpha", 1.5, "--beta", 2,
+      "--vary", "alpha:1.5:inf", "--steps", 5],
+     "error: parameter alpha needs a finite start and end, got 1.5 and inf"),
+    (["scan", "--family", "butterfly1d", "--alpha", 1.5, "--beta", 2,
+      "--vary", "alpha:1.5:2.2", "--vary", "beta:-inf:2", "--resolution", 3],
+     "error: parameter beta needs a finite start and end, got -inf and 2.0"),
+    (["grid", "--family", "cusp3d", "--alpha", 1.4, "--beta", 1.2, "--gamma", 1,
+      "--slice", "z=nan"], "error: --slice value must be finite, got 'nan'"),
+    (["verify", "--seed", -1], "error: --seed must be >= 0"),
 ])
 def test_usage_and_library_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -428,6 +462,30 @@ def test_format_flags_select_outputs(tmp_path, case):
         assert run(argv + flags + ["--out", out]) == 0
         kept = {f for f in files if suffix and f.endswith(suffix)}
         assert {p.name for p in out.iterdir()} == (kept or files)
+
+
+def test_analyze_notes_a_degenerate_orbit(tmp_path, capsys):
+    assert run(["analyze", "--family", "cusp2d", "--alpha", 1, "--beta", 1,
+                "--out", tmp_path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  note: degenerate orbit(s) present (flat direction); "
+        "harmonic estimates are unreliable there")
+
+
+def test_spectrum_warns_on_degenerate_orbits_beside_a_minimum(tmp_path, capsys):
+    assert run(["spectrum", "--family", "cusp3d", "--alpha", 1.4, "--beta", 1, "--gamma", 1,
+                "--out", tmp_path]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"  warning: degenerate stationary orbit {label} (flat direction); "
+        "no harmonic candidate attached" for label in ("axis_y", "axis_z")]
+
+
+def test_oracle_prints_the_solver_warning(tmp_path, capsys):
+    assert run(["oracle", "--family", "cusp2d", "--alpha", 1.4, "--beta", 1, "--k", 3,
+                "--out", tmp_path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  warning: boundary potential 5.50732 is within 10 of the top computed "
+        "energy 1.98805; enlarge the box")
 
 
 def test_verify_command_deterministic(tmp_path):

@@ -25,13 +25,17 @@ from polydot.stationary import StationaryPoint, stationary_points
 from polydot.verify import _oracle_grid, corpus_specs, oracle_agreement
 
 from helpers import (
+    FACE_WALL_REFERENCE,
     any_family_spec,
     count_calls,
+    draw_butterfly1d,
     eigensolution_csv_rows_reference,
     eigensolution_dict_reference,
+    fd_eigensolve_arpack1d_reference,
     fd_eigensolve_lobpcg_reference,
     fd_eigensolve_projection_reference,
     fd_eigensolve_wholegrid_reference,
+    half_axis_reference,
     hamiltonian_reference,
     localization_distances_reference,
     match_stationary_reference,
@@ -39,6 +43,8 @@ from helpers import (
     mirror_projection_reference,
     newton_stationary_reference,
     potential_grid_rows_reference,
+    stencil_reference,
+    unfold_reference,
     write_csv_reference,
 )
 
@@ -727,10 +733,10 @@ def test_fd_rejects_more_pairs_than_the_solver_returns(monkeypatch):
 # operators: the stencil and the mirror bases against Kronecker references
 # ---------------------------------------------------------------------------
 
-def assert_same_csr(got, want):
-    """Bitwise equal CSR arrays: shape, and the dtype and bytes of indptr,
-    indices and data."""
-    assert got.format == want.format == "csr"
+def assert_same_sparse(got, want, fmt="csr"):
+    """Bitwise equal sparse arrays of format fmt: shape, and the dtype and
+    bytes of indptr, indices and data."""
+    assert got.format == want.format == fmt
     assert got.shape == want.shape
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
@@ -751,7 +757,7 @@ def test_hamiltonian_matches_kronecker_reference_spec(name, grid):
     spec = corpus_specs()[name]
     H, v = hamiltonian(spec, grid, spec.dimension)
     H_ref, v_ref = hamiltonian_reference(spec, grid, spec.dimension)
-    assert_same_csr(H, H_ref)
+    assert_same_sparse(H, H_ref)
     assert v.tobytes() == v_ref.tobytes()
 
 
@@ -772,7 +778,7 @@ def tilted_bowl(mesh):
 def test_hamiltonian_matches_kronecker_reference_callable(fn, dim, grid):
     H, v = hamiltonian(fn, grid, dim)
     H_ref, v_ref = hamiltonian_reference(fn, grid, dim)
-    assert_same_csr(H, H_ref)
+    assert_same_sparse(H, H_ref)
     assert v.tobytes() == v_ref.tobytes()
 
 
@@ -784,7 +790,7 @@ def mirror_even_potential(rng, shape):
     return v
 
 
-@pytest.mark.parametrize("grid, dim", [
+PROJECTION_GRIDS = [
     (GridSpec(extent=2.0, n=16), 2),
     (GridSpec(extent=2.0, n=17), 2),
     (GridSpec(extent=(2.5, 3.0), n=(16, 19)), 2),
@@ -792,7 +798,11 @@ def mirror_even_potential(rng, shape):
     (GridSpec(extent=1.5, n=10), 3),
     (GridSpec(extent=1.5, n=9), 3),
     (GridSpec(extent=(2.4, 2.0, 1.8), n=(9, 12, 11)), 3),
-], ids=lambda x: str(x.n) if isinstance(x, GridSpec) else None)
+]
+
+
+@pytest.mark.parametrize("grid, dim", PROJECTION_GRIDS,
+                         ids=lambda x: str(x.n) if isinstance(x, GridSpec) else None)
 def test_half_box_sectors_match_projection_reference(grid, dim):
     # each parity sector is the stencil on its half box: P^T H P to
     # rounding, entry for entry, and its vectors unfold to P y
@@ -803,14 +813,80 @@ def test_half_box_sectors_match_projection_reference(grid, dim):
     tol = 4.0 * np.finfo(float).eps
     for odd in itertools.product((0, 1), repeat=dim):
         P = mirror_projection_reference(shape, odd)
-        halves = [oracle._half_axis(n, o) for n, o in zip(shape, odd)]
-        box = tuple(slice(m) for m, _face in halves)
-        sector = oracle._stencil(v[box], grid.spacings(dim), [f for _m, f in halves], "csc")
+        bands = [oracle._axis_bands(n, h, o) for n, h, o in zip(shape, grid.spacings(dim), odd)]
+        sector = oracle._stencil(v, bands, "csc")
         got, want = sector.toarray(), (P.T @ H @ P).toarray()
         assert np.all(np.abs(got - want) <= tol * np.abs(want)), odd
         y = rng.standard_normal((sector.shape[0], 3))
         unfolded, want = oracle._unfold(y, shape, odd), P @ y
         assert np.all(np.abs(unfolded - want) <= tol * np.abs(want)), odd
+
+
+@pytest.mark.parametrize("grid, dim, parities", [
+    *((grid, dim, (0, 1)) for grid, dim in PROJECTION_GRIDS),
+    # whole grids, even and odd n: no axis is split
+    (GridSpec(extent=3.0, n=40), 1, (None,)),
+    (GridSpec(extent=3.0, n=41), 1, (None,)),
+    (GridSpec(extent=(2.5, 3.0), n=(16, 18)), 2, (None,)),
+    (GridSpec(extent=(2.5, 3.0), n=(17, 19)), 2, (None,)),
+], ids=lambda x: str(x.n) if isinstance(x, GridSpec) else None)
+def test_axis_bands_sectors_match_face_references(grid, dim, parities):
+    # every sector and its unfold, bit for bit, as built from a face per
+    # axis: the mirror face of a split axis, the box wall on a whole one,
+    # whose unfold is the identity
+    rng = np.random.default_rng(dim)
+    shape = tuple(grid.axis_n(i) for i in range(dim))
+    v = mirror_even_potential(rng, shape) if 0 in parities else rng.uniform(-2.0, 2.0, shape)
+    spacings = grid.spacings(dim)
+    for odd in itertools.product(parities, repeat=dim):
+        bands = [oracle._axis_bands(n, h, o) for n, h, o in zip(shape, spacings, odd)]
+        halves = [(n, FACE_WALL_REFERENCE) if o is None else half_axis_reference(n, o)
+                  for n, o in zip(shape, odd)]
+        box = tuple(slice(m) for m, _face in halves)
+        faces = [face for _m, face in halves]
+        for fmt, shift in (("csr", 0.0), ("csc", float(v.min()) - 1.0)):
+            assert_same_sparse(oracle._stencil(v, bands, fmt, shift),
+                               stencil_reference(v[box], spacings, faces, fmt, shift), fmt)
+        y = rng.standard_normal((v[box].size, 3))
+        got = oracle._unfold(y, shape, odd)
+        want = y if None in odd else unfold_reference(y, shape, odd)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), odd
+
+
+def arpack1d_problems():
+    """(potential, grid, k) of the verify suite's four 1D solves, then 44
+    drawn ones: polynomial callables and butterfly1d specs in turn, n from
+    16 to 4001 with even and odd n in turn, and k from 1 to 5."""
+    problems = [(lambda x: x ** 2, GridSpec(extent=10.0, n=2001), 3)]
+    problems += [(lambda x: x ** 2, GridSpec(extent=10.0, n=n), 1) for n in (250, 500, 1000)]
+    rng = np.random.default_rng(24)
+    for i in range(44):
+        n = (16, 4001)[i] if i < 2 else 2 * int(rng.integers(8, 2001)) + i // 2 % 2
+        k = int(rng.integers(1, 6))
+        if i % 2:
+            spec = draw_butterfly1d(rng)
+            problems.append((spec, GridSpec(extent=1.6 * characteristic_radius(spec), n=n), k))
+        else:
+            c = rng.uniform((0.0, 0.0, -3.0, -1.0), (1.0, 1.0, 3.0, 1.0))
+            problems.append((lambda x, c=c: c[0] * x**4 + c[1] * np.abs(x)**3 + c[2] * x**2
+                             + c[3] * x, GridSpec(extent=rng.uniform(2.0, 6.0), n=n), k))
+    return problems
+
+
+ARPACK1D_PROBLEMS = arpack1d_problems()
+
+
+@pytest.mark.parametrize("index", range(len(ARPACK1D_PROBLEMS)))
+def test_fd1d_superlu_factor_matches_arpack_factor(index):
+    # the 1D whole grid factored by SuperLU gives the energies, states and
+    # residuals of the factor ARPACK builds itself, bit for bit
+    potential, grid, k = ARPACK1D_PROBLEMS[index]
+    sol = fd_eigensolve(potential, grid, k=k, dim=1)
+    energies, states, residuals, converged = fd_eigensolve_arpack1d_reference(potential, grid, k)
+    assert sol.energies == energies
+    assert sol.states.tobytes() == states.tobytes()
+    assert sol.residuals == residuals
+    assert sol.converged == converged
 
 
 SECTOR_PROBLEMS = {
@@ -853,6 +929,36 @@ def test_grid_mesh_shapes():
 # ---------------------------------------------------------------------------
 # localization
 # ---------------------------------------------------------------------------
+
+def test_fd_rejects_no_pairs_and_a_callable_without_dim():
+    grid = GridSpec(extent=3.0, n=16)
+    with pytest.raises(ValueError) as err:
+        fd_eigensolve(make_spec("cusp2d", alpha=1.4, beta=1.0), grid, k=0)
+    assert str(err.value) == "k must be >= 1"
+    with pytest.raises(ValueError) as err:
+        fd_eigensolve(lambda x: x**2, grid, k=1)
+    assert str(err.value) == "dim is required when passing a bare callable"
+
+
+def test_newton_without_iterations_keeps_no_seed_on_an_even_grid():
+    # no even-n node is a root, and max_iter=0 takes no step
+    spec = make_spec("cusp2d", alpha=1.4, beta=1.0)
+    assert newton_stationary(spec, GridSpec(extent=3.0, n=16), max_iter=0) == []
+
+
+def test_localization_needs_a_well():
+    sol = fd_eigensolve(lambda x: x**2, GridSpec(extent=5.0, n=201), k=1, dim=1)
+    with pytest.raises(ValueError) as err:
+        localization(sol, [])
+    assert str(err.value) == "localization needs at least one well"
+
+
+def test_localization_default_radius_of_one_well_is_the_box_half_width():
+    sol = fd_eigensolve(lambda x: x**2, GridSpec(extent=(5.0,), n=201), k=1, dim=1)
+    w = localization(sol, [(0.0,)])
+    assert w.radius == 5.0
+    assert w.weights["well0"] + w.leftover == pytest.approx(1.0, abs=1e-12)
+
 
 def test_localization_symmetric_double_well():
     sol = fd_eigensolve(lambda x: (x**2 - 6.25)**2,

@@ -352,6 +352,40 @@ def test_reparametrize_rejects_unknown_direction():
 # construction, JSON, overrides
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: spec_from_raw("cusp4d", {}),
+     "unknown family 'cusp4d'; expected one of "
+     "('cusp2d', 'cusp3d', 'butterfly1d', 'butterfly2d', 'butterfly3d')"),
+    (lambda: spec_from_raw("cusp2d", {"alpha_sq": 2.0, "beta_sq": 1.0, "gamma_sq": 1.0}),
+     "cusp2d raw parameters do not include ['gamma_sq']"),
+    (lambda: spec_from_raw("cusp2d", {"alpha_sq": math.inf, "beta_sq": 1.0}),
+     "cusp2d raw parameters must be finite, got {'alpha_sq': inf, 'beta_sq': 1.0}"),
+    (lambda: make_spec("cusp2d", alpha=1.0, alpha_sq=1.0, beta=0.5),
+     "give alpha or alpha_sq, not both"),
+    (lambda: spec_from_dict({"raw": {"alpha_sq": 2.0, "beta_sq": 1.0}}),
+     "spec object needs a 'family' field"),
+    (lambda: spec_from_dict({"family": "cusp2d"}), "spec object needs 'raw' or 'shape'"),
+    # a cusp shape is its raw view: its keys are checked before it passes through
+    (lambda: shape_to_raw("cusp2d", {"alpha_sq": 1.0, "typo": 2.0}),
+     "cusp2d shape parameters do not include ['typo']"),
+    (lambda: spec_from_dict({"family": "cusp2d",
+                             "shape": {"alpha_sq": 2.0, "beta_sq": 1.0, "gamma_sq": 1.0}}),
+     "cusp2d shape parameters do not include ['gamma_sq']"),
+])
+def test_construction_errors_name_the_fault(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_spec_from_json_parses_the_object_form():
+    spec = potentials.spec_from_json(
+        '{"family": "cusp2d", "shape": {"alpha_sq": 2.0, "beta_sq": 1}}')
+    assert spec == spec_from_raw("cusp2d", {"alpha_sq": 2.0, "beta_sq": 1.0})
+    assert shape_to_raw("cusp3d", {"alpha_sq": 3.0, "beta_sq": 2.0, "gamma_sq": 1.0}) == {
+        "alpha_sq": 3.0, "beta_sq": 2.0, "gamma_sq": 1.0}
+
+
 def test_make_spec_rejects_mixed_sources():
     with pytest.raises(ValueError, match="mixing"):
         make_spec("butterfly2d", a=2.0, alpha=1.0, gamma=1.9)

@@ -125,6 +125,22 @@ def synthetic_well(v0, omegas):
                         confinement_margin=math.inf)
 
 
+@pytest.mark.parametrize("e_max", [math.inf, -math.inf, math.nan])
+def test_levels_rejects_an_e_max_that_is_not_finite(e_max):
+    with pytest.raises(ValueError, match=f"^e_max must be finite, got {e_max!r}$"):
+        levels(synthetic_well(0.0, (1.0,)), e_max)
+
+
+def test_levels_stop_past_the_level_cap():
+    # levels (2n + 1) * 0.5 for n = 0 ... 99999 fill the cap; one more is refused
+    well = synthetic_well(0.0, (0.5,))
+    assert len(levels(well, 0.5 * (2 * 99_999 + 1.5))) == spectra._MAX_LEVELS == 100_000
+    with pytest.raises(ValueError) as err:
+        levels(well, 0.5 * (2 * 100_000 + 1.5))
+    assert str(err.value) == ("well origin has more than 100000 levels up to "
+                              "e_max = 100001; lower e_max")
+
+
 def test_levels_isotropic_2d():
     well = synthetic_well(0.0, (1.0, 1.0))
     got = levels(well, 4.5)

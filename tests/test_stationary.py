@@ -404,6 +404,17 @@ def test_linear_form_matches_newton_on_the_old_loci(name):
 # reality criteria
 # ---------------------------------------------------------------------------
 
+def test_small_coupling_criterion_rejects_a_ratio_that_is_not_positive():
+    with pytest.raises(ValueError) as err:
+        bulk_reality_small_couplings(0.0)
+    assert str(err.value) == "xi must be positive, got 0"
+
+
+def test_quadratic_aux_repr():
+    aux = stationary.QuadraticAux(w_of_u=1.5, z_of_u=0.25, uzp1=-2.0, disc=1e-20)
+    assert repr(aux) == "QuadraticAux(w=1.5, z=0.25, uzp1=-2, disc=1e-20)"
+
+
 def test_small_coupling_criterion_examples():
     real, threshold = bulk_reality_small_couplings(0.2)
     assert real and 0.04 * 2.04 <= 0.125
