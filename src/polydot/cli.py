@@ -15,6 +15,10 @@ JSON file (--spec).  Outputs land in --out (or $POLYDOT_OUT, default
 them under --json or --csv alone; grid, verify and oracle without --k
 always write their one file.  All outputs are deterministic for a fixed
 configuration and seed.
+
+Exit codes: 0 on success; 1 for any invalid input, whether a flag check
+here or a ValueError or PolydotError from the library; 2 when analyze
+skips an axis; 3 when verify fails; 130 on Ctrl-C.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from . import reports, spectra, verify
 from .catastrophe import CLASSICAL, QUANTUM, ParamPath, scan_grid, scan_line
 from .errors import PolydotError
-from .oracle import fd_eigensolve
+from .oracle import GridSpec, fd_eigensolve
 from .potentials import (
     FAMILIES,
     characteristic_radius,
@@ -45,10 +49,6 @@ from .stationary import enumerate_stationary
 _SPEC_FLAGS = (
     "alpha", "beta", "gamma", "a", "b", "c", "d", "u", "v", "w", "p", "q", "s",
 )
-
-
-class CliError(Exception):
-    """Usage-level failure; maps to exit code 1."""
 
 
 def _write(args, files):
@@ -70,28 +70,28 @@ def _write(args, files):
 def _load_spec(args):
     inline = {k: getattr(args, k) for k in _SPEC_FLAGS if getattr(args, k) is not None}
     if args.spec and (args.family or inline):
-        raise CliError("give exactly one spec source: --spec FILE or inline flags")
+        raise ValueError("give exactly one spec source: --spec FILE or inline flags")
     if args.spec:
         try:
             text = Path(args.spec).read_text()
         except OSError as err:
-            raise CliError(f"cannot read spec file: {err}")
+            raise ValueError(f"cannot read spec file: {err}")
         try:
             data = json.loads(text)
         except json.JSONDecodeError as err:
-            raise CliError(
+            raise ValueError(
                 f"malformed spec file {args.spec}: line {err.lineno}, column {err.colno}: {err.msg}"
             )
         try:
             return spec_from_dict(data)
         except (PolydotError, ValueError) as err:
-            raise CliError(f"invalid spec in {args.spec}: {err}")
+            raise ValueError(f"invalid spec in {args.spec}: {err}")
     if not args.family:
-        raise CliError("a spec is required: --spec FILE or --family plus parameters")
+        raise ValueError("a spec is required: --spec FILE or --family plus parameters")
     try:
         return make_spec(args.family, **inline)
     except (PolydotError, ValueError) as err:
-        raise CliError(f"invalid parameters: {err}")
+        raise ValueError(f"invalid parameters: {err}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +128,7 @@ def cmd_spectrum(args) -> int:
     else:
         well = cands.wells[dominant.label]
         e_max = dominant.energy + 2.0 * sum(well.frequencies)
-    try:
-        levels_by_label = {
-            label: spectra.levels(well, e_max) for label, well in cands.wells.items()
-        }
-    except ValueError as err:
-        raise CliError(str(err))
+    levels_by_label = {label: spectra.levels(well, e_max) for label, well in cands.wells.items()}
     _write(args, {
         "spectrum.json": lambda: reports.spectrum_report_dict(
             spec, cands, dominant, classical, levels_by_label, e_max),
@@ -161,11 +156,11 @@ def _parse_vary(values):
     for item in values or []:
         parts = item.split(":")
         if len(parts) != 3:
-            raise CliError(f"--vary wants NAME:START:END, got {item!r}")
+            raise ValueError(f"--vary wants NAME:START:END, got {item!r}")
         try:
             out.append((parts[0], float(parts[1]), float(parts[2])))
         except ValueError:
-            raise CliError(f"--vary bounds must be numbers, got {item!r}")
+            raise ValueError(f"--vary bounds must be numbers, got {item!r}")
     return out
 
 
@@ -173,13 +168,9 @@ def cmd_scan(args) -> int:
     spec = _load_spec(args)
     varied = _parse_vary(args.vary)
     if not varied:
-        raise CliError("scan needs at least one --vary NAME:START:END")
+        raise ValueError("scan needs at least one --vary NAME:START:END")
     if len(varied) == 1:
-        try:
-            path = ParamPath(spec=spec, varied=tuple(varied), steps=args.steps)
-        except ValueError as err:
-            raise CliError(str(err))
-        report = scan_line(path)
+        report = scan_line(ParamPath(spec=spec, varied=tuple(varied), steps=args.steps))
         d = reports.scan_report_dict(report)
         _write(args, {
             "scan.csv": lambda: reports.scan_csv_rows(report),
@@ -195,11 +186,8 @@ def cmd_scan(args) -> int:
             print(f"  orbit {e.label} {e.change} at {varied[0][0]} = {e.location:.10g}")
         return 0
     if len(varied) != 2:
-        raise CliError("scan supports one --vary (line) or two (raster)")
-    try:
-        dmap = scan_grid(spec, varied[0], varied[1], resolution=args.resolution)
-    except ValueError as err:
-        raise CliError(str(err))
+        raise ValueError("scan supports one --vary (line) or two (raster)")
+    dmap = scan_grid(spec, varied[0], varied[1], resolution=args.resolution)
     _write(args, {
         "raster_quantum.csv": lambda: reports.raster_csv_rows(dmap, QUANTUM),
         "raster_classical.csv": lambda: reports.raster_csv_rows(dmap, CLASSICAL),
@@ -212,32 +200,30 @@ def cmd_scan(args) -> int:
 
 def cmd_grid(args) -> int:
     spec = _load_spec(args)
-    if args.grid_n is not None and args.grid_n < 2:
-        raise CliError("--grid-n must be at least 2")
-    L = args.grid_L or 1.6 * characteristic_radius(spec)
-    n = args.grid_n or 201
-    xs = np.linspace(-L, L, n)
+    L = args.grid_L if args.grid_L is not None else 1.6 * characteristic_radius(spec)
+    grid = GridSpec(extent=L, n=201 if args.grid_n is None else args.grid_n)
+    (xs,) = grid.axes(1)
     if spec.dimension == 1:
         values = evaluate(spec, xs)
         _write(args, {"grid.csv": lambda: reports.potential_line_rows(xs, values, clip=args.clip)})
-        print(f"wrote grid.csv ({n} points, window [{-L:g}, {L:g}])")
+        print(f"wrote grid.csv ({grid.n} points, window [{-L:g}, {L:g}])")
         return 0
-    planes = list(np.meshgrid(xs, xs, indexing="ij"))
+    mesh = grid.mesh(2)
     if spec.dimension == 3:
         axis, _, value = (args.slice or "z=0").partition("=")
         axis = axis.strip()
         if axis not in spec.axis_names() or not value:
-            raise CliError("--slice wants AXIS=VALUE, e.g. z=0")
+            raise ValueError("--slice wants AXIS=VALUE, e.g. z=0")
         try:
             fixed = float(value)
         except ValueError:
-            raise CliError(f"--slice value must be a number, got {value!r}")
+            raise ValueError(f"--slice value must be a number, got {value!r}")
         if not np.isfinite(fixed):
-            raise CliError(f"--slice value must be finite, got {value!r}")
-        planes.insert(spec.axis_names().index(axis), np.full((n, n), fixed))
-    values = evaluate(spec, np.stack(planes, axis=-1))
+            raise ValueError(f"--slice value must be finite, got {value!r}")
+        mesh = np.insert(mesh, spec.axis_names().index(axis), fixed, axis=-1)
+    values = evaluate(spec, mesh)
     _write(args, {"grid.csv": lambda: reports.potential_grid_rows(xs, xs, values, clip=args.clip)})
-    print(f"wrote grid.csv ({n}x{n} window [{-L:g}, {L:g}]"
+    print(f"wrote grid.csv ({grid.n}x{grid.n} window [{-L:g}, {L:g}]"
           + (f", clip V <= {args.clip:g}" if args.clip is not None else "") + ")")
     return 0
 
@@ -247,11 +233,7 @@ def cmd_oracle(args) -> int:
     sol = None
     if args.k:
         n = {1: 2001, 2: 201, 3: 33}[spec.dimension] if args.grid_n is None else args.grid_n
-        try:
-            sol = fd_eigensolve(spec, replace(verify._oracle_grid(spec, args.grid_L), n=n),
-                                k=args.k)
-        except ValueError as err:
-            raise CliError(str(err))
+        sol = fd_eigensolve(spec, replace(verify._oracle_grid(spec, args.grid_L), n=n), k=args.k)
     found, missing, spurious = verify.oracle_agreement(spec, args.grid_L)
     print(f"newton search: {len(found)} orbits "
           f"({len(missing)} missing, {len(spurious)} spurious vs closed form)")
@@ -277,7 +259,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.seed < 0:
-        raise CliError("--seed must be >= 0")
+        raise ValueError("--seed must be >= 0")
     verdict = verify.run_verify(seed=args.seed)
     _write(args, {"verify.json": lambda: verdict})
     for suite in verdict["suites"]:
@@ -371,9 +353,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "grid_L", None) is not None and not 0 < args.grid_L < np.inf:
-            raise CliError("--grid-L must be positive and finite")  # grid and oracle
+            raise ValueError("--grid-L must be positive and finite")  # grid and oracle
         return args.func(args)
-    except CliError as err:
+    except ValueError as err:  # a flag check here, or the library's invalid-input error
         print(f"error: {err}", file=sys.stderr)
         return 1
     except PolydotError as err:

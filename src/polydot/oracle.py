@@ -507,18 +507,19 @@ def richardson_ground_energies(spec_or_callable, grid: GridSpec, k: int = 1,
                                dim: int | None = None, budget: int = DEFAULT_BUDGET):
     """O(dx^2)-extrapolated energies from the grid and its refinement.
 
-    Runs at n and 2n-1 points (halved spacing) and combines
-    (4 E_fine - E_coarse) / 3, which assumes an O(dx^2) error and so is
-    biased on a tight box (see :func:`fd_eigensolve`); also returns both
-    raw solves.
+    Both solves share the box [-(L + h), L + h] of each axis, the walls of
+    the coarse grid: the fine grid has 2n + 1 points on [-(L + h/2),
+    L + h/2], so spacing h/2.  Combines (4 E_fine - E_coarse) / 3, which
+    assumes an O(dx^2) error; also returns both raw solves.  The fine
+    solve's budget, budget * 3^D, admits the fine grid of any coarse grid
+    within budget.
     """
     coarse = fd_eigensolve(spec_or_callable, grid, k=k, dim=dim, budget=budget)
-    n = grid.n
-    fine_n = tuple(2 * x - 1 for x in n) if isinstance(n, (tuple, list)) else 2 * n - 1
-    fine = fd_eigensolve(
-        spec_or_callable, GridSpec(extent=grid.extent, n=fine_n), k=k, dim=dim,
-        budget=budget * 8,
-    )
+    axes, h = range(coarse.dim), grid.spacings(coarse.dim)
+    fine_grid = GridSpec(extent=tuple(grid.axis_extent(i) + h[i] / 2.0 for i in axes),
+                         n=tuple(2 * grid.axis_n(i) + 1 for i in axes))
+    fine = fd_eigensolve(spec_or_callable, fine_grid, k=k, dim=coarse.dim,
+                         budget=budget * 3 ** coarse.dim)
     extrapolated = tuple(
         (4.0 * ef - ec) / 3.0 for ef, ec in zip(fine.energies, coarse.energies)
     )

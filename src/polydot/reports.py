@@ -81,20 +81,16 @@ def stationary_csv_rows(report: StationaryReport):
 # spectra
 # ---------------------------------------------------------------------------
 
-def well_dict(well: HarmonicWell, level_list=None) -> dict:
-    out = {
+def well_dict(well: HarmonicWell, level_list) -> dict:
+    return {
         "label": well.label,
         "v0": well.v0,
         "stiffnesses": list(well.stiffnesses),
         "omegas": list(well.frequencies),
         "ground_candidate": well.ground_estimate,
         "confinement_margin": _num(well.confinement_margin),
+        "levels": [{"n": list(lv.quantum_numbers), "energy": lv.energy} for lv in level_list],
     }
-    if level_list is not None:
-        out["levels"] = [
-            {"n": list(lv.quantum_numbers), "energy": lv.energy} for lv in level_list
-        ]
-    return out
 
 
 def spectrum_report_dict(spec, candidates: GroundCandidates, dominant, classical,
@@ -103,7 +99,7 @@ def spectrum_report_dict(spec, candidates: GroundCandidates, dominant, classical
         "spec": spec.to_dict(),
         "e_max": e_max,
         "wells": [
-            well_dict(w, levels_by_label.get(label))
+            well_dict(w, levels_by_label[label])
             for label, w in sorted(candidates.wells.items())
         ],
         "dominant": {"label": dominant.label, "energy": dominant.energy,

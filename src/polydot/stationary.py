@@ -340,11 +340,13 @@ def _off_axis(spec, pairs):
 def quadratic_aux(spec: PotentialSpec) -> QuadraticAux:
     """In-plane auxiliary quantities (w(u), z(u), uz+1, discriminant) of a
     butterfly2d spec.  Raises DegenerateCoupling at u = 2a or u = 2b, where
-    w and z are undefined (the roots are not: see :func:`off_axis_roots_2d`)."""
+    w and z are undefined (the roots are not: see :func:`off_axis_roots_2d`),
+    tested relative to the largest of |a|, |b| and |u| so that the answer
+    does not depend on the spec's scale."""
     if spec.family != "butterfly2d":
         raise ValueError("quadratic_aux applies to butterfly2d specs")
     ((a, c), (b, d)), ((_i, _j, u),) = axis_pairs(spec), couplings(spec)
-    scale = max(1.0, abs(a), abs(b), abs(u))
+    scale = max(abs(a), abs(b), abs(u))
     if abs(2.0 * a - u) <= 1e-12 * scale or abs(2.0 * b - u) <= 1e-12 * scale:
         raise DegenerateCoupling(
             f"u = {u:g} collides with a quartic diagonal (2a = {2 * a:g}, 2b = {2 * b:g})"

@@ -36,6 +36,8 @@ from .stationary import (
 ORACLE_DIFF_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 RADIUS_IDENTITY_TOL = 1e-10
+_OFFAXIS_DRAWS = 60  # per dimension
+_REALITY_DRAWS = 40
 
 
 def corpus_specs() -> dict:
@@ -140,14 +142,14 @@ def _residual_scale(location):
     return 1.0 + max(abs(c) for c in location) ** 5
 
 
-def suite_offaxis_backsubstitution(rng, draws: int = 60) -> dict:
+def suite_offaxis_backsubstitution(rng) -> dict:
     failures = []
     details = {}
     for dim, draw, roots in ((2, _draw_butterfly2d, stationary.off_axis_roots_2d),
                              (3, _draw_butterfly3d, stationary.off_axis_roots_3d)):
         routine = f"off_axis_roots_{dim}d"
         details[f"roots_{dim}d"] = 0
-        for i in range(draws):
+        for i in range(_OFFAXIS_DRAWS):
             spec = draw(rng, i % 2 == 0)
             for root in roots(spec):
                 details[f"roots_{dim}d"] += 1
@@ -167,11 +169,11 @@ def suite_offaxis_backsubstitution(rng, draws: int = 60) -> dict:
     }
 
 
-def bisect_small_coupling_threshold(lo: float = 0.2, hi: float = 0.3,
-                                    iters: int = 80) -> float:
-    """Bisection on the bulk-existence predicate, independent of the
-    closed-form constant."""
-    for _ in range(iters):
+def bisect_small_coupling_threshold() -> float:
+    """80 bisection steps on the bulk-existence predicate over [0.2, 0.3],
+    independent of the closed-form constant."""
+    lo, hi = 0.2, 0.3
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
         if bulk_reality_small_couplings(mid)[0]:
             lo = mid
@@ -180,7 +182,7 @@ def bisect_small_coupling_threshold(lo: float = 0.2, hi: float = 0.3,
     return 0.5 * (lo + hi)
 
 
-def suite_reality_thresholds(rng, draws: int = 40) -> dict:
+def suite_reality_thresholds(rng) -> dict:
     failures = []
     xi_star = bisect_small_coupling_threshold()
     if abs(xi_star - SMALL_COUPLING_THRESHOLD) > 1e-9:
@@ -188,7 +190,7 @@ def suite_reality_thresholds(rng, draws: int = 40) -> dict:
             f"small-coupling threshold bisection {xi_star!r} vs closed form "
             f"{SMALL_COUPLING_THRESHOLD!r}"
         )
-    for _ in range(draws):
+    for _ in range(_REALITY_DRAWS):
         p, q, s = rng.uniform(1.0, 3.0, size=3)
         bound = math.sqrt(3.0 * (p + q + s))
         u = bound * rng.uniform(0.7, 1.4)
@@ -226,7 +228,7 @@ def suite_reality_thresholds(rng, draws: int = 40) -> dict:
     return {
         "name": "reality_thresholds",
         "passed": not failures,
-        "details": {"xi_star": xi_star, "draws": draws, "failures": failures},
+        "details": {"xi_star": xi_star, "draws": _REALITY_DRAWS, "failures": failures},
     }
 
 

@@ -7,8 +7,9 @@ references of the eigensolver's operator, mirror bases and parity sectors,
 the face-list references of its stencil, half axes and unfold,
 the norm-stack references of localization and of the least orbit distance,
 the hand-written reference of an eigensolution's report, the row-by-row
-references of the array CSV writers, the per-axis
-references of parameter overrides and raster cells, the references of
+references of the array CSV writers, the hand-built window of the grid
+command, the per-axis references of parameter overrides and raster
+cells, the references of
 the shape layer's completion and conversion, the single-point
 reference of one scan sample, and the raw-key references of the root
 algebra, of orbit members, of the shape view and of the characteristic
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import strategies as st
 
-from polydot import catastrophe, oracle, potentials, spectra, stationary
+from polydot import catastrophe, oracle, potentials, reports, spectra, stationary
 from polydot.errors import NoRealShape, PolydotError, SplitBracket
 from polydot.stationary import MINIMUM, StationaryPoint, classify
 
@@ -452,6 +453,20 @@ def potential_grid_rows_reference(xs, ys, values, clip=None):
             v = float(values[i, j])
             row.append(None if (clip is not None and v > clip) else v)
         yield row
+
+
+def grid_rows_reference(spec, L, n, clip=None, plane=None):
+    """The rows of the grid command, on a window built by hand: a linspace
+    axis, an ij meshgrid of two of them, and for a 3D spec the slice plane
+    plane = (axis index, value) inserted as a full (n, n) coordinate."""
+    xs = np.linspace(-L, L, n)
+    if spec.dimension == 1:
+        return reports.potential_line_rows(xs, potentials.evaluate(spec, xs), clip=clip)
+    planes = list(np.meshgrid(xs, xs, indexing="ij"))
+    if spec.dimension == 3:
+        planes.insert(plane[0], np.full((n, n), plane[1]))
+    values = potentials.evaluate(spec, np.stack(planes, axis=-1))
+    return reports.potential_grid_rows(xs, xs, values, clip=clip)
 
 
 def fd_eigensolve_lobpcg_reference(spec_or_callable, grid, k, dim=3, maxiter=2000):
@@ -1021,7 +1036,7 @@ def quadratic_aux_reference(spec):
         raise ValueError("quadratic_aux applies to butterfly2d specs")
     r = spec.raw
     a, b, c, d, u = r["a"], r["b"], r["c"], r["d"], r["u"]
-    if min(abs(2.0 * a - u), abs(2.0 * b - u)) <= 1e-12 * max(1.0, abs(a), abs(b), abs(u)):
+    if min(abs(2.0 * a - u), abs(2.0 * b - u)) <= 1e-12 * max(abs(a), abs(b), abs(u)):
         raise stationary.DegenerateCoupling(
             f"u = {u:g} collides with a quartic diagonal (2a = {2 * a:g}, 2b = {2 * b:g})"
         )

@@ -5,8 +5,9 @@ import pytest
 
 from polydot import cli, oracle, stationary, verify
 from polydot.potentials import characteristic_radius, make_spec, spec_from_dict
+from polydot.reports import write_csv
 
-from helpers import count_calls
+from helpers import count_calls, grid_rows_reference
 
 
 def run(argv):
@@ -121,8 +122,9 @@ def test_analyze_cusp_spec_file_with_an_unknown_shape_key_exit_1(tmp_path, capsy
     (["scan", "--family", "butterfly1d", "--alpha", 1, "--beta", 1, "--vary", "alpha:1:2",
       "--vary", "beta:1:2", "--vary", "gamma:1:2"],
      "error: scan supports one --vary (line) or two (raster)"),
+    # grid and oracle share GridSpec's message for a grid that is too small
     (["grid", "--family", "cusp2d", "--alpha", 1.4, "--beta", 1, "--grid-n", 1],
-     "error: --grid-n must be at least 2"),
+     "error: grid needs at least 2 points per axis, got 1"),
     (["grid", "--family", "cusp3d", "--alpha", 1.4, "--beta", 1.2, "--gamma", 1,
       "--slice", "w=0"], "error: --slice wants AXIS=VALUE"),
     # NoMinimum reaches main's handler of the library's own errors
@@ -150,6 +152,14 @@ def test_analyze_cusp_spec_file_with_an_unknown_shape_key_exit_1(tmp_path, capsy
     (["grid", "--family", "cusp3d", "--alpha", 1.4, "--beta", 1.2, "--gamma", 1,
       "--slice", "z=nan"], "error: --slice value must be finite, got 'nan'"),
     (["verify", "--seed", -1], "error: --seed must be >= 0"),
+    # each ValueError of the library reaches main's one handler
+    (["scan", "--family", "butterfly1d", "--alpha", 1.5, "--beta", 2,
+      "--vary", "alpha:1.5:2.2", "--steps", 1], "error: a path needs at least 2 steps"),
+    (["scan", "--family", "butterfly1d", "--alpha", 1.5, "--beta", 2,
+      "--vary", "alpha:1.5:2.2", "--vary", "beta:1:2", "--resolution", 1],
+     "error: resolution must be >= 2"),
+    (["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--k", 400, "--grid-n", 20],
+     "error: k = 400 exceeds the 396 pairs a 2D solve on 400 unknowns returns"),
 ])
 def test_usage_and_library_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -157,6 +167,7 @@ def test_usage_and_library_errors_exit_1(tmp_path, capsys, monkeypatch, argv, me
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")  # no traceback
     assert not (tmp_path / "out").exists()
 
 
@@ -377,6 +388,26 @@ def test_grid_3d_slice(tmp_path):
     assert code == 0
     rows = read_csv(tmp_path / "grid.csv")
     assert len(rows) == 22
+
+
+CUSP3D_FLAGS = ["--family", "cusp3d", "--alpha", 1.4, "--beta", 1.2, "--gamma", 1]
+
+
+@pytest.mark.parametrize("flags, plane", [
+    (["--family", "butterfly1d", "--alpha", 1.9, "--beta", 2, "--clip", 3], None),
+    (CUSP3D_FLAGS + ["--slice", "y=0.3"], (1, 0.3)),
+    (CUSP3D_FLAGS + ["--grid-L", 2, "--grid-n", 21, "--slice", "x=-0.7", "--clip", 0], (0, -0.7)),
+])
+def test_grid_bytes_match_a_hand_built_window(tmp_path, flags, plane):
+    # the goldens cover only 2D windows; a 1D line and 3D slices are built
+    # by hand here, by default on 1.6 characteristic radii and 201 points
+    assert run(["grid", *flags, "--out", tmp_path]) == 0
+    args = cli.build_parser().parse_args(["grid", *map(str, flags)])
+    spec = cli._load_spec(args)
+    L = 1.6 * characteristic_radius(spec) if args.grid_L is None else args.grid_L
+    rows = grid_rows_reference(spec, L, args.grid_n or 201, clip=args.clip, plane=plane)
+    write_csv(tmp_path / "want.csv", rows)
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_grid_slice_value_not_a_number_exit_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,6 +351,31 @@ def test_fd_quartic_ground_energy():
         lambda x: x**4, GridSpec(extent=8.0, n=2001), k=1, dim=1)
     assert abs(fine.energies[0] - coarse.energies[0]) < 1e-3
     assert extrapolated[0] == pytest.approx(1.0604, abs=1e-3)
+
+
+def test_richardson_keeps_the_dirichlet_wall_on_a_tight_box():
+    # fig1_cusp2d on the 1.6R box: solves with the wall held at +-(L + h)
+    # on 247 and 495 points per axis extrapolate to -0.456681.  A fine grid
+    # of 2n - 1 points on the same extent moved the wall to +-(L + h/2) and
+    # gave -0.437854.
+    spec = corpus_specs()["fig1_cusp2d"]
+    grid = replace(_oracle_grid(spec), n=61)
+    extrapolated, coarse, fine = richardson_ground_energies(spec, grid, k=1)
+    h = grid.spacings(2)[0]
+    assert fine.grid.n == (123, 123)
+    assert fine.grid.axis_extent(0) + fine.grid.spacings(2)[0] == pytest.approx(
+        grid.extent + h, rel=1e-15)
+    assert extrapolated[0] == pytest.approx(-0.456681, abs=1e-4)
+
+
+def test_richardson_fine_solve_fits_any_coarse_grid_within_budget():
+    # 16^3 coarse points at a budget of exactly 16^3: the fine grid has
+    # 33^3 = 35937 > 8 * 16^3 points
+    spec = make_spec("cusp3d", alpha=1.4, beta=1.2, gamma=1.0)
+    _e, _coarse, fine = richardson_ground_energies(spec, GridSpec(extent=3.0, n=16), k=1,
+                                                   budget=16 ** 3)
+    assert fine.grid.n == (33, 33, 33)
+    assert fine.converged
 
 
 def test_fd_convergence_is_second_order():

@@ -178,6 +178,34 @@ def test_quadratic_aux_definitions():
     assert aux.disc == pytest.approx(aux.uzp1**2 - 4.0 * z * w, rel=1e-15)
 
 
+@pytest.mark.parametrize("lam", [1e-7, 1e-3, 1.0, 1e3])
+def test_quadratic_aux_is_scale_free(lam):
+    # x -> x / lam scales a, b, u by lam^2 and c, d by lam^4, so w scales
+    # by lam^2, z by lam^-2, and uz + 1 and the discriminant stay put; the
+    # collision test used to floor its scale at 1, so at lam = 1e-7 it
+    # raised DegenerateCoupling for every spec
+    def scaled(raw):
+        return spec_from_raw("butterfly2d", {
+            k: v * (lam ** 4 if k in ("c", "d") else lam ** 2) for k, v in raw.items()})
+
+    rng = np.random.default_rng(11)
+    for raw in [corpus_specs()["fig2_butterfly2d"].raw,
+                *(DRAWERS["butterfly2d"](rng).raw for _ in range(20))]:
+        unit = quadratic_aux(spec_from_raw("butterfly2d", raw))
+        aux = quadratic_aux(scaled(raw))
+        assert aux.w_of_u == pytest.approx(unit.w_of_u * lam ** 2, rel=1e-12)
+        assert aux.z_of_u == pytest.approx(unit.z_of_u / lam ** 2, rel=1e-12)
+        assert aux.uzp1 == pytest.approx(unit.uzp1, rel=1e-12)
+        assert aux.disc == pytest.approx(unit.disc, rel=1e-12)
+        with pytest.raises(DegenerateCoupling, match="collides"):
+            quadratic_aux(scaled({**raw, "u": 2.0 * raw["a"]}))
+
+
+def test_quadratic_aux_raises_at_zero_coefficients():
+    with pytest.raises(DegenerateCoupling, match="collides"):
+        quadratic_aux(spec_from_raw("butterfly2d", dict(a=0.0, b=0.0, c=1.0, d=1.0, u=0.0)))
+
+
 # ---------------------------------------------------------------------------
 # 3D off-axis roots
 # ---------------------------------------------------------------------------
