@@ -11,14 +11,14 @@ Three instruments, deliberately decoupled from the closed forms they check:
 * :func:`fd_eigensolve` - second-order central finite differences for
   -Laplacian + V with Dirichlet boundaries just outside the grid box,
   lowest-k eigenpairs via shift-invert Lanczos: on the whole grid in 1D,
-  on the 2^D mirror-parity sectors in 2D and 3D when V is even in each
-  coordinate (every family is), on the whole grid for a 2D callable that
-  is not, and by LOBPCG for a 3D callable that is not.  A 2D or 3D sector
-  is the stencil on its own half of the box.  Every sector, the 1D whole
-  grid included, is built with the shift on its diagonal and factored once
-  by SuperLU as the symmetric positive definite matrix it is.  Energies
-  converge at O(dx^2) only while the states are negligible at the wall,
-  which moves with n (see :func:`fd_eigensolve`).
+  where V may be any potential, and on the 2^D mirror-parity sectors in 2D
+  and 3D, where V must be even in each coordinate (every family is).  A 2D
+  or 3D sector is the stencil on its own half of the box.  Every sector,
+  the 1D whole grid included, is built with the shift on its diagonal and
+  factored once by SuperLU as the symmetric positive definite matrix it
+  is.  A 2D or 3D potential that is not mirror-even raises ValueError.
+  Energies converge at O(dx^2) only while the states are negligible at the
+  wall, which moves with n (see :func:`fd_eigensolve`).
 * :func:`localization` - probability mass of an eigenstate inside capture
   balls around well orbits; the operational notion of "localized near".
 """
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,6 @@ from .stationary import DEGENERATE, StationaryPoint, classify_points, point_list
 
 DEFAULT_BUDGET = 300_000  # grid unknowns (n^D); 64^3 fits
 _ARPACK_MAXITER = 10_000
-_LOBPCG_MAXITER = 2000
 # the lowest wall potential should lie this far above the top level found
 _WALL_MARGIN = 10.0
 # Newton orbits closer than this (max-norm) are one orbit; an absolute length
@@ -104,12 +102,6 @@ class LocalizationWeights:
     weights: dict
     leftover: float
     radius: float
-
-
-def _potential_on(spec_or_callable, mesh):
-    if callable(spec_or_callable) and not isinstance(spec_or_callable, PotentialSpec):
-        return np.asarray(spec_or_callable(mesh), dtype=float)
-    return np.asarray(evaluate(spec_or_callable, mesh), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +303,9 @@ def hamiltonian(spec_or_callable, grid: GridSpec, dim: int) -> tuple[sp.csr_matr
     axis of spacing h, with nothing across the box wall (Dirichlet just
     outside the box)."""
     mesh = grid.mesh(dim)
-    v = _potential_on(spec_or_callable, mesh if dim > 1 else mesh[..., 0])
+    points = mesh if dim > 1 else mesh[..., 0]
+    v = np.asarray(spec_or_callable(points) if callable(spec_or_callable)
+                   else evaluate(spec_or_callable, points), dtype=float)
     return _stencil(v, [_axis_bands(n, h) for n, h in zip(v.shape, grid.spacings(dim))], "csr"), v
 
 
@@ -329,32 +323,31 @@ def fd_eigensolve(
     spectrum is bounded below by min V, so this targets the bottom).
     Which sectors there are:
 
-    * 1D: one sector, the whole grid.
-    * 2D and 3D, V mirror-even on every axis (every PotentialSpec): the
-      operator splits into 2^D sectors of about n^D / 2^D unknowns each.
-      Each is the stencil on its half of the box, with the mirror faces
-      of :func:`_axis_bands`, and its states unfold to the whole grid by
+    * 1D, any V: one sector, the whole grid.
+    * 2D and 3D: V must be mirror-even on every axis, as every
+      PotentialSpec is (max |V - flip(V)| <= 1e-12 max |V| per axis), or
+      ValueError is raised before any solve.  The operator splits into
+      2^D sectors of about n^D / 2^D unknowns each.  Each is the stencil
+      on its half of the box, with the mirror faces of
+      :func:`_axis_bands`, and its states unfold to the whole grid by
       mirror flips.  A sector with j odd axes asks for at most k // 2^j
       pairs and is skipped when that is 0, so k = 1 solves only the
       all-even sector.
-    * 2D callable that is not mirror-even: one sector, the whole grid.
-    * 3D callable that is not mirror-even: LOBPCG on the whole grid with
-      a diagonal preconditioner.
 
     Every shifted sector, the 1D whole grid included, H - sigma I >= I with
     sigma built into its diagonal, is factored once by SuperLU with no
     pivoting: by the minimum-degree ordering of its symmetric pattern in 2D
     and 3D, and by COLAMD, as ARPACK's own factor, for the 1D tridiagonal.
 
-    One k limit holds on every route: unknowns - 2^D pairs in 2D and 3D,
-    and unknowns - 1 in 1D.  A larger k raises ValueError before any
-    solve.  Residuals are always taken against the whole-grid operator.
-    ARPACK stops after 10000 iterations and LOBPCG after 2000;
-    non-converged solves are returned flagged, not raised.  A warning
-    notes a wall potential less than 10 above the top level found.  The
-    wall sits at +-(L + h), so it moves with n: the error falls as dx^2
-    only where the states are negligible there, and about linearly in dx
-    on a tight box (fig1_cusp2d at 1.6 characteristic radii).
+    The k limit is unknowns - 2^D pairs in 2D and 3D, and unknowns - 1 in
+    1D.  A larger k raises ValueError before any solve.  Residuals are
+    always taken against the whole-grid operator.  ARPACK stops after
+    10000 iterations; non-converged solves are returned flagged, not
+    raised.  A warning notes a wall potential less than 10 above the top
+    level found.  The wall sits at +-(L + h), so it moves with n: the
+    error falls as dx^2 only where the states are negligible there, and
+    about linearly in dx on a tight box (fig1_cusp2d at 1.6
+    characteristic radii).
 
     Memory: the (2D+1)-point stencil holds n^D unknowns, and each solve
     adds the LU factors of one sector at a time, whose fill grows faster
@@ -382,7 +375,7 @@ def fd_eigensolve(
             )
     size = grid.size(dim)
     # ARPACK returns at most unknowns - 1 pairs of each of the 2^D sectors
-    # that a 2D or 3D solve may split into; 1D has one sector
+    # that a 2D or 3D solve splits into; 1D has one sector
     pairs = size - (2**dim if dim > 1 else 1)
     if k > pairs:
         raise ValueError(
@@ -394,6 +387,10 @@ def fd_eigensolve(
             f"pass budget={size} to override"
         )
     H, v = hamiltonian(spec_or_callable, grid, dim)
+    if dim > 1 and not all(
+            np.abs(v - np.flip(v, axis=ax)).max() <= 1e-12 * np.abs(v).max() for ax in range(dim)):
+        raise ValueError(f"a {dim}D potential must be mirror-even on every axis, "
+                         "V unchanged when one coordinate flips sign")
     notes = []
 
     # Dirichlet-wall adequacy: the boundary potential should dominate the
@@ -408,63 +405,42 @@ def fd_eigensolve(
     shape = tuple(grid.axis_n(i) for i in range(dim))
     converged = True
     found_vals, found_vecs = [], []
-    mirror_even = dim > 1 and all(
-        np.abs(v - np.flip(v, axis=ax)).max() <= 1e-12 * np.abs(v).max() for ax in range(dim))
-    if dim < 3 or mirror_even:
-        # A 2D or 3D V mirror-even on every axis (to rounding) makes H block
-        # diagonal in the 2^D parity sectors of the split axes; any coupling
-        # left over shows in the residuals below.  Making one more axis odd
-        # adds a positive semidefinite term (even n) or deletes the centre
-        # line or plane (odd n), so the l-th level of a sector is at least
-        # the l-th level of each sector whose odd axes are a subset of its
-        # own.  With j odd axes there are 2^j such sectors, itself included,
-        # so its l-th level is among the lowest k only if l <= k // 2^j.
-        # 1D and a 2D V that is not mirror-even split no axis: parity None.
-        shift = vmin - 1.0
-        parities = (0, 1) if mirror_even else (None,)
-        for odd in sorted(itertools.product(parities, repeat=dim), key=lambda o: o.count(1)):
-            want = k >> odd.count(1)
-            if want == 0:
-                continue
-            # the sector less the shift, >= I: symmetric positive definite.
-            # With OPinv given, eigsh reads only its shape.
-            bands = [_axis_bands(n, h, o) for n, h, o in zip(shape, grid.spacings(dim), odd)]
-            sector = _stencil(v, bands, "csc", shift)
-            lu = spla.splu(sector, permc_spec="MMD_AT_PLUS_A" if dim > 1 else "COLAMD",
-                           diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            m = sector.shape[0]
-            want = min(want, m - 1)
-            try:
-                vals, vecs = spla.eigsh(
-                    sector, k=want, sigma=shift, which="LM",
-                    OPinv=spla.LinearOperator(sector.shape, matvec=lu.solve, dtype=float),
-                    v0=rng.standard_normal(m), maxiter=_ARPACK_MAXITER,
-                )
-            except spla.ArpackNoConvergence as err:
-                vals, vecs = err.eigenvalues, err.eigenvectors
-                converged = False
-                where = f" in parity sector {odd} (1 = odd axis)" if mirror_even else ""
-                notes.append(f"ARPACK stopped early{where} with {len(vals)} of {want} pairs")
-            found_vals.append(vals)
-            found_vecs.append(_unfold(vecs, shape, odd))
-    else:
-        # A 3D V that is not mirror-even has no sectors to split.  LOBPCG stays
-        # for it: whole-grid shift-invert factors all n^3 unknowns at once.
-        # For x^2 + 0.5x + 1.7y^2 + 2.3z^2, k=1, one BLAS thread, 33^3:
-        # 1.6-2.0 s and 89 MB peak against 4.5 s and 300 MB for whole-grid
-        # eigsh on the SPD factor above (same energy to 1.3e-14).
-        X = rng.standard_normal((size, k + 3))
-        diag = H.diagonal()
-        M = sp.diags(1.0 / np.maximum(diag - vmin + 1.0, 1e-8))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            vals, vecs = spla.lobpcg(
-                H, X, M=M, tol=1e-9, maxiter=_LOBPCG_MAXITER, largest=False,
+    # A 2D or 3D V mirror-even on every axis (to rounding) makes H block
+    # diagonal in the 2^D parity sectors of the split axes; any coupling
+    # left over shows in the residuals below.  Making one more axis odd
+    # adds a positive semidefinite term (even n) or deletes the centre
+    # line or plane (odd n), so the l-th level of a sector is at least
+    # the l-th level of each sector whose odd axes are a subset of its
+    # own.  With j odd axes there are 2^j such sectors, itself included,
+    # so its l-th level is among the lowest k only if l <= k // 2^j.
+    # 1D splits no axis: parity None.
+    shift = vmin - 1.0
+    parities = (0, 1) if dim > 1 else (None,)
+    for odd in sorted(itertools.product(parities, repeat=dim), key=lambda o: o.count(1)):
+        want = k >> odd.count(1)
+        if want == 0:
+            continue
+        # the sector less the shift, >= I: symmetric positive definite.
+        # With OPinv given, eigsh reads only its shape.
+        bands = [_axis_bands(n, h, o) for n, h, o in zip(shape, grid.spacings(dim), odd)]
+        sector = _stencil(v, bands, "csc", shift)
+        lu = spla.splu(sector, permc_spec="MMD_AT_PLUS_A" if dim > 1 else "COLAMD",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        m = sector.shape[0]
+        want = min(want, m - 1)
+        try:
+            vals, vecs = spla.eigsh(
+                sector, k=want, sigma=shift, which="LM",
+                OPinv=spla.LinearOperator(sector.shape, matvec=lu.solve, dtype=float),
+                v0=rng.standard_normal(m), maxiter=_ARPACK_MAXITER,
             )
-        for item in caught:
-            notes.append(f"lobpcg: {item.message}")
-        found_vals.append(vals[:k])
-        found_vecs.append(vecs[:, :k])
+        except spla.ArpackNoConvergence as err:
+            vals, vecs = err.eigenvalues, err.eigenvectors
+            converged = False
+            where = f" in parity sector {odd} (1 = odd axis)" if dim > 1 else ""
+            notes.append(f"ARPACK stopped early{where} with {len(vals)} of {want} pairs")
+        found_vals.append(vals)
+        found_vecs.append(_unfold(vecs, shape, odd))
     vals = np.concatenate(found_vals)
     keep = np.argsort(vals)[:k]
     vals, vecs = vals[keep], np.hstack(found_vecs)[:, keep]

@@ -518,7 +518,11 @@ def hamiltonian_reference(spec_or_callable, grid, dim):
     summed in axis order, plus diag(V)."""
     axes, dxs = grid.axes(dim), grid.spacings(dim)
     mesh = grid.mesh(dim)
-    v = oracle._potential_on(spec_or_callable, mesh if dim > 1 else mesh[..., 0])
+    points = mesh if dim > 1 else mesh[..., 0]
+    if isinstance(spec_or_callable, potentials.PotentialSpec):
+        v = np.asarray(potentials.evaluate(spec_or_callable, points), dtype=float)
+    else:
+        v = np.asarray(spec_or_callable(points), dtype=float)
     kin = None
     for i in range(dim):
         n, dx = len(axes[i]), dxs[i]
