@@ -512,7 +512,7 @@ class SubdomainMap:
 
 def _marching_squares(indicator: np.ndarray, xs, ys) -> list[list[tuple[float, float]]]:
     """0.5-level polylines of a boolean node field (vertices at edge
-    midpoints), joined greedily into chains."""
+    midpoints), joined greedily into chains on equal vertices."""
     indicator = np.asarray(indicator, dtype=bool)
     segments = []
     nx, ny = indicator.shape
@@ -537,14 +537,11 @@ def _marching_squares(indicator: np.ndarray, xs, ys) -> list[list[tuple[float, f
             for e0, e1 in _SEGMENTS[idx]:
                 segments.append((mid[e0], mid[e1]))
 
-    def key(pt):
-        return (round(pt[0], 12), round(pt[1], 12))
-
     open_ends: dict = {}
     chains: list[list] = []
     for p0, p1 in segments:
-        c0 = open_ends.pop(key(p0), None)
-        c1 = open_ends.pop(key(p1), None)
+        c0 = open_ends.pop(p0, None)
+        c1 = open_ends.pop(p1, None)
         if c0 is not None and c1 is not None and c0 is not c1:
             if c0[-1] != p0:
                 c0.reverse()
@@ -567,7 +564,7 @@ def _marching_squares(indicator: np.ndarray, xs, ys) -> list[list[tuple[float, f
             chain = [p0, p1]
             chains.append(chain)
         for end in (chain[0], chain[-1]):
-            open_ends[key(end)] = chain
+            open_ends[end] = chain
     return [[(float(x), float(y)) for x, y in c] for c in chains]
 
 

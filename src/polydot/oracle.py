@@ -301,7 +301,10 @@ def hamiltonian(spec_or_callable, grid: GridSpec, dim: int) -> tuple[sp.csr_matr
     """Sparse -Laplacian + V on the grid, as the (2D+1)-point stencil:
     2/h^2 per axis on the diagonal and -1/h^2 to each neighbour along an
     axis of spacing h, with nothing across the box wall (Dirichlet just
-    outside the box)."""
+    outside the box).  ValueError if 2/h^2 overflows a float on any axis."""
+    for h in grid.spacings(dim):
+        if not (h > 0.0 and 2.0 / h / h < math.inf):
+            raise ValueError(f"grid spacing {h:g} is too fine: 2/h^2 overflows a float")
     mesh = grid.mesh(dim)
     points = mesh if dim > 1 else mesh[..., 0]
     v = np.asarray(spec_or_callable(points) if callable(spec_or_callable)

@@ -12,8 +12,9 @@ Four suites cross-check the closed forms against independent numerics:
 4. fd_calibration - harmonic levels {1, 3, 5} and the O(dx^2) convergence
    slope of the finite-difference eigensolver.
 
-Suites draw from a seeded generator, so a fixed seed gives a byte-identical
-verdict file.
+A suite takes the seeded generator and returns its details, which hold a
+``failures`` list; run_verify adds the name and ``passed``.  A fixed seed
+gives a byte-identical verdict file.
 """
 
 from __future__ import annotations
@@ -89,11 +90,7 @@ def suite_stationary_oracle_agreement(rng) -> dict:
             failures.append(
                 f"{name}: oracle found an orbit at {p.location} missing from the closed form"
             )
-    return {
-        "name": "stationary_oracle_agreement",
-        "passed": not failures,
-        "details": {"specs_checked": len(specs), "failures": failures},
-    }
+    return {"specs_checked": len(specs), "failures": failures}
 
 
 def _draw_shape(rng, axes, alpha_range, beta_range):
@@ -162,11 +159,7 @@ def suite_offaxis_backsubstitution(rng) -> dict:
                 res = float(np.max(np.abs(potentials.gradient(spec, loc))))
                 if res > RESIDUAL_TOL * _residual_scale(loc):
                     failures.append(f"{routine}: gradient residual {res:.2e} {where}")
-    return {
-        "name": "offaxis_backsubstitution",
-        "passed": not failures,
-        "details": {**details, "failures": failures},
-    }
+    return {**details, "failures": failures}
 
 
 def bisect_small_coupling_threshold() -> float:
@@ -225,11 +218,7 @@ def suite_reality_thresholds(rng) -> dict:
                     failures.append(
                         f"corrected-quadratic back-substitution failed at u={u:g}"
                     )
-    return {
-        "name": "reality_thresholds",
-        "passed": not failures,
-        "details": {"xi_star": xi_star, "draws": _REALITY_DRAWS, "failures": failures},
-    }
+    return {"xi_star": xi_star, "draws": _REALITY_DRAWS, "failures": failures}
 
 
 def suite_fd_calibration(rng) -> dict:
@@ -248,16 +237,7 @@ def suite_fd_calibration(rng) -> dict:
     for r in ratios:
         if not (0.8 * 4.0 <= r <= 1.2 * 4.0):
             failures.append(f"convergence ratio {r:g} outside 4 +- 20%")
-    return {
-        "name": "fd_calibration",
-        "passed": not failures,
-        "details": {
-            "levels": list(sol.energies),
-            "errors": errs,
-            "ratios": ratios,
-            "failures": failures,
-        },
-    }
+    return {"levels": list(sol.energies), "errors": errs, "ratios": ratios, "failures": failures}
 
 
 SUITES = (
@@ -271,7 +251,11 @@ SUITES = (
 def run_verify(seed: int = 0) -> dict:
     """Run every suite; deterministic verdict for a fixed seed."""
     rng = np.random.default_rng(seed)
-    suites = [suite(rng) for suite in SUITES]
+    suites = []
+    for suite in SUITES:
+        details = suite(rng)
+        suites.append({"name": suite.__name__.removeprefix("suite_"),
+                       "passed": not details["failures"], "details": details})
     return {
         "seed": seed,
         "passed": all(s["passed"] for s in suites),

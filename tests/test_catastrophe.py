@@ -426,6 +426,15 @@ def test_marching_squares_chains_are_the_cell_segments(seed, shape):
         assert c[0] == c[-1] or all(x in border[0] or y in border[1] for x, y in (c[0], c[-1]))
 
 
+def test_marching_squares_joins_exact_vertices_in_a_narrow_window():
+    # a vertex key rounded to 12 decimals merged vertices 5e-14 apart
+    xs = 1.0 + np.linspace(0.0, 4e-13, 9)
+    ring = np.hypot(*np.meshgrid(np.arange(9) - 4.0, np.arange(9) - 4.0)) < 2.5
+    (chain,) = catastrophe._marching_squares(ring, xs, xs)
+    assert chain[0] == chain[-1] and len(set(chain)) == len(chain) - 1
+    assert Counter(map(frozenset, zip(chain, chain[1:]))) == Counter(_cell_segments(ring, xs, xs))
+
+
 # ---------------------------------------------------------------------------
 # refinement against the bisection references
 # ---------------------------------------------------------------------------

@@ -160,6 +160,9 @@ def test_analyze_cusp_spec_file_with_an_unknown_shape_key_exit_1(tmp_path, capsy
      "error: resolution must be >= 2"),
     (["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--k", 400, "--grid-n", 20],
      "error: k = 400 exceeds the 396 pairs a 2D solve on 400 unknowns returns"),
+    # 2/h^2 overflows: this used to end in SuperLU's "Factor is exactly singular"
+    (["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--k", 1, "--grid-L", 1e-160,
+      "--grid-n", 33], "error: grid spacing 6.25e-162 is too fine: 2/h^2 overflows a float"),
 ])
 def test_usage_and_library_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

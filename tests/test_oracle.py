@@ -1054,6 +1054,15 @@ def test_grid_half_width_must_be_positive_and_finite():
             oracle_agreement(spec, extent)
 
 
+def test_grid_spacing_whose_stencil_overflows_is_refused():
+    # these used to raise ZeroDivisionError and SuperLU's "Factor is exactly singular"
+    tiny = spec_from_raw("cusp2d", {"alpha_sq": 0.0, "beta_sq": 5e-324})
+    cusp = make_spec("cusp2d", alpha=2.0, beta=1.0)
+    for spec, extent in ((tiny, 1.6 * characteristic_radius(tiny)), (cusp, 1e-160), (cusp, 5e-324)):
+        with pytest.raises(ValueError, match=r"grid spacing \S+ is too fine: 2/h\^2 overflows"):
+            fd_eigensolve(spec, GridSpec(extent=extent, n=33))
+
+
 def test_localization_orbit_input_deep_outer_regime():
     spec = make_spec("butterfly1d", alpha=1.7, beta=2.0)
     pts = stationary_points(spec)

@@ -10,9 +10,9 @@ from polydot import stationary, verify
 
 
 def _failures(suite, seed=0):
-    result = suite(np.random.default_rng(seed))
-    assert result["passed"] is False
-    return result["details"]["failures"]
+    failures = suite(np.random.default_rng(seed))["failures"]
+    assert failures
+    return failures
 
 
 def test_stationary_oracle_agreement_names_a_dropped_axis_orbit(monkeypatch):
@@ -62,3 +62,21 @@ def test_fd_calibration_names_shifted_levels_and_the_lost_slope(monkeypatch):
     assert [f.split(":")[0] for f in failures[:3]] == [f"harmonic level {i}" for i in range(3)]
     assert len(failures) == 5
     assert all(re.fullmatch(r"convergence ratio \S+ outside 4 \+- 20%", f) for f in failures[3:])
+
+
+def test_run_verify_names_and_grades_each_suite(monkeypatch):
+    good, bad = {"draws": 2, "failures": []}, {"failures": ["case 1 off by 2"]}
+
+    def suite_good(rng):
+        return good
+
+    def suite_bad(rng):
+        return bad
+
+    monkeypatch.setattr(verify, "SUITES", (suite_good, suite_bad))
+    verdict = verify.run_verify(seed=5)
+    assert verdict == {"seed": 5, "passed": False, "suites": [
+        {"name": "good", "passed": True, "details": {"draws": 2, "failures": []}},
+        {"name": "bad", "passed": False, "details": {"failures": ["case 1 off by 2"]}},
+    ]}
+    assert all(s["details"] is d for s, d in zip(verdict["suites"], (good, bad)))
