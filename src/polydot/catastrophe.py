@@ -14,10 +14,12 @@ Hessians, eigenvalues, ground candidates and labels are then computed for
 the samples of a line, or the cells of a raster, as stacks of up to 64.
 Each label change is refined by Illinois false position on the signed
 candidate gap from the probe interval where it changes sign, bisecting
-while an end gap is +-inf; each probe is one spec's enumeration and ground
-candidates, the same arithmetic on a stack of one.  Orbits appearing or
-vanishing along a line are reported as events, refined by the same loop
-on orbit presence read from the root formulas as a gap of -inf or +inf.
+while an end gap is +-inf.  The nine probes that check for one sign
+change are evaluated as one stack, as scan samples are; each sequential
+step is one spec's enumeration and ground candidates, the same arithmetic
+on a stack of one.  Orbits appearing or vanishing along a line are
+reported as events, refined by the same loop on orbit presence read from
+the root formulas as a gap of -inf or +inf.
 """
 
 from __future__ import annotations
@@ -254,6 +256,14 @@ def _evaluate_sample(path: ParamPath, t: float) -> ScanSample:
                       spectra._lowest_label(depths), energies, depths, orbit_labels)
 
 
+def _evaluate_samples(path: ParamPath, ts) -> list[ScanSample]:
+    """Samples of the path at each t of ts, evaluated as one stack by
+    :func:`_sample`; each agrees bitwise with :func:`_evaluate_sample` at
+    the same t."""
+    rows = _sample([_prepare(lambda t=t: path.spec_at(t)) for t in ts])
+    return [ScanSample(t, path.params_at(t), *row) for t, row in zip(ts, rows)]
+
+
 def _gap(sample: ScanSample, kind: str, pair) -> float:
     """Signed gap E_A - E_B of one sample; +-inf when a label is missing
     (the surviving label dominates), nan when both are."""
@@ -313,14 +323,19 @@ def locate_boundary(
 ) -> CatastropheBoundary:
     """Refine one label change inside a bracket of path coordinates.
 
-    The bracket endpoints must carry different dominant labels (pair is
-    inferred when omitted); ends may pass the samples already evaluated
-    there.  Nine interior probes of the signed gap E_A - E_B check that it
-    changes sign once (more raise SplitBracket) and narrow the bracket to
-    the probe interval where it does.  Illinois false position then runs
-    from there, bisecting while an end gap is +-inf, until |gap| < gap_tol
-    or the bracket is narrower than width_tol in the first varied parameter.
+    The bracket endpoints, in either order, must carry different dominant
+    labels (pair is inferred from them when omitted); ends may pass the
+    samples already evaluated there.  Nine interior probes of the signed
+    gap E_A - E_B, evaluated as one stack, check that it changes sign once
+    (more raise SplitBracket) and narrow the bracket to the probe interval
+    where it does.  Illinois false position then runs from there, one
+    single probe per step, bisecting while an end gap is +-inf, until
+    |gap| < gap_tol or the bracket is narrower than width_tol in the first
+    varied parameter.  A kind other than QUANTUM or CLASSICAL raises
+    ValueError before any probe.
     """
+    if kind not in (QUANTUM, CLASSICAL):
+        raise ValueError(f"kind must be {QUANTUM!r} or {CLASSICAL!r}, got {kind!r}")
     t_lo, t_hi = bracket
     if ends is None:
         ends = (_evaluate_sample(path, t_lo), _evaluate_sample(path, t_hi))
@@ -331,6 +346,8 @@ def locate_boundary(
                 f"bracket endpoints must carry different dominant labels, got {a!r}/{b!r}"
             )
         pair = (a, b)
+    if t_hi < t_lo:
+        t_lo, t_hi, ends = t_hi, t_lo, ends[::-1]
 
     def gap(t: float) -> float:
         return _gap(_evaluate_sample(path, t), kind, pair)
@@ -343,7 +360,7 @@ def locate_boundary(
 
     # probe the interior for extra sign changes before trusting one root
     ts = np.linspace(t_lo, t_hi, 11)
-    probes = [g_lo] + [gap(t) for t in ts[1:-1]] + [g_hi]
+    probes = [g_lo] + [_gap(s, kind, pair) for s in _evaluate_samples(path, ts[1:-1])] + [g_hi]
     defined = [(t, g) for t, g in zip(ts, probes) if not math.isnan(g)]
     flips = [(p0, p1) for p0, p1 in zip(defined, defined[1:])
              if (p0[1] < 0.0) != (p1[1] < 0.0)]

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polydot import catastrophe, potentials, spectra, stationary
@@ -276,8 +276,29 @@ def test_split_bracket_detection(monkeypatch):
                           depths={"A": gap, "B": 0.0}, orbit_labels=("A", "B"))
 
     monkeypatch.setattr(catastrophe, "_evaluate_sample", oscillating_sample)
+    monkeypatch.setattr(catastrophe, "_evaluate_samples",
+                        lambda path, ts: [oscillating_sample(path, t) for t in ts])
     with pytest.raises(SplitBracket):
         locate_boundary(path, (0.0, 1.0), QUANTUM, pair=("A", "B"))
+
+
+@pytest.mark.parametrize("kind", [QUANTUM, CLASSICAL])
+def test_reversed_bracket_refines_to_the_same_root(kind):
+    # the README line, bracketed both ways; the pair follows the ends given
+    path = butterfly_path()
+    forward = locate_boundary(path, (0.0, 1.0), kind)
+    backward = locate_boundary(path, (1.0, 0.0), kind)
+    assert backward.pair == forward.pair[::-1]
+    assert abs(backward.location - forward.location) <= DEFAULT_WIDTH_TOL * path.primary_span
+    assert backward.location == pytest.approx(2.0 if kind == CLASSICAL else 1.978603, abs=1e-6)
+
+
+def test_unknown_kind_raises_before_any_probe(monkeypatch):
+    prepared = count_calls(monkeypatch, catastrophe._prepare)
+    probes = count_calls(monkeypatch, catastrophe._evaluate_sample)
+    with pytest.raises(ValueError, match="'quantum' or 'classical'"):
+        locate_boundary(butterfly_path(steps=2), (0.0, 1.0), "Quantum")
+    assert prepared == [] and probes == []
 
 
 def test_locate_boundary_needs_label_change():
@@ -493,13 +514,16 @@ def test_refinement_matches_bisection_reference_drawn(beta, below, above, steps)
 
 
 def test_readme_line_refines_each_boundary_in_few_evaluations(monkeypatch):
-    # the 71 samples are evaluated as stacks; every single-sample evaluation
-    # is a refinement probe, and each takes one ground_candidates call
+    # the 71 samples are evaluated as stacks; each boundary evaluates its 9
+    # split-check probes as one stack, and every single-sample evaluation is
+    # a sequential refinement probe, which takes one ground_candidates call
+    stacks = count_calls(monkeypatch, catastrophe._evaluate_samples)
     probes = count_calls(monkeypatch, catastrophe._evaluate_sample)
     candidates = count_calls(monkeypatch, spectra.ground_candidates)
     rep = scan_line(butterfly_path())
     assert len(rep.boundaries) == 2 and rep.events == ()
-    assert len(probes) / len(rep.boundaries) <= 15
+    assert [len(ts) for _path, ts in stacks] == [9] * len(rep.boundaries)
+    assert len(probes) <= 6 * len(rep.boundaries)
     assert len(candidates) == len(probes)
 
 
@@ -594,10 +618,12 @@ def test_infinite_end_gap_is_bisected_until_finite(monkeypatch):
                           candidates=table, depths=table, orbit_labels=())
 
     monkeypatch.setattr(catastrophe, "_evaluate_sample", sample)
+    monkeypatch.setattr(catastrophe, "_evaluate_samples",
+                        lambda path, ts: [sample(path, t) for t in ts])
     path = butterfly_path(steps=2)
     b = locate_boundary(path, (0.0, 1.0), QUANTUM, pair=("A", "B"))
-    # both ends, 9 probes, then the first refinement step is the midpoint of
-    # the probe bracket [0.4, 0.5], whose low end gap is +inf
+    # both ends, a stack of 9 probes, then the first refinement step is the
+    # midpoint of the probe bracket [0.4, 0.5], whose low end gap is +inf
     assert evaluated[11] == pytest.approx(0.45, abs=1e-15)
     assert b.location == pytest.approx(path.primary_value(0.47), abs=1e-12)
     assert len(evaluated) <= 2 + 9 + 4 + 2
@@ -690,6 +716,19 @@ def test_scan_line_samples_match_single_point_reference(path, t):
         repr(scan_sample_reference(lambda: path.spec_at(t), t, path.params_at(t)))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scan_paths(), st.lists(st.floats(0.0, 1.0), max_size=9))
+# a degenerate ring without a minimum at t = 0.5, and a NoRealShape end
+@example(ParamPath(spec=make_spec("cusp2d", alpha=1.0, beta=1.0),
+                   varied=(("alpha", 0.5, 1.5),), steps=2), [0.0, 0.5, 1.0])
+@example(ParamPath(spec=make_spec("butterfly1d", alpha=1.0, beta=1.0),
+                   varied=(("gamma", 0.5, 2.5),), steps=2), [0.0, 0.5, 1.0])
+def test_stacked_probes_match_single_probes(path, ts):
+    # the drawn lines run into invalid specs too
+    assert repr(catastrophe._evaluate_samples(path, ts)) == \
+        repr([catastrophe._evaluate_sample(path, t) for t in ts])
+
+
 def test_scan_line_orders_tied_orbits_by_label():
     # at alpha = beta = 0.75 the outer wells and the origin both sit at
     # V = 0 exactly; the tables list them in (value, label) order
@@ -724,24 +763,28 @@ def test_interrupted_scan_keeps_the_samples_before_it(monkeypatch, k):
     assert repr(rep.samples) == repr(full.samples[:k - 1])
 
 
-@pytest.mark.parametrize("line, target, k", [
-    ("butterfly3d_w", (ParamPath, "spec_at"), 40),  # inside event refinement
-    ("readme", (catastrophe, "_evaluate_sample"), 20),  # inside the second boundary
-], ids=["event", "boundary"])
-def test_interrupted_refinement_keeps_what_came_before(monkeypatch, line, target, k):
+@pytest.mark.parametrize("line, owner, names, k", [
+    ("butterfly3d_w", ParamPath, ("spec_at",), 40),  # inside event refinement
+    # the first boundary takes one stack of probes and 6 single probes; the
+    # 8th call is the second boundary's stack, the 9th its first single probe
+    ("readme", catastrophe, ("_evaluate_samples", "_evaluate_sample"), 8),
+    ("readme", catastrophe, ("_evaluate_samples", "_evaluate_sample"), 9),
+], ids=["event", "boundary", "boundary_step"])
+def test_interrupted_refinement_keeps_what_came_before(monkeypatch, line, owner, names, k):
     path = REFERENCE_LINES[line]()
     full = scan_line(path)
     calls = []
-    owner, name = target
-    fn = getattr(owner, name)
 
-    def interrupting(*args):
-        calls.append(args)
-        if len(calls) == k:
-            raise KeyboardInterrupt
-        return fn(*args)
+    def interrupting(fn):
+        def wrapper(*args):
+            calls.append(args)
+            if len(calls) == k:
+                raise KeyboardInterrupt
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(owner, name, interrupting)
+    for name in names:
+        monkeypatch.setattr(owner, name, interrupting(getattr(owner, name)))
     rep = scan_line(path)
     assert rep.header["partial"] is True
     assert repr(rep.samples) == repr(full.samples)
