@@ -18,8 +18,10 @@ while an end gap is +-inf.  The nine probes that check for one sign
 change are evaluated as one stack, as scan samples are; each sequential
 step is one spec's enumeration and ground candidates, the same arithmetic
 on a stack of one.  Orbits appearing or vanishing along a line are
-reported as events, refined by the same loop on orbit presence read from
-the root formulas as a gap of -inf or +inf.
+reported as events, refined by the same loop on orbit presence from the
+bracket's samples on, reading each probe from the root formulas as a gap
+of -inf or +inf.  Refinement always stops at DEFAULT_GAP_TOL and
+DEFAULT_WIDTH_TOL, the tolerances a line scan's header reports.
 """
 
 from __future__ import annotations
@@ -279,18 +281,18 @@ def _gap(sample: ScanSample, kind: str, pair) -> float:
     return ea - eb
 
 
-def _refine(f, t_lo, g_lo, t_hi, g_hi, span, gap_tol, width_tol) -> float:
+def _refine(f, t_lo, g_lo, t_hi, g_hi, span, gap_tol) -> float:
     """Root of f in a bracket where it changes sign: Illinois false position,
     bisecting while an end value is +-inf, until |f| < gap_tol or the next
-    point's bracket is narrower than width_tol in the first varied parameter
-    (span is its range), for at most 200 steps.  A nan value raises."""
+    point's bracket is narrower than DEFAULT_WIDTH_TOL in the first varied
+    parameter (span is its range), for at most 200 steps; nan raises."""
     kept = 0  # Illinois: +1/-1 when the last step kept the low/high end
     for _ in range(200):
         if math.isinf(g_lo) or math.isinf(g_hi):
             t_mid = 0.5 * (t_lo + t_hi)
         else:
             t_mid = t_lo - g_lo * (t_hi - t_lo) / (g_hi - g_lo)
-        if (t_hi - t_lo) * span < width_tol:
+        if (t_hi - t_lo) * span < DEFAULT_WIDTH_TOL:
             return t_mid
         g_mid = f(t_mid)
         if math.isnan(g_mid):
@@ -317,8 +319,6 @@ def locate_boundary(
     bracket: tuple[float, float],
     kind: str,
     pair: tuple[str, str] | None = None,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    width_tol: float = DEFAULT_WIDTH_TOL,
     ends: tuple[ScanSample, ScanSample] | None = None,
 ) -> CatastropheBoundary:
     """Refine one label change inside a bracket of path coordinates.
@@ -330,8 +330,9 @@ def locate_boundary(
     (more raise SplitBracket) and narrow the bracket to the probe interval
     where it does.  Illinois false position then runs from there, one
     single probe per step, bisecting while an end gap is +-inf, until
-    |gap| < gap_tol or the bracket is narrower than width_tol in the first
-    varied parameter.  A kind other than QUANTUM or CLASSICAL raises
+    |gap| < DEFAULT_GAP_TOL or the bracket is narrower than
+    DEFAULT_WIDTH_TOL in the first varied parameter, the tolerances a line
+    scan's header reports.  A kind other than QUANTUM or CLASSICAL raises
     ValueError before any probe.
     """
     if kind not in (QUANTUM, CLASSICAL):
@@ -371,8 +372,8 @@ def locate_boundary(
     (t_lo, g_lo), (t_hi, g_hi) = flips[0]
 
     span = path.primary_span
-    t_star = _refine(gap, t_lo, g_lo, t_hi, g_hi, span, gap_tol, width_tol)
-    dt = max(1e-7, 10.0 * width_tol / max(span, 1e-300))
+    t_star = _refine(gap, t_lo, g_lo, t_hi, g_hi, span, DEFAULT_GAP_TOL)
+    dt = max(1e-7, 10.0 * DEFAULT_WIDTH_TOL / max(span, 1e-300))
     t_plus, t_minus = min(t_star + dt, 1.0), max(t_star - dt, 0.0)
     g_plus, g_minus = gap(t_plus), gap(t_minus)
     slope = None
@@ -389,30 +390,25 @@ def locate_boundary(
     )
 
 
-def _locate_orbit_event(path, t_lo, t_hi, label, width_tol, labels_at=None):
-    """Bisection on orbit-label presence, read from the root formulas alone:
-    a point with the presence of t_lo counts as gap -inf, any other as +inf.
-    labels_at, {t: orbit labels}, keeps the probes for the other events of
-    the same bracket, whose bisections visit the same points while their
-    presence agrees."""
-    if labels_at is None:
-        labels_at = {}
+def _orbit_events(path, s0, s1):
+    """OrbitEvent of each orbit label that one of the scan samples s0 and s1
+    (s0.t < s1.t) has and the other lacks, in label order: bisection on its
+    presence, read from the root formulas, where presence as at s0 counts
+    as gap -inf and any other as +inf.  The events share their probes."""
+    labels_at = {}
 
-    def present(t):
+    def labels(t):
         if t not in labels_at:
             _spec, reps, _error = _prepare(lambda: path.spec_at(t))
-            labels_at[t] = {rep_label for _loc, _sub, rep_label in reps or ()}
-        return label in labels_at[t]
+            labels_at[t] = {label for _loc, _sub, label in reps or ()}
+        return labels_at[t]
 
-    p_lo = present(t_lo)
-    t_star = _refine(lambda t: -math.inf if present(t) == p_lo else math.inf,
-                     t_lo, -math.inf, t_hi, math.inf, path.primary_span, 0.0, width_tol)
-    return OrbitEvent(
-        label=label,
-        change="appears" if not p_lo else "disappears",
-        location=path.primary_value(t_star),
-        params=path.params_at(t_star),
-    )
+    for label in sorted(set(s0.orbit_labels) ^ set(s1.orbit_labels)):
+        p_lo = label in s0.orbit_labels
+        t_star = _refine(lambda t: -math.inf if (label in labels(t)) == p_lo else math.inf,
+                         s0.t, -math.inf, s1.t, math.inf, path.primary_span, 0.0)
+        yield OrbitEvent(label, "disappears" if p_lo else "appears",
+                         path.primary_value(t_star), path.params_at(t_star))
 
 
 def scan_line(path: ParamPath, workers: int = 1) -> ScanReport:
@@ -459,12 +455,7 @@ def scan_line(path: ParamPath, workers: int = 1) -> ScanReport:
                                 params={"unrefined": str(err)},
                             )
                         )
-            labels_at = {}
-            for label in sorted(set(s0.orbit_labels) ^ set(s1.orbit_labels)):
-                events.append(
-                    _locate_orbit_event(path, s0.t, s1.t, label, DEFAULT_WIDTH_TOL,
-                                        labels_at)
-                )
+            events.extend(_orbit_events(path, s0, s1))
     except KeyboardInterrupt:
         partial = True
 

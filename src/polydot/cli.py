@@ -200,6 +200,8 @@ def cmd_scan(args) -> int:
 
 def cmd_grid(args) -> int:
     spec = _load_spec(args)
+    if args.slice is not None and spec.dimension != 3:
+        raise ValueError(f"--slice needs a 3D spec, got a {spec.dimension}D one")
     L = args.grid_L if args.grid_L is not None else 1.6 * characteristic_radius(spec)
     grid = GridSpec(extent=L, n=201 if args.grid_n is None else args.grid_n)
     (xs,) = grid.axes(1)
@@ -230,6 +232,8 @@ def cmd_grid(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = _load_spec(args)
+    if args.grid_n is not None and not args.k:
+        raise ValueError("--grid-n sizes the eigensolver grid; pass --k too")
     sol = None
     if args.k:
         n = {1: 2001, 2: 201, 3: 33}[spec.dimension] if args.grid_n is None else args.grid_n

@@ -50,7 +50,8 @@ class GridSpec:
     """Uniform tensor grid on [-L, L]^D with n points per axis.
 
     extent and n may be scalars (shared by all axes) or per-axis tuples;
-    spacing is 2L/(n-1).
+    spacing is 2L/(n-1).  The methods taking dim raise ValueError for a
+    per-axis tuple of another length; n must be a whole number.
     """
 
     extent: float | tuple = 8.0
@@ -63,22 +64,30 @@ class GridSpec:
         return L
 
     def axis_n(self, i: int) -> int:
-        n = int(self.n[i] if isinstance(self.n, (tuple, list)) else self.n)
+        n = self.n[i] if isinstance(self.n, (tuple, list)) else self.n
+        if not float(n).is_integer():
+            raise ValueError(f"grid n must be a whole number of points, got {n!r}")
         if n < 2:
-            raise ValueError(f"grid needs at least 2 points per axis, got {n}")
-        return n
+            raise ValueError(f"grid needs at least 2 points per axis, got {int(n)}")
+        return int(n)
+
+    def _axis_indices(self, dim: int) -> range:
+        for name, value in (("extent", self.extent), ("n", self.n)):
+            if isinstance(value, (tuple, list)) and len(value) != dim:
+                raise ValueError(f"grid {name} has {len(value)} entries for {dim} axes")
+        return range(dim)
 
     def axes(self, dim: int) -> list[np.ndarray]:
         return [
             np.linspace(-self.axis_extent(i), self.axis_extent(i), self.axis_n(i))
-            for i in range(dim)
+            for i in self._axis_indices(dim)
         ]
 
     def spacings(self, dim: int) -> list[float]:
-        return [2.0 * self.axis_extent(i) / (self.axis_n(i) - 1) for i in range(dim)]
+        return [2.0 * self.axis_extent(i) / (self.axis_n(i) - 1) for i in self._axis_indices(dim)]
 
     def size(self, dim: int) -> int:
-        return math.prod(self.axis_n(i) for i in range(dim))
+        return math.prod(self.axis_n(i) for i in self._axis_indices(dim))
 
     def mesh(self, dim: int) -> np.ndarray:
         """Stacked coordinates, shape (*n_per_axis, dim)."""
@@ -371,12 +380,12 @@ def fd_eigensolve(
         if not isinstance(spec_or_callable, PotentialSpec):
             raise ValueError("dim is required when passing a bare callable")
         dim = spec_or_callable.dimension
+    size = grid.size(dim)
     for i in range(dim):
         if grid.axis_n(i) < 16:
             raise ValueError(
                 f"eigensolver grids need at least 16 points per axis, got {grid.axis_n(i)}"
             )
-    size = grid.size(dim)
     # ARPACK returns at most unknowns - 1 pairs of each of the 2^D sectors
     # that a 2D or 3D solve splits into; 1D has one sector
     pairs = size - (2**dim if dim > 1 else 1)
@@ -548,8 +557,11 @@ def localization(
 
     wells may be StationaryPoint orbits or bare representative coordinates;
     the default radius is half the minimal inter-orbit distance.  Distinct
-    orbits closer than 2*radius would overlap and are a usage error.
+    orbits closer than 2*radius would overlap and are a usage error, and so
+    is a state outside 0 .. k - 1.
     """
+    if not 0 <= state < len(sol.states):
+        raise ValueError(f"state must be in 0 .. {len(sol.states) - 1}, got {state}")
     if not wells:
         raise ValueError("localization needs at least one well")
     orbits = _orbit_arrays(wells)

@@ -354,8 +354,8 @@ def locate_boundary_reference(path, bracket, kind, pair,
 
 
 def orbit_event_reference(path, t_lo, t_hi, label, width_tol=1e-12):
-    """catastrophe._locate_orbit_event as bisection on the orbit labels of
-    full sample evaluations."""
+    """One event of catastrophe._orbit_events as bisection on the orbit
+    labels of full sample evaluations."""
     def present(t):
         return label in catastrophe._evaluate_sample(path, t).orbit_labels
 

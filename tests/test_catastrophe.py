@@ -244,14 +244,13 @@ def test_existence_threshold_by_bisection():
 
 def test_bisection_certificate():
     tol = 1e-10
-    b = locate_boundary(butterfly_path(lo=1.9, hi=2.1, steps=2), (0.0, 1.0),
-                        QUANTUM, gap_tol=tol)
+    b = locate_boundary(butterfly_path(lo=1.9, hi=2.1, steps=2), (0.0, 1.0), QUANTUM)
     lo = closed_form_gap(b.location - 10 * tol / 1e-2, 2.0)
     hi = closed_form_gap(b.location + 10 * tol / 1e-2, 2.0)
     assert lo * hi < 0.0
 
 
-def test_refinement_convergence_lipschitz():
+def test_refinement_convergence_lipschitz(monkeypatch):
     rng = np.random.default_rng(101)
     path = butterfly_path(lo=1.5, hi=2.2, steps=2)
     for _ in range(100):
@@ -259,8 +258,10 @@ def test_refinement_convergence_lipschitz():
         p = ParamPath(spec=make_spec("butterfly1d", alpha=0.75 * beta, beta=beta),
                       varied=(("alpha", 0.75 * beta, 1.05 * beta),), steps=2)
         tol = 1e-8
-        b1 = locate_boundary(p, (0.0, 1.0), QUANTUM, gap_tol=tol)
-        b2 = locate_boundary(p, (0.0, 1.0), QUANTUM, gap_tol=tol / 2)
+        monkeypatch.setattr(catastrophe, "DEFAULT_GAP_TOL", tol)
+        b1 = locate_boundary(p, (0.0, 1.0), QUANTUM)
+        monkeypatch.setattr(catastrophe, "DEFAULT_GAP_TOL", tol / 2)
+        b2 = locate_boundary(p, (0.0, 1.0), QUANTUM)
         assert abs(b2.location - b1.location) < tol
 
 
@@ -533,41 +534,37 @@ def test_event_refinement_uses_root_algebra_only(monkeypatch):
                      varied=(("u", -6.0, 4.5),), steps=71)
     ts = np.linspace(0.0, 1.0, path.steps)
     k = int(np.searchsorted(ts, (2.99 + 6.0) / 10.5)) - 1
+    samples = scan_line(path).samples
     candidates = count_calls(monkeypatch, spectra.ground_candidates)
     hessians = count_calls(monkeypatch, potentials.hessian)
     probes = count_calls(monkeypatch, stationary._representatives)
-    event = catastrophe._locate_orbit_event(path, ts[k], ts[k + 1], "plane_xy_minus",
-                                            DEFAULT_WIDTH_TOL)
-    assert event.change == "appears"
+    event = next(catastrophe._orbit_events(path, samples[k], samples[k + 1]))
+    assert event.label == "plane_xy_minus" and event.change == "appears"
     assert event.location == pytest.approx(2.99, abs=1e-8)
     assert candidates == [] and hessians == []
-    assert len(probes) <= 40
+    assert len(probes) <= 39
 
 
 def test_events_of_one_bracket_share_their_probes(monkeypatch):
     # the orbits of the butterfly3d_w line appear and vanish in pairs, whose
-    # presence bisections visit the same points
+    # presence bisections visit the same points; the bracket's samples give
+    # the presence at its ends, which the reference probes once more
     path = REFERENCE_LINES["butterfly3d_w"]()
-    probes = count_calls(monkeypatch, stationary._representatives)
-    locate = catastrophe._locate_orbit_event
-    calls = []
-
-    def counting(*args):
-        before = len(probes)
-        event = locate(*args)
-        calls.append((args[1:5], len(probes) - before, event))
-        return event
-
-    monkeypatch.setattr(catastrophe, "_locate_orbit_event", counting)
     rep = scan_line(path)
-    assert len(rep.events) == len(calls) >= 2
-    alone = 0
-    for (t0, t1, label, width_tol), _used, event in calls:
+    probes = count_calls(monkeypatch, stationary._representatives)
+    events = []
+    for s0, s1 in zip(rep.samples, rep.samples[1:]):
+        if set(s0.orbit_labels) == set(s1.orbit_labels):
+            continue
         before = len(probes)
-        assert repr(locate(path, t0, t1, label, width_tol)) == repr(event)
-        alone += len(probes) - before
-        assert repr(event) == repr(orbit_event_reference(path, t0, t1, label, width_tol))
-    assert 2 * sum(used for _args, used, _event in calls) == alone
+        bracket = list(catastrophe._orbit_events(path, s0, s1))
+        assert len(bracket) >= 2 and len(probes) - before == 38
+        for event in bracket:
+            before = len(probes)
+            assert repr(event) == repr(orbit_event_reference(path, s0.t, s1.t, event.label))
+            assert len(probes) - before == 39
+        events += bracket
+    assert repr(tuple(events)) == repr(rep.events)
 
 
 EVENT_LINES = {  # (family, varied parameter, range its ends are drawn from)
@@ -592,18 +589,19 @@ def event_lines(draw):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(event_lines())
 def test_orbit_events_match_presence_bisection_reference(path):
-    ts = np.linspace(0.0, 1.0, path.steps)
-    labels = [catastrophe._evaluate_sample(path, t).orbit_labels for t in ts]
-    for t0, t1, l0, l1 in zip(ts, ts[1:], labels, labels[1:]):
-        for label in sorted(set(l0) ^ set(l1)):
-            with pytest.MonkeyPatch.context() as mp:
-                probes = count_calls(mp, stationary._representatives)
-                event = catastrophe._locate_orbit_event(path, t0, t1, label,
-                                                        DEFAULT_WIDTH_TOL)
+    # a label's probes are those made while the bracket's events yield it
+    samples = [catastrophe._evaluate_sample(path, t) for t in np.linspace(0.0, 1.0, path.steps)]
+    for s0, s1 in zip(samples, samples[1:]):
+        with pytest.MonkeyPatch.context() as mp:
+            probes = count_calls(mp, stationary._representatives)
+            events = catastrophe._orbit_events(path, s0, s1)
+            for label in sorted(set(s0.orbit_labels) ^ set(s1.orbit_labels)):
+                del probes[:]
+                event = next(events)
                 used = len(probes)
-                want = orbit_event_reference(path, t0, t1, label, DEFAULT_WIDTH_TOL)
-            assert repr(event) == repr(want)
-            assert used <= len(probes) - used
+                want = orbit_event_reference(path, s0.t, s1.t, label)
+                assert event.label == label and repr(event) == repr(want)
+                assert used <= len(probes) - used
 
 
 def test_infinite_end_gap_is_bisected_until_finite(monkeypatch):
@@ -763,14 +761,17 @@ def test_interrupted_scan_keeps_the_samples_before_it(monkeypatch, k):
     assert repr(rep.samples) == repr(full.samples[:k - 1])
 
 
-@pytest.mark.parametrize("line, owner, names, k", [
-    ("butterfly3d_w", ParamPath, ("spec_at",), 40),  # inside event refinement
+@pytest.mark.parametrize("line, owner, names, k, kept", [
+    ("butterfly3d_w", ParamPath, ("spec_at",), 40, (0, 0)),  # inside event refinement
     # the first boundary takes one stack of probes and 6 single probes; the
     # 8th call is the second boundary's stack, the 9th its first single probe
-    ("readme", catastrophe, ("_evaluate_samples", "_evaluate_sample"), 8),
-    ("readme", catastrophe, ("_evaluate_samples", "_evaluate_sample"), 9),
-], ids=["event", "boundary", "boundary_step"])
-def test_interrupted_refinement_keeps_what_came_before(monkeypatch, line, owner, names, k):
+    ("readme", catastrophe, ("_evaluate_samples", "_evaluate_sample"), 8, (1, 0)),
+    ("readme", catastrophe, ("_evaluate_samples", "_evaluate_sample"), 9, (1, 0)),
+    # the second event of the line's one event bracket: the first is kept
+    ("butterfly3d_w", catastrophe, ("OrbitEvent",), 2, (0, 1)),
+], ids=["event", "boundary", "boundary_step", "second_event"])
+def test_interrupted_refinement_keeps_what_came_before(monkeypatch, line, owner, names, k,
+                                                       kept):
     path = REFERENCE_LINES[line]()
     full = scan_line(path)
     calls = []
@@ -792,6 +793,7 @@ def test_interrupted_refinement_keeps_what_came_before(monkeypatch, line, owner,
     assert repr(rep.events) == repr(full.events[:len(rep.events)])
     lost = len(full.boundaries) - len(rep.boundaries) + len(full.events) - len(rep.events)
     assert lost >= 1
+    assert (len(rep.boundaries), len(rep.events)) == kept
 
 
 @pytest.mark.parametrize("k, kept", [(1, 0), (3, 16)])

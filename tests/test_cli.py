@@ -163,6 +163,13 @@ def test_analyze_cusp_spec_file_with_an_unknown_shape_key_exit_1(tmp_path, capsy
     # 2/h^2 overflows: this used to end in SuperLU's "Factor is exactly singular"
     (["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--k", 1, "--grid-L", 1e-160,
       "--grid-n", 33], "error: grid spacing 6.25e-162 is too fine: 2/h^2 overflows a float"),
+    # each flag below used to be ignored, with exit 0
+    (["grid", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--slice", "z=0.3"],
+     "error: --slice needs a 3D spec, got a 2D one"),
+    (["grid", "--family", "butterfly1d", "--alpha", 1.5, "--beta", 2, "--slice", "z=0"],
+     "error: --slice needs a 3D spec, got a 1D one"),
+    (["oracle", "--family", "cusp2d", "--alpha", 2, "--beta", 1, "--grid-n", 40],
+     "error: --grid-n sizes the eigensolver grid; pass --k too"),
 ])
 def test_usage_and_library_errors_exit_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -1063,6 +1063,45 @@ def test_grid_spacing_whose_stencil_overflows_is_refused():
             fd_eigensolve(spec, GridSpec(extent=extent, n=33))
 
 
+def test_grid_tuple_shorter_than_the_dimension_is_refused():
+    # this used to raise IndexError
+    spec = make_spec("cusp3d", alpha=1.2, beta=1.0, gamma=0.8)
+    for grid, message in ((GridSpec(extent=(2.0, 2.0), n=17), "grid extent has 2 entries"),
+                          (GridSpec(extent=2.0, n=(17, 17)), "grid n has 2 entries")):
+        with pytest.raises(ValueError, match=f"^{message} for 3 axes$"):
+            fd_eigensolve(spec, grid)
+        with pytest.raises(ValueError, match=f"^{message} for 3 axes$"):
+            newton_stationary(spec, grid)
+
+
+def test_grid_tuple_longer_than_the_dimension_is_refused():
+    # the fourth entry used to be dropped and the 3D spec solved
+    spec = make_spec("cusp3d", alpha=1.2, beta=1.0, gamma=0.8)
+    grid = GridSpec(extent=(2.0, 2.0, 2.0, 2.0), n=17)
+    for run in (lambda: fd_eigensolve(spec, grid), lambda: newton_stationary(spec, grid)):
+        with pytest.raises(ValueError, match="^grid extent has 4 entries for 3 axes$"):
+            run()
+
+
+def test_grid_n_must_be_a_whole_number():
+    # 20.9 used to be truncated to 20 nodes; integral floats and numpy
+    # integers still count
+    for n in (20.9, (20, 20.5), math.nan, math.inf):
+        with pytest.raises(ValueError, match="^grid n must be a whole number of points"):
+            GridSpec(extent=3.0, n=n).axes(2)
+    for n in (20.0, np.int64(20), (20, np.float64(20.0))):
+        assert [len(axis) for axis in GridSpec(extent=3.0, n=n).axes(2)] == [20, 20]
+
+
+def test_localization_state_outside_the_solution_is_refused():
+    # -1 used to read the top state, and 5 raised IndexError
+    sol = fd_eigensolve(lambda x: x**2, GridSpec(extent=5.0, n=201), k=2, dim=1)
+    for state in (-1, 2, 5):
+        with pytest.raises(ValueError, match=f"^state must be in 0 .. 1, got {state}$"):
+            localization(sol, [(0.0,)], state=state)
+    assert localization(sol, [(0.0,)], state=np.int64(1)).weights["well0"] > 0.9
+
+
 def test_localization_orbit_input_deep_outer_regime():
     spec = make_spec("butterfly1d", alpha=1.7, beta=2.0)
     pts = stationary_points(spec)
