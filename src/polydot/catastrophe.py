@@ -8,10 +8,14 @@ dominant well changes.  Two kinds are tracked side by side:
   energy) changes.
 
 Scans sample a line or raster in parameter space and label every sample by
-its dominant well under both definitions.  Each sample's spec and orbit
-representatives come from the root formulas one at a time; values,
+its dominant well under both definitions.  The samples of a line, or the
+cells of a raster, go in stacks of up to 64: each stack's raw coefficients
+are built as arrays with the arithmetic of with_param, its orbit
+representatives come from the root formulas on those arrays, and values,
 Hessians, eigenvalues, ground candidates and labels are then computed for
-the samples of a line, or the cells of a raster, as stacks of up to 64.
+the whole stack.  A sample that the array path cannot vouch for (an
+invalid spec, or a rare branch of the root formulas) is built and rooted
+one spec at a time, so its error text and roots are the scalar ones.
 Each label change is refined by Illinois false position on the signed
 candidate gap from the probe interval where it changes sign, bisecting
 while an end gap is +-inf.  The nine probes that check for one sign
@@ -26,13 +30,13 @@ DEFAULT_WIDTH_TOL, the tolerances a line scan's header reports.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import spectra
+from . import potentials, spectra
 from . import stationary as stat
 from .errors import NoMinimum, PolydotError, SplitBracket
 from .potentials import PotentialSpec, _param, with_param
@@ -42,8 +46,8 @@ CLASSICAL = "classical"
 
 DEFAULT_GAP_TOL = 1e-10
 DEFAULT_WIDTH_TOL = 1e-12
-# samples evaluated as one stack: bounds a raster's working memory at any
-# resolution, and what an interrupt during an evaluation loses
+# samples built and evaluated as one stack: bounds a raster's working memory
+# at any resolution, and what an interrupt during sampling loses
 _STACK = 64
 
 
@@ -54,7 +58,9 @@ class ParamPath:
     Each varied entry is (name, start, end); shape names move linearly in
     shape space, raw names in raw space (see
     :func:`polydot.potentials.with_param`).  steps is the number of samples
-    placed uniformly on [0, 1].  Construction checks the names and that
+    placed uniformly on [0, 1]; a scan builds them as rows of arrays, a
+    stack at a time (:meth:`values_at`), and a refinement probe one spec at
+    a time (:meth:`spec_at`).  Construction checks the names and that
     every start and end is finite, and builds no spec: a finite endpoint
     outside the valid region fails per sample.  Two
     entries may not set one coefficient: the same raw key (cusp ``alpha``
@@ -94,6 +100,13 @@ class ParamPath:
         return {
             name: start + t * (end - start) for name, start, end in self.varied
         }
+
+    def values_at(self, ts) -> list:
+        """(name, values) of every varied entry, values[r] its value at ts[r]
+        as :meth:`params_at` gives it: one with_param chain per t (see
+        :func:`polydot.potentials._param_rows`)."""
+        ts = np.asarray(ts, dtype=float)
+        return [(name, start + ts * (end - start)) for name, start, end in self.varied]
 
     def spec_at(self, t: float) -> PotentialSpec:
         out = self.spec
@@ -172,9 +185,64 @@ def _prepare(build):
         return None, None, f"{type(err).__name__}: {err}"
 
 
-def _sample(prepared) -> list[tuple]:
-    """Dominant labels of prepared samples (see :func:`_prepare`), all
-    evaluated as one stack.
+class _Stack(NamedTuple):
+    """Samples of one family prepared as one stack: their coefficient rows
+    (see :func:`potentials._coefficient_rows`), the (N, D) locations of
+    their orbit representatives with the row that owns each and its label,
+    and per row its error text or None."""
+
+    family: str
+    coeffs: tuple
+    x: np.ndarray
+    owner: np.ndarray
+    labels: list
+    errors: list
+
+    def row(self, i: int) -> _Stack:
+        """The stack of sample i alone."""
+        mine = self.owner == i
+        return _Stack(self.family, tuple(c[i:i + 1] for c in self.coeffs), self.x[mine],
+                      np.zeros(mine.sum(), int),
+                      [label for label, m in zip(self.labels, mine.tolist()) if m],
+                      self.errors[i:i + 1])
+
+
+def _prepare_rows(spec, settings) -> _Stack:
+    """The samples of the with_param chains of settings on spec (see
+    :func:`potentials._param_rows`), built and rooted as arrays by
+    :func:`stationary._representative_rows`.  A row that either flags is
+    built by its with_param chain and rooted by :func:`_prepare`, so that
+    its error text and roots are the scalar ones."""
+
+    def chain(i):
+        out = spec
+        for name, values in settings:
+            out = with_param(out, name, values[i])
+        return out
+
+    family = spec.family
+    raw, fallback = potentials._param_rows(spec, settings)
+    coeffs = potentials._coefficient_rows(family, raw)
+    x, owner, labels, flagged = stat._representative_rows(coeffs)
+    fallback |= flagged
+    errors = [None] * len(raw)
+    if fallback.any():
+        keep = ~fallback[owner]
+        x, owner, labels = x[keep], owner[keep], [la for la, k in zip(labels, keep.tolist()) if k]
+        for i in np.flatnonzero(fallback).tolist():
+            built, reps, errors[i] = _prepare(lambda: chain(i))
+            if reps is not None:
+                raw[i] = [built.raw[k] for k in potentials._RAW_KEYS[family]]
+                x = np.concatenate([x, [loc for loc, _sub, _label in reps]])
+                owner = np.concatenate([owner, np.full(len(reps), i)])
+                labels += [label for _loc, _sub, label in reps]
+        coeffs = potentials._coefficient_rows(family, raw)
+    return _Stack(family, coeffs, x, owner, labels, errors)
+
+
+def _sample(stack: _Stack) -> list[tuple]:
+    """Dominant labels of the samples of a prepared stack (see
+    :func:`_prepare_rows`), all evaluated as one stack.
 
     Values, Hessians, eigenvalues and kinds of every representative of
     every sample come from one :func:`stationary.classify_points` call, and
@@ -182,29 +250,30 @@ def _sample(prepared) -> list[tuple]:
     sample the ScanSample fields after t and params: (ok, error,
     quantum_label, classical_label, candidates, depths, orbit_labels).
     """
-    live = [(spec, reps) for spec, reps, error in prepared if error is None]
+    counts = np.bincount(stack.owner, minlength=len(stack.errors)).tolist()
     tables = iter(())
-    if live:
-        specs, reps = zip(*live)
+    labels = []
+    if len(stack.x):
         try:
-            values, eigs, kinds = stat.classify_points(specs, reps)
+            values, eigs, kinds = stat.classify_points(stack.x, stack.owner, stack.coeffs)
         except np.linalg.LinAlgError as err:
-            if len(prepared) > 1:  # find the sample at fault
-                return [_sample([p])[0] for p in prepared]
+            if len(stack.errors) > 1:  # find the sample at fault
+                return [_sample(stack.row(i))[0] for i in range(len(stack.errors))]
             return [_failed(f"{type(err).__name__}: {err}")]
-        labels = [label for r in reps for _loc, _sub, label in r]
-        counts = [len(r) for r in reps]
         # each sample's points in (value, label) order, as enumerate_stationary sorts
-        order = np.lexsort((labels, values, np.repeat(np.arange(len(reps)), counts)))
+        order = np.lexsort((stack.labels, values, stack.owner))
+        labels = [stack.labels[i] for i in order]
         tables = iter(spectra._candidate_tables(
-            specs[0].family, [labels[i] for i in order], values[order], eigs[order],
-            [kinds[i] for i in order], counts))
+            stack.family, labels, values[order], eigs[order], [kinds[i] for i in order],
+            [count for count, error in zip(counts, stack.errors) if error is None]))
     out = []
-    for _spec, reps, error in prepared:
+    stop = 0
+    for count, error in zip(counts, stack.errors):
         if error is not None:
             out.append(_failed(error))
             continue
-        orbit_labels = tuple(sorted(label for _loc, _sub, label in reps))
+        start, stop = stop, stop + count
+        orbit_labels = tuple(sorted(labels[start:stop]))
         table = next(tables)
         if isinstance(table, NoMinimum):
             out.append(_failed(f"NoMinimum: {table}", orbit_labels))
@@ -219,22 +288,14 @@ def _failed(error: str, orbit_labels: tuple = ()) -> tuple:
     return (False, error, None, None, {}, {}, orbit_labels)
 
 
-def _sample_stacks(builds):
-    """Rows of :func:`_sample` for each build() of an iterable, evaluated in
-    stacks of at most _STACK samples.  An interrupt while a spec is built
-    first yields the rows of the samples built before it in its stack."""
-    builds = iter(builds)
-    while True:
-        prepared = []
-        try:
-            for build in itertools.islice(builds, _STACK):
-                prepared.append(_prepare(build))
-        except KeyboardInterrupt:
-            yield from _sample(prepared)
-            raise
-        if not prepared:
-            return
-        yield from _sample(prepared)
+def _sample_stacks(spec, settings):
+    """Rows of :func:`_sample` for every row of the with_param chains of
+    settings on spec, prepared (see :func:`_prepare_rows`) and evaluated in
+    stacks of at most _STACK samples.  An interrupt keeps the stacks yielded
+    before it."""
+    for lo in range(0, len(settings[0][1]), _STACK):
+        yield from _sample(_prepare_rows(
+            spec, [(name, values[lo:lo + _STACK]) for name, values in settings]))
 
 
 def _evaluate_sample(path: ParamPath, t: float) -> ScanSample:
@@ -262,7 +323,7 @@ def _evaluate_samples(path: ParamPath, ts) -> list[ScanSample]:
     """Samples of the path at each t of ts, evaluated as one stack by
     :func:`_sample`; each agrees bitwise with :func:`_evaluate_sample` at
     the same t."""
-    rows = _sample([_prepare(lambda t=t: path.spec_at(t)) for t in ts])
+    rows = _sample(_prepare_rows(path.spec, path.values_at(ts)))
     return [ScanSample(t, path.params_at(t), *row) for t, row in zip(ts, rows)]
 
 
@@ -417,14 +478,15 @@ def scan_line(path: ParamPath, workers: int = 1) -> ScanReport:
 
     Invalid samples (shape constraint violations, no minimum, degenerate
     couplings) are recorded per sample, excluded from bracketing, and never
-    fatal.  The specs of the samples are built in parameter order, and the
-    samples are evaluated as stacks of up to 64; workers is accepted for
+    fatal.  A label that differs between the valid samples on either side
+    of a run of invalid ones is recorded as an unrefined boundary at their
+    midpoint.  The samples are built, rooted and evaluated as arrays, in
+    stacks of up to 64 (see :func:`_prepare_rows`); workers is accepted for
     compatibility and does not change the result.  An interrupt (Ctrl-C)
     yields a partial report, marked in the header, instead of an exception.
-    During sampling it keeps every sample built before the interrupt, or,
-    when the interrupt falls in the evaluation of a stack, the samples of
-    the stacks before it, and refines nothing.  During refinement it keeps
-    every sample, and the boundaries and events refined before it.
+    During sampling it keeps the samples of the stacks before the one it
+    falls in, and refines nothing.  During refinement it keeps every
+    sample, and the boundaries and events refined before it.
     """
     ts = np.linspace(0.0, 1.0, path.steps)
     samples = []
@@ -432,30 +494,36 @@ def scan_line(path: ParamPath, workers: int = 1) -> ScanReport:
     events = []
     partial = False
     try:
-        for t, row in zip(ts, _sample_stacks(lambda t=t: path.spec_at(t) for t in ts)):
+        for t, row in zip(ts, _sample_stacks(path.spec, path.values_at(ts))):
             samples.append(ScanSample(t, path.params_at(t), *row))
-        for s0, s1 in zip(samples, samples[1:]):
-            if not (s0.ok and s1.ok):
-                continue
+        valid = [i for i, s in enumerate(samples) if s.ok]
+        for i0, i1 in zip(valid, valid[1:]):
+            s0, s1 = samples[i0], samples[i1]
             for kind, l0, l1 in (
                 (QUANTUM, s0.quantum_label, s1.quantum_label),
                 (CLASSICAL, s0.classical_label, s1.classical_label),
             ):
-                if l0 != l1:
+                if l0 == l1:
+                    continue
+                reason = "label changes across invalid samples"
+                if i1 == i0 + 1:
                     try:
                         boundaries.append(
                             locate_boundary(path, (s0.t, s1.t), kind, (l0, l1),
                                             ends=(s0, s1))
                         )
+                        continue
                     except (SplitBracket, ValueError) as err:
-                        boundaries.append(
-                            CatastropheBoundary(
-                                kind=kind, pair=(l0, l1),
-                                location=path.primary_value(0.5 * (s0.t + s1.t)),
-                                params={"unrefined": str(err)},
-                            )
-                        )
-            events.extend(_orbit_events(path, s0, s1))
+                        reason = str(err)
+                boundaries.append(
+                    CatastropheBoundary(
+                        kind=kind, pair=(l0, l1),
+                        location=path.primary_value(0.5 * (s0.t + s1.t)),
+                        params={"unrefined": reason},
+                    )
+                )
+            if i1 == i0 + 1:
+                events.extend(_orbit_events(path, s0, s1))
     except KeyboardInterrupt:
         partial = True
 
@@ -586,12 +654,13 @@ def scan_grid(
     """Raster of quantum and classical dominant labels over two parameters,
     with marching-squares polylines along every label's region boundary.
     Per-cell failures are recorded as the distinguished label "<invalid>".
-    The cells' specs are built one at a time and the cells are evaluated
-    as stacks of up to 64, so working memory beyond the label arrays does
-    not grow with the resolution; workers is accepted for compatibility and does not change
-    the result.  Raises ValueError, before any sampling, for a resolution
-    below 2 or axes a line scan along both would reject (see
-    :class:`ParamPath`)."""
+    Each cell applies x, then y, to spec as with_param does; the cells are
+    built as rows of arrays and evaluated in stacks of up to 64, so working
+    memory beyond the label arrays does not grow with the resolution;
+    workers is accepted for compatibility and does not change the result.
+    An interrupt during the raster propagates.  Raises ValueError, before
+    any sampling, for a resolution below 2 or axes a line scan along both
+    would reject (see :class:`ParamPath`)."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     ParamPath(spec=spec, varied=(vary_x, vary_y), steps=2)
@@ -600,8 +669,8 @@ def scan_grid(
     xs = np.linspace(x_lo, x_hi, resolution)
     ys = np.linspace(y_lo, y_hi, resolution)
 
-    rows = _sample_stacks(lambda x=x, y=y: with_param(with_param(spec, name_x, x), name_y, y)
-                          for x in xs for y in ys)
+    rows = _sample_stacks(
+        spec, [(name_x, np.repeat(xs, resolution)), (name_y, np.tile(ys, resolution))])
     labels_q, labels_c, errors = (np.empty((resolution, resolution), dtype=object)
                                   for _ in range(3))
     for cell, (ok, error, quantum, classical, *_tables) in enumerate(rows):

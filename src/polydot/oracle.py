@@ -35,7 +35,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import BudgetExceeded
 from .potentials import PotentialSpec, evaluate, gradient, hessian
-from .stationary import DEGENERATE, StationaryPoint, classify_points, point_list
+from .stationary import DEGENERATE, StationaryPoint, point_list
 
 DEFAULT_BUDGET = 300_000  # grid unknowns (n^D); 64^3 fits
 _ARPACK_MAXITER = 10_000
@@ -205,7 +205,7 @@ def newton_stationary(
         fresh[np.max(np.abs(reps - reps[i]), axis=1) < _DEDUP_TOL] = False
 
     reps = [(tuple(rep.tolist()), "oracle", "oracle") for rep in reps[kept]]
-    out = point_list(reps, *classify_points([spec], [reps]))
+    out = point_list(spec, reps)
     out.sort(key=lambda p: (p.value, p.location))
     return out
 

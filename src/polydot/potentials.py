@@ -476,6 +476,62 @@ def with_param(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
     return spec_from_shape(spec.family, shape)
 
 
+def _param_rows(spec: PotentialSpec, settings) -> tuple[np.ndarray, np.ndarray]:
+    """The raw coefficients of many :func:`with_param` chains at once.
+
+    settings is a list of (name, values), values of shape (n,); row r is the
+    chain that applies with_param(., name, values[r]) for each entry in
+    order, with the same arithmetic.  Returns (raw, fallback): raw of shape
+    (n, K) in raw key order, and the mask of the rows whose chain raises,
+    which only with_param builds, with its error text.
+    """
+    family, n = spec.family, len(settings[0][1])
+    raw = {k: np.full(n, spec.raw[k]) for k in _RAW_KEYS[family]}
+    fallback = np.zeros(n, dtype=bool)
+    scale_a, scale_c = _PAIR_SCALE.get(family, (1.0, 1.0))
+    with np.errstate(all="ignore"):
+        for name, values in settings:
+            key, stem, axes = _param(family, name)
+            values = np.asarray(values, dtype=float)
+            if key is not None:
+                raw[key] = values * values if stem else values
+                fallback |= ~_valid_rows(family, raw)
+                continue
+            # raw_to_shape, the new square, then shape_to_raw, axis by axis
+            for i, (qk, ck) in enumerate(_AXIS_PAIR_KEYS[family]):
+                a, c = raw[qk] / scale_a, raw[ck] / scale_c
+                beta = np.sqrt(a * a - c)  # nan where a^2 < c
+                alpha, gamma = a - beta, a + beta
+                fallback |= ~(alpha > 0.0)  # no real shape
+                if i not in axes:
+                    fallback |= (abs(gamma - (alpha + 2.0 * beta))
+                                 > _CONSISTENCY_TOL * abs(gamma))
+                elif stem == "alpha":
+                    alpha = values * values
+                elif stem == "beta":
+                    beta = values * values
+                else:
+                    gamma = values * values
+                    beta = 0.5 * (gamma - alpha)
+                fallback |= ~(alpha > 0.0) | ~(beta >= 0.0)
+                raw[qk] = scale_a * (alpha + beta)
+                raw[ck] = scale_c * (alpha * (alpha + 2.0 * beta))
+            fallback |= ~_valid_rows(family, raw)
+    return np.stack([raw[k] for k in _RAW_KEYS[family]], axis=-1), fallback
+
+
+def _valid_rows(family, raw) -> np.ndarray:
+    """Mask of the rows of (n,) raw arrays that :func:`_validate_raw` accepts."""
+    ok = np.logical_and.reduce([np.isfinite(v) for v in raw.values()])
+    if family.startswith("cusp"):
+        return ok & np.logical_and.reduce([v >= 0.0 for v in raw.values()])
+    if family == "butterfly1d":
+        return ok & (raw["a"] <= 0.0) & (raw["c"] > 0.0)
+    for qk, ck in _AXIS_PAIR_KEYS[family]:
+        ok &= (raw[qk] >= 0.0) & (raw[ck] > 0.0)
+    return ok
+
+
 # ---------------------------------------------------------------------------
 # evaluation: V, gradient, Hessian (vectorized over trailing point axes)
 # ---------------------------------------------------------------------------
@@ -501,21 +557,33 @@ def _prep_points(pts, dim):
 
 
 def _coefficients(specs) -> tuple:
-    """Coefficient arrays of specs of one family, one row per spec.
+    """Coefficient arrays of specs of one family, one row per spec (see
+    :func:`_coefficient_rows`)."""
+    family = specs[0].family
+    return _coefficient_rows(family, np.array([[s.raw[k] for k in _RAW_KEYS[family]]
+                                               for s in specs]))
+
+
+def _coefficient_rows(family, raw) -> tuple:
+    """Coefficient arrays of rows of raw coefficients of one family, raw of
+    shape (S, K) in raw key order.
 
     A cusp gives (k,) with k of shape (S, D), V = r^4 - 2 sum_j k_j x_j^2.
     A butterfly gives (A, U, P) with A, P of shape (S, D) and U of shape
     (S, D, D), V = r^6 - 3 sum_j A_j x_j^4 - 3 sum_{i<j} U_ij x_i^2 x_j^2
-    + 3 sum_j P_j x_j^2.
+    + 3 sum_j P_j x_j^2, where (A_j, P_j) is the axis pair of :func:`_pairs`.
     """
-    family = specs[0].family
     if family.startswith("cusp"):
-        return (np.array([[s.raw[k] for k in _RAW_KEYS[family]] for s in specs]),)
-    pairs = np.array([axis_pairs(s) for s in specs])
-    dim = pairs.shape[1]
-    U = np.zeros((len(specs), dim, dim))
+        return (raw,)
+    keys = _RAW_KEYS[family]
+    quartic, quadratic = ([keys.index(k) for k in column]
+                          for column in zip(*_AXIS_PAIR_KEYS[family]))
+    scale_a, scale_c = _PAIR_SCALE.get(family, (1.0, 1.0))
+    # (S, D, 2), the layout of an array of per-spec axis_pairs lists
+    pairs = np.stack([raw[:, quartic] / scale_a, raw[:, quadratic] / scale_c], axis=-1)
+    U = np.zeros((len(raw), len(quartic), len(quartic)))
     for key, (i, j) in _CROSS_PLANES[family]:
-        U[:, i, j] = U[:, j, i] = [s.raw[key] for s in specs]
+        U[:, i, j] = U[:, j, i] = raw[:, keys.index(key)]
     return pairs[..., 0], U, pairs[..., 1]
 
 

@@ -117,31 +117,33 @@ def classify_rows(eigs) -> list[str]:
             for d, lo, hi in zip(degenerate, minimum, maximum)]
 
 
-def classify_points(specs, reps) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def classify_points(x, owner, coeffs) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Values, Hessian eigenvalues and kinds of the orbit representatives
     of many specs of one family.
 
-    reps[i] holds the (location, subfamily, label) triples of specs[i].
-    Every representative takes the coefficients of its own spec; values,
-    Hessians, their eigenvalues and the classification then come from one
-    batched call each over the stack of all of them.  Returns (values,
-    eigs, kinds) of shapes (N,), (N, D) and N, in the order of reps.
+    x (N, D) stacks the representatives, coeffs holds the coefficient rows
+    of the specs (see :func:`potentials._coefficient_rows`), and point i
+    takes row owner[i].  Values, Hessians, their eigenvalues and the
+    classification then come from one batched call each over the stack.
+    Returns (values, eigs, kinds) of shapes (N,), (N, D) and N.
     """
-    owner = np.repeat(np.arange(len(specs)), [len(r) for r in reps])
     # an (N, 1, D) stack with per-point coefficients takes one (1, D)
     # product per point, as a single-point call does, so results are
     # bitwise those of single-point evaluate/hessian calls; an (N, D) stack
     # takes a BLAS gemv that rounds differently
-    x = np.array([loc for r in reps for loc, _sub, _label in r])[:, None, :]
-    coeffs = tuple(c[owner][:, None] for c in potentials._coefficients(specs))
+    x = np.asarray(x, dtype=float)[:, None, :]
+    coeffs = tuple(c[owner][:, None] for c in coeffs)
     values = potentials._value(x, coeffs)[:, 0]
     eigs = np.linalg.eigvalsh(potentials._hessian(x, coeffs))[:, 0]
     return values, eigs, classify_rows(eigs)
 
 
-def point_list(reps, values, eigs, kinds) -> list[StationaryPoint]:
+def point_list(spec, reps) -> list[StationaryPoint]:
     """A StationaryPoint for each (location, subfamily, label) triple of
-    one spec, from its :func:`classify_points` output."""
+    one spec, classified by :func:`classify_points` as a stack of one spec."""
+    values, eigs, kinds = classify_points([loc for loc, _sub, _label in reps],
+                                          np.zeros(len(reps), dtype=int),
+                                          potentials._coefficients([spec]))
     return [
         StationaryPoint(
             location=loc,
@@ -445,7 +447,7 @@ def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
     error.
     """
     reps, warnings = _representatives(spec)
-    points = point_list(reps, *classify_points([spec], [reps]))
+    points = point_list(spec, reps)
     points.sort(key=lambda p: (p.value, p.label))
     return StationaryReport(points=tuple(points), warnings=tuple(warnings))
 
@@ -453,6 +455,151 @@ def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
 def stationary_points(spec: PotentialSpec) -> list[StationaryPoint]:
     """The classified stationary list (see :func:`enumerate_stationary`)."""
     return list(enumerate_stationary(spec).points)
+
+
+# ---------------------------------------------------------------------------
+# the root formulas on stacks of specs
+# ---------------------------------------------------------------------------
+#
+# Twins of _axis_roots, _real_quadratic_roots, _linear_form and
+# _representatives on (n,) arrays, one row per spec, with the operations of
+# the scalar code in its order, so that every root is bitwise the scalar
+# one.  A row that reaches a rare branch of the scalar code is flagged
+# instead: the power-of-two rescale, a vanishing leading coefficient,
+# qq == 0, or the DegenerateCoupling bound.  The caller takes the scalar
+# path for a flagged row.
+
+def _axis_root_rows(coeffs, idx):
+    """:func:`_axis_roots` of axis number idx for every row of the
+    coefficient arrays coeffs (see :func:`potentials._coefficient_rows`):
+    [(squared radius, present, label suffix)], none present on a row whose
+    roots are complex."""
+    if len(coeffs) == 1:
+        t = coeffs[0][:, idx]
+        return [(t, np.ones(len(t), dtype=bool), "")]
+    a, c = coeffs[0][:, idx], coeffs[2][:, idx]
+    disc = a * a - c
+    root = np.sqrt(disc)
+    real = ~(disc < 0.0)
+    double = root <= _POSITIVITY_ATOL * np.maximum(1.0, abs(a))
+    # a double pair is one orbit, kept as its outer root
+    return [(a - root, real & ~double, "_inner"),
+            (a + root, real, np.where(double, "_double", "_outer").astype(object))]
+
+
+def _real_quadratic_root_rows(q2, q1, q0):
+    """:func:`_real_quadratic_roots` on arrays: (roots, real, single,
+    flagged), roots stacking the lower and the upper root on a new leading
+    axis, real where any root is real and single where the two are one."""
+    scale = np.maximum(np.maximum(abs(q2), abs(q1)), np.maximum(abs(q0), 1e-300))
+    flagged = ~((1e-100 < scale) & (scale < 1e100)) | (abs(q2) <= 1e-14 * scale)
+    disc = q1 * q1 - 4.0 * q2 * q0
+    real = ~(disc < 0.0)
+    qq = -0.5 * (q1 + np.copysign(np.sqrt(disc), q1))
+    flagged |= real & (qq == 0.0)
+    t1, t2 = qq / q2, q0 / qq
+    single = abs(t1 - t2) <= 1e-12 * np.maximum(np.maximum(1.0, abs(t1)), abs(t2))
+    low = t1 < t2
+    roots = np.stack([np.where(single, 0.5 * (t1 + t2), np.where(low, t1, t2)),
+                      np.where(low, t2, t1)])
+    return roots, real, single, flagged
+
+
+def _linear_form_rows(coeffs, blocks):
+    """:func:`_linear_form` of every coupled block of blocks (index tuples)
+    on every row of the butterfly coefficient arrays coeffs at once.
+
+    Each block's 3x3 embedding is a (B, n) array per entry, with its
+    indicator e of 0.0 and 1.0 as (B, 1), so every product with e is the
+    scalar one.  Returns (X, found, single, flagged): the squared
+    coordinates X[i] of shape (2, B, n) of the lower and the upper root of
+    every block, whether each is a root of its block, whether the lower is
+    the quadratic's single root, and the (B, n) flagged entries.
+    """
+    quartic, coupling, quadratic = coeffs
+    n, dim = quartic.shape
+    e = [np.array([[1.0 if i in idx else 0.0] for idx in blocks]) for i in range(3)]
+    m = [np.where(e[i] == 1.0, 2.0 * quartic[:, i], 1.0) if i < dim
+         else np.ones((len(blocks), n)) for i in range(3)]
+    k = [np.where(e[i] == 1.0, quadratic[:, i], 0.0) if i < dim
+         else np.zeros((len(blocks), n)) for i in range(3)]
+    for i, j in itertools.combinations(range(3), 2):
+        m.append(np.where(e[i] * e[j] == 1.0, coupling[:, i, j], 0.0) if j < dim
+                 else np.zeros((len(blocks), n)))
+    (A, B, C, D, E, F), (k0, k1, k2), (e0, e1, e2) = m, k, e
+    scale = np.maximum.reduce([abs(D), abs(E), abs(F), e0 * abs(A), e1 * abs(B), e2 * abs(C)])
+    s00, s11, s22, s01, s02, s12, det = _adjugate(m, e, 0.0)
+    ae0, ae1, ae2 = s00 * e0 + s01 * e1 + s02 * e2, s01 * e0 + s11 * e1 + s12 * e2, \
+        s02 * e0 + s12 * e1 + s22 * e2
+    lead, const = ae0 * e0 + ae1 * e1 + ae2 * e2, ae0 * k0 + ae1 * k1 + ae2 * k2
+    # mu = 0 leaves M as it is: the second adjugate is then the first
+    mu = np.where(abs(det) < abs(lead) * scale, np.where(det * lead >= 0.0, -scale, scale), 0.0)
+    s00, s11, s22, s01, s02, s12, shifted = _adjugate(m, e, mu)
+    bulk = np.array([[len(idx) == 3] for idx in blocks])
+    bound = 1e-12 * scale * scale * np.where(bulk, scale, 1.0)
+    r2, real, single, flagged = _real_quadratic_root_rows(lead, -det, const)
+    flagged |= ~((bound < abs(shifted)) & (abs(shifted) < math.inf))
+    found = np.stack([real, real & ~single]) & (r2 > _POSITIVITY_ATOL)
+    w = r2 * r2 - mu * r2
+    y0, y1, y2 = w * e0 + k0, w * e1 + k1, w * e2 + k2
+    x0 = (s00 * y0 + s01 * y1 + s02 * y2) / shifted
+    x1 = (s01 * y0 + s11 * y1 + s12 * y2) / shifted
+    x2 = (s02 * y0 + s12 * y1 + s22 * y2) / shifted
+    for _step in range(2):
+        rad = x0 * e0 + x1 * e1 + x2 * e2
+        j00, j11, j22, j01, j02, j12, jdet = _adjugate(m, e, 2.0 * rad)
+        step = (0.0 < abs(jdet)) & (abs(jdet) < math.inf)
+        g0 = (A * x0 + D * x1 + E * x2 - rad * rad - k0) * e0
+        g1 = (D * x0 + B * x1 + F * x2 - rad * rad - k1) * e1
+        g2 = (E * x0 + F * x1 + C * x2 - rad * rad - k2) * e2
+        x0 = np.where(step, x0 - (j00 * g0 + j01 * g1 + j02 * g2) / jdet, x0)
+        x1 = np.where(step, x1 - (j01 * g0 + j11 * g1 + j12 * g2) / jdet, x1)
+        x2 = np.where(step, x2 - (j02 * g0 + j12 * g1 + j22 * g2) / jdet, x2)
+    X = (x0, x1, x2)
+    for i in range(dim):
+        found &= (X[i] > _POSITIVITY_ATOL) | (e[i] == 0.0)
+    return X, found, single, flagged
+
+
+def _representative_rows(coeffs):
+    """:func:`_representatives` of a stack of specs of one family, one row
+    of the coefficient arrays coeffs each (see
+    :func:`potentials._coefficient_rows`), without warnings.
+
+    Returns (x, owner, labels, flagged): the (N, D) locations, the row that
+    owns each and its label, row by row in the order of _representatives,
+    and the (n,) mask of the flagged rows, which own no location.
+    """
+    n, dim = coeffs[0].shape[:2]
+    blocks = []
+    if dim > 1 and len(coeffs) == 3:
+        blocks = list(itertools.combinations(range(dim), 2)) + ([(0, 1, 2)] if dim == 3 else [])
+    slots = 1 + (dim if len(coeffs) == 1 else 2 * dim) + 2 * len(blocks)
+    squares = np.zeros((n, slots, dim))
+    present = np.zeros((n, slots), dtype=bool)
+    labels = np.empty((n, slots), dtype=object)
+    present[:, 0], labels[:, 0] = True, "origin"
+    flagged = np.zeros(n, dtype=bool)
+    s = 1
+    with np.errstate(all="ignore"):  # the rows that the scalar code skips or raises for
+        for idx, axis in enumerate(AXES[:dim]):
+            for t, mask, suffix in _axis_root_rows(coeffs, idx):
+                squares[:, s, idx], present[:, s] = t, mask & (t > _POSITIVITY_ATOL)
+                labels[:, s] = f"axis_{axis}" + suffix
+                s += 1
+        if blocks:
+            X, found, single, block_flagged = _linear_form_rows(coeffs, blocks)
+            flagged = block_flagged.any(axis=0)
+            for b, idx in enumerate(blocks):
+                subfamily = "bulk" if len(idx) == 3 else f"plane_{AXES[idx[0]]}{AXES[idx[1]]}"
+                tags = (np.where(single[b], "single", "minus").astype(object), "plus")
+                for r, tag in enumerate(tags):
+                    for i in idx:
+                        squares[:, s, i] = X[i][r, b]
+                    present[:, s], labels[:, s] = found[r, b], f"{subfamily}_" + tag
+                    s += 1
+    present &= ~flagged[:, None]
+    return np.sqrt(squares[present]), np.nonzero(present)[0], labels[present].tolist(), flagged
 
 
 # ---------------------------------------------------------------------------

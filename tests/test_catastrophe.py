@@ -115,6 +115,30 @@ def test_path_endpoints_outside_the_domain_are_per_sample():
     assert [s.ok for s in up.samples] == [False, False, False, True, True]
 
 
+def test_label_change_across_invalid_samples_is_recorded():
+    # axis_y dominates at t = 0, no minimum remains at t = 0.5 (alpha = beta),
+    # and axis_x dominates at t = 1: each kind's change is recorded, unrefined,
+    # at the midpoint of the valid samples around the invalid run
+    path = ParamPath(spec=make_spec("cusp2d", alpha=1.0, beta=1.0),
+                     varied=(("alpha", 0.5, 1.5),), steps=3)
+    rep = scan_line(path)
+    assert [s.ok for s in rep.samples] == [True, False, True]
+    assert [(b.kind, b.pair, b.location, b.params, b.gap_slope) for b in rep.boundaries] == [
+        (kind, ("axis_y", "axis_x"), 1.0, {"unrefined": "label changes across invalid samples"},
+         None) for kind in (QUANTUM, CLASSICAL)]
+    assert rep.events == ()
+
+
+def test_same_label_across_invalid_samples_records_nothing():
+    # gamma^2 < alpha^2 only at gamma = 0, mid-line; gamma = -+1 give one spec
+    path = ParamPath(spec=make_spec("butterfly1d", alpha=1.0, beta=1.0),
+                     varied=(("gamma", -1.0, 1.0),), steps=3)
+    rep = scan_line(path)
+    assert [s.ok for s in rep.samples] == [True, False, True]
+    assert rep.samples[0].quantum_label == rep.samples[2].quantum_label
+    assert rep.boundaries == () and rep.events == ()
+
+
 @pytest.mark.parametrize("name, space", [("alpha_sq", "raw"), ("alpha", "shape")])
 def test_path_space_is_the_space_with_param_moves_in(name, space):
     # a cusp's alpha_sq is its raw coefficient; alpha sets its square
@@ -198,14 +222,16 @@ def test_butterfly2d_coupling_sweep_orbit_appearance():
 
 
 def test_scan_line_enumerates_once_per_sample(monkeypatch):
-    # the samples of a line are classified as one stack of 31 specs
+    # the samples of a line are classified as one stack of 31 coefficient
+    # rows, built as arrays: no spec is built
     enumerations = count_calls(monkeypatch, stationary.enumerate_stationary)
     batches = count_calls(monkeypatch, stationary.classify_points)
     base = make_spec("cusp2d", alpha=1.1, beta=1.0)
+    builds = count_calls(monkeypatch, potentials.spec_from_raw)
     rep = scan_line(ParamPath(spec=base, varied=(("alpha", 1.1, 2.0),), steps=31))
     assert rep.boundaries == () and rep.events == ()
-    assert enumerations == []
-    assert len(batches) == 1 and len(batches[0][0]) == 31
+    assert enumerations == [] and builds == []
+    assert [len(coeffs[0]) for _x, _owner, coeffs in batches] == [31]
 
 
 def test_workers_do_not_change_results():
@@ -743,26 +769,30 @@ def test_scan_line_orders_tied_orbits_by_label():
 
 @pytest.mark.parametrize("k", [1, 12, 31])
 def test_interrupted_scan_keeps_the_samples_before_it(monkeypatch, k):
-    # an interrupt while the specs are built keeps the samples before it
+    # the rows of a stack are built together, in stacks of 8 here: an
+    # interrupt while the k-th sample is built keeps the stacks before its own
     path = REFERENCE_LINES["butterfly3d_w"]()
     full = scan_line(path)
-    builds = []
-    spec_at = ParamPath.spec_at
+    monkeypatch.setattr(catastrophe, "_STACK", 8)
+    built = []
+    param_rows = potentials._param_rows
 
-    def interrupting(self, t):
-        builds.append(t)
-        if len(builds) == k:
+    def interrupting(spec, settings):
+        built.append(len(settings[0][1]))
+        if sum(built) >= k:
             raise KeyboardInterrupt
-        return spec_at(self, t)
+        return param_rows(spec, settings)
 
-    monkeypatch.setattr(ParamPath, "spec_at", interrupting)
+    monkeypatch.setattr(potentials, "_param_rows", interrupting)
     rep = scan_line(path)
     assert rep.header["partial"] is True and full.header["partial"] is False
-    assert repr(rep.samples) == repr(full.samples[:k - 1])
+    assert repr(rep.samples) == repr(full.samples[:(k - 1) // 8 * 8])
 
 
 @pytest.mark.parametrize("line, owner, names, k, kept", [
-    ("butterfly3d_w", ParamPath, ("spec_at",), 40, (0, 0)),  # inside event refinement
+    # inside event refinement: samples are built as arrays, so the 9th spec
+    # build is an event probe
+    ("butterfly3d_w", ParamPath, ("spec_at",), 9, (0, 0)),
     # the first boundary takes one stack of probes and 6 single probes; the
     # 8th call is the second boundary's stack, the 9th its first single probe
     ("readme", catastrophe, ("_evaluate_samples", "_evaluate_sample"), 8, (1, 0)),
@@ -806,11 +836,11 @@ def test_interrupted_stack_keeps_the_stacks_before_it(monkeypatch, k, kept):
     evaluations = []
     classify_points = stationary.classify_points
 
-    def interrupting(specs, reps):
-        evaluations.append(len(specs))
+    def interrupting(x, owner, coeffs):
+        evaluations.append(len(coeffs[0]))
         if len(evaluations) == k:
             raise KeyboardInterrupt
-        return classify_points(specs, reps)
+        return classify_points(x, owner, coeffs)
 
     monkeypatch.setattr(stationary, "classify_points", interrupting)
     rep = scan_line(path)
@@ -834,8 +864,8 @@ def test_raster_rejects_an_axis_a_line_scan_rejects(monkeypatch):
 
 
 def test_raster_is_evaluated_in_bounded_stacks(monkeypatch):
-    # 11 x 11 cells take two stacks of at most 64 specs each
+    # 11 x 11 cells take two stacks of at most 64 coefficient rows each
     batches = count_calls(monkeypatch, stationary.classify_points)
     spec = make_spec("butterfly1d", alpha=1.0, beta=1.0)
     scan_grid(spec, ("alpha", 0.5, 2.5), ("beta", 0.5, 2.5), resolution=11)
-    assert [len(specs) for specs, _reps in batches] == [64, 57]
+    assert [len(coeffs[0]) for _x, _owner, coeffs in batches] == [64, 57]

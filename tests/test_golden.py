@@ -44,6 +44,10 @@ COMMANDS = {
     "scan_line_fig2_butterfly2d": (
         ["scan", "--spec", str(CORPUS / "fig2_butterfly2d.json"),
          "--vary", "u:-6:4.5", "--steps", "41"], 0),
+    # the first 7 samples have gamma_x < alpha_x: invalid, with NoRealShape's text
+    "scan_line_butterfly2d_gamma_x": (
+        ["scan", "--family", "butterfly2d", "--alpha", "1", "--gamma", "1.9", "--u", "-2",
+         "--vary", "gamma_x:0.6:2.4", "--steps", "31"], 0),
     "scan_line_butterfly3d_ordered": (
         ["scan", "--spec", str(CORPUS / "butterfly3d_ordered.json"),
          "--vary", "w:-2:3", "--steps", "31"], 0),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polydot import potentials
+from polydot import catastrophe, potentials
 from polydot.errors import NoRealShape, PolydotError
 from polydot.potentials import (
     PotentialSpec,
@@ -718,3 +718,54 @@ def test_make_spec_and_with_param_match_the_old_shape_layer(data, family, log_sc
         if stem is not None:
             assert (_outcome(with_param, spec, name, value)
                     == _outcome(with_param_shape_reference, spec, name, value)), name
+
+
+# ---------------------------------------------------------------------------
+# with_param chains built as arrays
+# ---------------------------------------------------------------------------
+
+@st.composite
+def param_rows_case(draw):
+    """A spec, one or two (name, values) settings on it, and a value range
+    that crosses the invalid regions: negative raw coefficients, shape
+    squares on either side of their axis's other squares, huge values."""
+    spec = draw(any_family_spec())
+    names = draw(st.lists(st.sampled_from(sorted(potentials._PARAMS[spec.family])),
+                          min_size=1, max_size=2))
+    n = draw(st.integers(1, 6))
+    value = st.one_of(st.floats(-3.0, 3.0), st.floats(-1e160, 1e160), st.sampled_from([0.0, -0.0]))
+    return spec, [(name, np.array(draw(st.lists(value, min_size=n, max_size=n))))
+                  for name in names]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(param_rows_case())
+@example((make_spec("butterfly2d", alpha=1.0, gamma=1.9, u=-2.0),
+          [("gamma_x", np.array([0.6, 1.02, 2.4]))]))
+@example((make_spec("butterfly3d", alpha=1.2, beta=0.7),
+          [("alpha", np.array([0.5, 1.0])), ("gamma_z", np.array([0.2, 3.0]))]))
+@example((make_spec("cusp2d", alpha=1.0, beta=1.0),
+          [("alpha", np.array([-2.0, 0.5])), ("beta_sq", np.array([-1.0, 1.0]))]))
+def test_param_rows_match_with_param_chains_drawn(case):
+    # bit for bit where the chain builds; flagged where it raises, and then
+    # the scalar fallback gives the chain's own error text
+    spec, settings_ = case
+    raw, fallback = potentials._param_rows(spec, settings_)
+
+    def chain(i):
+        out = spec
+        for name, values in settings_:
+            out = with_param(out, name, values[i])
+        return out
+
+    for i in range(len(raw)):
+        try:
+            built = chain(i)
+        except (PolydotError, ValueError):
+            assert fallback[i]
+            continue
+        assert not fallback[i]
+        assert raw[i].tobytes() == np.array(
+            [built.raw[k] for k in potentials._RAW_KEYS[spec.family]]).tobytes()
+    stack = catastrophe._prepare_rows(spec, settings_)
+    assert stack.errors == [catastrophe._prepare(lambda: chain(i))[2] for i in range(len(raw))]

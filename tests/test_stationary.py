@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from polydot import potentials, stationary
+from polydot import catastrophe, potentials, stationary
 from polydot.errors import DegenerateCoupling, NoRealShape
 from polydot.oracle import GridSpec, match_stationary, newton_stationary
 from polydot.potentials import make_spec, spec_from_raw
@@ -684,3 +684,72 @@ def test_root_algebra_matches_raw_key_reference(spec):
             assert outcome(getattr(stationary, name), *args) == outcome(reference, *args), name
     stack = [spec, spec_from_raw(spec.family, {k: 2.0 * v for k, v in spec.raw.items()})]
     assert outcome(potentials._coefficients, stack) == outcome(coefficients_reference, stack)
+
+
+# ---------------------------------------------------------------------------
+# the root formulas on stacks of specs, against the one-spec path
+# ---------------------------------------------------------------------------
+
+def _scaled_rows(spec, factors):
+    """Settings whose with_param chains give spec with every raw coefficient
+    times each factor, and the chain of row i."""
+    settings = [(key, np.array([spec.raw[key] * f for f in factors]))
+                for key in potentials._RAW_KEYS[spec.family]]
+
+    def chain(i):
+        out = spec
+        for name, values in settings:
+            out = potentials.with_param(out, name, values[i])
+        return out
+
+    return settings, chain
+
+
+def assert_rows_match_representatives(spec, factors):
+    """Through the array path, and through the scalar fallback of a flagged
+    row, every row has the locations and labels of _representatives, in the
+    same order after sorting, or the same error text; returns the flags."""
+    settings, chain = _scaled_rows(spec, factors)
+    raw, fallback = potentials._param_rows(spec, settings)
+    assert not fallback.any()
+    x, owner, labels, flagged = stationary._representative_rows(
+        potentials._coefficient_rows(spec.family, raw))
+    stack = catastrophe._prepare_rows(spec, settings)
+    for i in range(len(factors)):
+        _built, reps, error = catastrophe._prepare(lambda: chain(i))
+        assert stack.errors[i] == error
+        expected = repr(sorted((label, loc) for loc, _sub, label in reps or ()))
+        mine = np.flatnonzero(stack.owner == i)
+        assert repr(sorted((stack.labels[j], tuple(stack.x[j].tolist())) for j in mine)) \
+            == expected
+        if not flagged[i]:  # the arrays alone
+            mine = np.flatnonzero(owner == i)
+            assert repr(sorted((labels[j], tuple(x[j].tolist())) for j in mine)) == expected
+    return flagged
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(any_family_spec(), st.integers(-30, 30))
+@example(make_spec("butterfly1d", alpha=1.2, beta=0.0), 0)  # a double root
+@example(make_spec("butterfly3d", alpha=1.2, beta=0.0, u=0.3, v=-0.2), 30)
+@example(spec_from_raw("butterfly2d", dict(a=1.0, b=1.5, c=0.5, d=1.0, u=2.0)), 3)  # u = 2a
+@example(spec_from_raw("butterfly2d", dict(a=1.0, b=1.0, c=0.5, d=1.0, u=2.0)), -7)
+@example(spec_from_raw("butterfly3d", dict(a=1.0, b=1.0, c=1.0, u=2.0, v=2.0, w=2.0,
+                                           p=1.0, q=1.0, s=1.0)), 30)
+@example(spec_from_raw("butterfly3d", dict(a=1e-7, b=2e-7, c=1e-7, u=0.0, v=1e-7, w=0.0,
+                                           p=1e-14, q=1e-14, s=1e-14)), -30)
+def test_representative_rows_match_representatives_drawn(spec, k):
+    # 2^k scales every coefficient exactly; at 2^(10 k) the quadratics of
+    # the blocks leave [1e-100, 1e100] and take the rescale branch
+    assert_rows_match_representatives(spec, [1.0, 2.0 ** k, 2.0 ** (4 * k), 2.0 ** (10 * k)])
+
+
+@pytest.mark.parametrize("raw, factor", [
+    (dict(a=1.0, b=4.0, c=1.0, d=2.0, u=4.0), 1.0),  # singular M with 1^T adj M k = 0: qq == 0
+    (dict(a=1.0, b=2.0, c=1.0, d=1.0, u=3.0), 1.0),  # 1^T adj M 1 = 0: a linear equation
+    (dict(a=1.0, b=1.0, c=1.0, d=1.0, u=2.0), 1.0),  # a continuum: DegenerateCoupling
+    (dict(a=1.0, b=1.5, c=0.5, d=1.0, u=0.5), 2.0 ** 300),  # the power-of-two rescale
+], ids=["qq_zero", "linear", "continuum", "rescale"])
+def test_rare_root_branches_are_flagged(raw, factor):
+    spec = spec_from_raw("butterfly2d", raw)
+    assert assert_rows_match_representatives(spec, [factor]).tolist() == [True]
