@@ -13,9 +13,9 @@ cells of a raster, go in stacks of up to 64: each stack's raw coefficients
 are built as arrays with the arithmetic of with_param, its orbit
 representatives come from the root formulas on those arrays, and values,
 Hessians, eigenvalues, ground candidates and labels are then computed for
-the whole stack.  A sample that the array path cannot vouch for (an
-invalid spec, or a rare branch of the root formulas) is built and rooted
-one spec at a time, so its error text and roots are the scalar ones.
+the whole stack.  The root formulas take every branch row by row; only a
+sample whose spec is invalid is built by its with_param chain, for that
+chain's own error text.
 Each label change is refined by Illinois false position on the signed
 candidate gap from the probe interval where it changes sign, bisecting
 while an end gap is +-inf.  The nine probes that check for one sign
@@ -24,8 +24,9 @@ step is one spec's enumeration and ground candidates, the same arithmetic
 on a stack of one.  Orbits appearing or vanishing along a line are
 reported as events, refined by the same loop on orbit presence from the
 bracket's samples on, reading each probe from the root formulas as a gap
-of -inf or +inf.  Refinement always stops at DEFAULT_GAP_TOL and
-DEFAULT_WIDTH_TOL, the tolerances a line scan's header reports.
+of -inf or +inf; an event across invalid samples or probes stays unrefined.
+Refinement always stops at DEFAULT_GAP_TOL and DEFAULT_WIDTH_TOL, the
+tolerances a line scan's header reports.
 """
 
 from __future__ import annotations
@@ -176,13 +177,12 @@ class ScanReport:
 # ---------------------------------------------------------------------------
 
 def _prepare(build):
-    """(spec, orbit representatives, None) of the spec that build() returns,
-    or (None, None, error text) when it cannot be built or enumerated."""
+    """(orbit representatives, None) of the spec that build() returns, or
+    (None, error text) when it cannot be built or enumerated."""
     try:
-        spec = build()
-        return spec, stat._representatives(spec)[0], None
+        return stat._representatives(build())[0], None
     except (PolydotError, ValueError) as err:
-        return None, None, f"{type(err).__name__}: {err}"
+        return None, f"{type(err).__name__}: {err}"
 
 
 class _Stack(NamedTuple):
@@ -210,9 +210,9 @@ class _Stack(NamedTuple):
 def _prepare_rows(spec, settings) -> _Stack:
     """The samples of the with_param chains of settings on spec (see
     :func:`potentials._param_rows`), built and rooted as arrays by
-    :func:`stationary._representative_rows`.  A row that either flags is
-    built by its with_param chain and rooted by :func:`_prepare`, so that
-    its error text and roots are the scalar ones."""
+    :func:`stationary._representative_rows`, with the error text of a row
+    that :func:`_prepare` would give.  Only a row that _param_rows marks
+    invalid is built by its with_param chain, for the chain's own error."""
 
     def chain(i):
         out = spec
@@ -220,24 +220,16 @@ def _prepare_rows(spec, settings) -> _Stack:
             out = with_param(out, name, values[i])
         return out
 
-    family = spec.family
-    raw, fallback = potentials._param_rows(spec, settings)
-    coeffs = potentials._coefficient_rows(family, raw)
-    x, owner, labels, flagged = stat._representative_rows(coeffs)
-    fallback |= flagged
-    errors = [None] * len(raw)
-    if fallback.any():
-        keep = ~fallback[owner]
+    raw, invalid = potentials._param_rows(spec, settings)
+    coeffs = potentials._coefficient_rows(spec.family, raw)
+    x, owner, labels, errors = stat._representative_rows(coeffs)
+    errors = [None if err is None else f"{type(err).__name__}: {err}" for err in errors]
+    for i in np.flatnonzero(invalid).tolist():
+        errors[i] = _prepare(lambda: chain(i))[1]
+    if invalid.any():
+        keep = ~invalid[owner]
         x, owner, labels = x[keep], owner[keep], [la for la, k in zip(labels, keep.tolist()) if k]
-        for i in np.flatnonzero(fallback).tolist():
-            built, reps, errors[i] = _prepare(lambda: chain(i))
-            if reps is not None:
-                raw[i] = [built.raw[k] for k in potentials._RAW_KEYS[family]]
-                x = np.concatenate([x, [loc for loc, _sub, _label in reps]])
-                owner = np.concatenate([owner, np.full(len(reps), i)])
-                labels += [label for _loc, _sub, label in reps]
-        coeffs = potentials._coefficient_rows(family, raw)
-    return _Stack(family, coeffs, x, owner, labels, errors)
+    return _Stack(spec.family, coeffs, x, owner, labels, errors)
 
 
 def _sample(stack: _Stack) -> list[tuple]:
@@ -451,25 +443,35 @@ def locate_boundary(
     )
 
 
-def _orbit_events(path, s0, s1):
-    """OrbitEvent of each orbit label that one of the scan samples s0 and s1
-    (s0.t < s1.t) has and the other lacks, in label order: bisection on its
-    presence, read from the root formulas, where presence as at s0 counts
-    as gap -inf and any other as +inf.  The events share their probes."""
+def _orbit_events(path, s0, s1, reason=None):
+    """OrbitEvent of each orbit label that one of the valid scan samples s0
+    and s1 (s0.t < s1.t) has and the other lacks, in label order: bisection
+    on its presence, read from the root formulas, where presence as at s0
+    counts as gap -inf and any other as +inf; the events share their probes.
+    A reason, or a probe that cannot be built or rooted, leaves the event
+    unrefined: at the samples' midpoint, with params {"unrefined": reason}."""
     labels_at = {}
 
     def labels(t):
         if t not in labels_at:
-            _spec, reps, _error = _prepare(lambda: path.spec_at(t))
-            labels_at[t] = {label for _loc, _sub, label in reps or ()}
+            reps, error = _prepare(lambda: path.spec_at(t))
+            labels_at[t] = error or {la for _loc, _sub, la in reps}
+        if isinstance(labels_at[t], str):
+            raise ValueError(f"orbit presence undefined inside the bracket ({labels_at[t]})")
         return labels_at[t]
 
     for label in sorted(set(s0.orbit_labels) ^ set(s1.orbit_labels)):
         p_lo = label in s0.orbit_labels
-        t_star = _refine(lambda t: -math.inf if (label in labels(t)) == p_lo else math.inf,
-                         s0.t, -math.inf, s1.t, math.inf, path.primary_span, 0.0)
+        t_star, params = 0.5 * (s0.t + s1.t), {"unrefined": reason}
+        if reason is None:
+            try:
+                t_star = _refine(lambda t: -math.inf if (label in labels(t)) == p_lo else math.inf,
+                                 s0.t, -math.inf, s1.t, math.inf, path.primary_span, 0.0)
+                params = path.params_at(t_star)
+            except ValueError as err:
+                params = {"unrefined": str(err)}
         yield OrbitEvent(label, "disappears" if p_lo else "appears",
-                         path.primary_value(t_star), path.params_at(t_star))
+                         path.primary_value(t_star), params)
 
 
 def scan_line(path: ParamPath, workers: int = 1) -> ScanReport:
@@ -480,14 +482,14 @@ def scan_line(path: ParamPath, workers: int = 1) -> ScanReport:
     couplings) are recorded per sample, excluded from bracketing, and never
     fatal.  A label that differs between the valid samples on either side
     of a run of invalid ones is recorded as an unrefined boundary at their
-    midpoint.  The samples are built, rooted and evaluated as arrays, in
-    stacks of up to 64 (see :func:`_prepare_rows`); workers is accepted for
-    compatibility and does not change the result.  An interrupt (Ctrl-C)
-    yields a partial report, marked in the header, instead of an exception.
-    During sampling it keeps the samples of the stacks before the one it
-    falls in, and refines nothing.  During refinement it keeps every
-    sample, and the boundaries and events refined before it.
-    """
+    midpoint, and so is an orbit event there or across an invalid probe.
+    The samples are built, rooted and evaluated as arrays, in stacks of up
+    to 64 (see :func:`_prepare_rows`); workers is accepted for compatibility
+    and does not change the result.  An interrupt (Ctrl-C) yields a partial
+    report, marked in the header, instead of an exception.  During sampling
+    it keeps the samples of the stacks before the one it falls in, and
+    refines nothing.  During refinement it keeps every sample, and the
+    boundaries and events refined before it."""
     ts = np.linspace(0.0, 1.0, path.steps)
     samples = []
     boundaries = []
@@ -522,8 +524,8 @@ def scan_line(path: ParamPath, workers: int = 1) -> ScanReport:
                         params={"unrefined": reason},
                     )
                 )
-            if i1 == i0 + 1:
-                events.extend(_orbit_events(path, s0, s1))
+            events.extend(_orbit_events(
+                path, s0, s1, None if i1 == i0 + 1 else "orbit changes across invalid samples"))
     except KeyboardInterrupt:
         partial = True
 

@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 import numbers
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,13 +184,19 @@ class PotentialSpec:
 # per-axis shape algebra
 # ---------------------------------------------------------------------------
 
-def _on_axis_roots(a: float, c: float) -> tuple[float, float, float] | None:
-    """The one solve of the on-axis quadratic t^2 - 2 a t + c = 0: its roots
-    a -+ s and half gap s = sqrt(a^2 - c) as (a - s, s, a + s); None if a^2 < c."""
-    disc = a * a - c
-    if disc < 0.0:
-        return None
-    root = math.sqrt(disc)
+#: The root formulas' namespace on one spec's floats, as numpy is on arrays: numpy's
+#: answers where math raises or max() drops a nan; x / 0 is nan, which no formula keeps.
+FLOATS = types.SimpleNamespace(
+    where=lambda c, a, b: a if c else b, sqrt=lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
+    maximum=lambda a, b: a if a >= b or a != a else b, divide=lambda a, b: a / b if b else math.nan,
+    all=bool, copysign=math.copysign, frexp=math.frexp, ldexp=math.ldexp)
+
+
+def _on_axis_roots(ns, a, c):
+    """The one solve of the on-axis quadratic t^2 - 2 a t + c = 0 over the
+    namespace ns (:data:`FLOATS` or numpy): its roots a -+ s and half gap
+    s = sqrt(a^2 - c) as (a - s, s, a + s), all nan where a^2 < c."""
+    root = ns.sqrt(a * a - c)
     return a - root, root, a + root
 
 
@@ -200,8 +207,8 @@ def axis_shape_from_pair(a: float, c: float) -> tuple[float, float, float]:
     alpha^2 = a - sqrt(a^2 - c), beta^2 = sqrt(a^2 - c),
     gamma^2 = a + sqrt(a^2 - c) (see :func:`_on_axis_roots`).
     """
-    roots = _on_axis_roots(a, c)
-    if roots is None:
+    roots = _on_axis_roots(FLOATS, a, c)
+    if not roots[1] >= 0.0:
         raise NoRealShape(f"a^2 = {a * a:g} < c = {c:g}: on-axis roots are complex")
     if roots[0] <= 0.0:
         raise NoRealShape(f"pair (a={a:g}, c={c:g}) gives alpha^2 = {roots[0]:g} <= 0")
@@ -499,9 +506,7 @@ def _param_rows(spec: PotentialSpec, settings) -> tuple[np.ndarray, np.ndarray]:
                 continue
             # raw_to_shape, the new square, then shape_to_raw, axis by axis
             for i, (qk, ck) in enumerate(_AXIS_PAIR_KEYS[family]):
-                a, c = raw[qk] / scale_a, raw[ck] / scale_c
-                beta = np.sqrt(a * a - c)  # nan where a^2 < c
-                alpha, gamma = a - beta, a + beta
+                alpha, beta, gamma = _on_axis_roots(np, raw[qk] / scale_a, raw[ck] / scale_c)
                 fallback |= ~(alpha > 0.0)  # no real shape
                 if i not in axes:
                     fallback |= (abs(gamma - (alpha + 2.0 * beta))
@@ -671,6 +676,6 @@ def characteristic_radius(spec: PotentialSpec) -> float:
         return math.sqrt(k) if k > 0 else 1.0
     best = 0.0
     for a, c in axis_pairs(spec):
-        roots = _on_axis_roots(a, c)
-        best = max(best, roots[2] if roots else 0.0, math.sqrt(c) if c > 0 else 0.0)
+        _inner, root, outer = _on_axis_roots(FLOATS, a, c)
+        best = max(best, outer if root >= 0.0 else 0.0, math.sqrt(c) if c > 0 else 0.0)
     return math.sqrt(best) if best > 0 else 1.0

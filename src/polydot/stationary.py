@@ -9,8 +9,9 @@ On an axis the stationary condition is a quadratic in the squared
 coordinate.  Off the axes, treating r^4 as a parameter makes each coupled
 block (a plane, or the 3D bulk) linear in its squared coordinates;
 re-imposing r^2 = sum of squares closes it to a quadratic in r^2.  One
-plain-float adjugate solve serves every block, and raises only where the
-block's roots form a continuum.  All roots are therefore explicit.
+adjugate solve serves every block, and fails only where the block's roots
+form a continuum.  All roots are therefore explicit, each formula written
+once: over potentials.FLOATS for one spec, over numpy for a stack of specs.
 
 Points are stored once per sign orbit (all families are even in each
 coordinate): the representative has nonnegative coordinates and carries
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import potentials
 from .errors import DegenerateCoupling, NoRealShape
-from .potentials import AXES, PotentialSpec, axis_pairs, couplings
+from .potentials import AXES, FLOATS, PotentialSpec, axis_pairs, couplings
 
 MINIMUM = "minimum"
 MAXIMUM = "maximum"
@@ -39,6 +40,11 @@ DEGENERATE = "degenerate"
 _POSITIVITY_ATOL = 1e-12
 
 _CLASSIFY_REL_TOL = 1e-9
+
+# (indices, subfamily) of each coupled block by dimension: planes xy, xz, yz, then the 3D bulk
+_BLOCKS = {dim: [((i, j), f"plane_{AXES[i]}{AXES[j]}")
+                 for i, j in itertools.combinations(range(dim), 2)]
+           + ([((0, 1, 2), "bulk")] if dim == 3 else []) for dim in (1, 2, 3)}
 
 #: existence threshold for bulk stationary points of the isotropic
 #: zero-cross-coupling sextic model, xi = alpha/beta
@@ -160,7 +166,7 @@ def point_list(spec, reps) -> list[StationaryPoint]:
 
 
 # ---------------------------------------------------------------------------
-# on-axis roots
+# the root formulas, each over a namespace ns: potentials.FLOATS or numpy
 # ---------------------------------------------------------------------------
 
 def on_axis_roots(spec: PotentialSpec, axis: str) -> dict:
@@ -174,75 +180,50 @@ def on_axis_roots(spec: PotentialSpec, axis: str) -> dict:
     names = spec.axis_names()
     if axis not in names:
         raise ValueError(f"{spec.family} has axes {names}, not {axis!r}")
-    keys, pairs = ((("x_sq",), None) if spec.is_cusp
-                   else (("x_minus_sq", "x_plus_sq"), axis_pairs(spec)))
-    return dict(zip(keys, (t for _suffix, t in _axis_roots(spec, names.index(axis), pairs))))
+    if spec.is_cusp:
+        return {"x_sq": float(spec.raw[potentials._RAW_KEYS[spec.family][names.index(axis)]])}
+    a, c = axis_pairs(spec)[names.index(axis)]
+    (inner, _present, _suffix), (outer, real, _suffix) = _axis_roots(FLOATS, a, c)
+    if not real:
+        raise NoRealShape(f"axis {axis}: a^2 = {a * a:g} < c = {c:g}, on-axis points complex")
+    return {"x_minus_sq": inner, "x_plus_sq": outer}
 
 
-def _axis_roots(spec, idx, pairs):
-    """(label suffix, squared radius) of every on-axis root of axis number
-    idx, ascending: ("", alpha_j^2) for a cusp (pairs None), ("_inner", a - s)
-    and ("_outer", a + s) with (a, c) = pairs[idx] and s = sqrt(a^2 - c) for
-    a butterfly (:func:`potentials._on_axis_roots`), both tagged "_double"
-    when s <= 1e-12 max(1, |a|).  Raises NoRealShape when a^2 < c."""
-    if pairs is None:
-        return [("", float(spec.raw[potentials._RAW_KEYS[spec.family][idx]]))]
-    a, c = pairs[idx]
-    roots = potentials._on_axis_roots(a, c)
-    if roots is None:
-        raise NoRealShape(
-            f"axis {spec.axis_names()[idx]}: a^2 = {a * a:g} < c = {c:g}, "
-            "on-axis points complex"
-        )
-    inner, root, outer = roots
-    if root <= _POSITIVITY_ATOL * max(1.0, abs(a)):
-        return [("_double", inner), ("_double", outer)]
-    return [("_inner", inner), ("_outer", outer)]
+def _axis_roots(ns, a, c=None):
+    """[(squared radius, present, label suffix)] of the on-axis roots of one
+    axis: a cusp's alpha_j^2 = a (c None), or the inner and the outer root
+    of a butterfly's axis pair (a, c) (:func:`potentials._on_axis_roots`),
+    present where real.  A double pair (half gap s <= 1e-12 max(1, |a|)) is
+    one orbit, kept as its outer root with suffix "_double"."""
+    if c is None:
+        return [(a, True, "")]
+    inner, root, outer = potentials._on_axis_roots(ns, a, c)
+    distinct = root > _POSITIVITY_ATOL * ns.maximum(1.0, abs(a))
+    return [(inner, (root >= 0.0) & distinct, "_inner"),
+            (outer, root >= 0.0, ns.where(distinct, "_outer", "_double"))]
 
 
-# ---------------------------------------------------------------------------
-# off-axis roots: one linear form per coupled coordinate block
-# ---------------------------------------------------------------------------
-
-def _real_quadratic_roots(q2, q1, q0):
-    """Real roots of q2 t^2 + q1 t + q0 = 0 with stable branch tags.
-
-    Returns (root, tag) pairs, tag in {"minus", "plus", "single"}; the tags
-    follow the quadratic-formula branches ordered by ascending root, so they
-    stay attached to the same root as parameters move.  A (numerically)
-    vanishing leading coefficient degenerates to the linear equation.
-    """
-    scale = max(abs(q2), abs(q1), abs(q0), 1e-300)
-    if not 1e-100 < scale < 1e100:
-        # an exact power-of-two rescaling, so that q1^2 cannot overflow
-        f = math.ldexp(1.0, -math.frexp(scale)[1])
+def _real_quadratic_roots(ns, q2, q1, q0):
+    """Real roots of q2 t^2 + q1 t + q0 = 0 with stable branch tags: (lower,
+    upper, real, single).  Where real, lower is tagged "single" where single,
+    else "minus", and upper "plus": the branches by ascending root, stable as
+    parameters move.  A (numerically) vanishing q2 leaves a linear equation."""
+    scale = ns.maximum(ns.maximum(abs(q2), abs(q1)), ns.maximum(abs(q0), 1e-300))
+    inside = (1e-100 < scale) & (scale < 1e100)
+    if not ns.all(inside):  # an exact power-of-two rescaling, so that q1^2 cannot overflow
+        f = ns.where(inside, 1.0, ns.ldexp(1.0, -ns.frexp(scale)[1]))  # 1.0 keeps every bit
         q2, q1, q0, scale = q2 * f, q1 * f, q0 * f, scale * f
-    if abs(q2) <= 1e-14 * scale:
-        if abs(q1) <= 1e-14 * scale:
-            return []
-        return [(-q0 / q1, "single")]
+    linear = abs(q2) <= 1e-14 * scale
     disc = q1 * q1 - 4.0 * q2 * q0
-    if disc < 0.0:
-        return []
-    root = math.sqrt(disc)
     # cancellation-free branch first, companion via the product of roots
-    qq = -0.5 * (q1 + math.copysign(root, q1))
-    if qq == 0.0:
-        return [(0.0, "single")]
-    t1 = qq / q2
-    t2 = q0 / qq
-    if abs(t1 - t2) <= 1e-12 * max(1.0, abs(t1), abs(t2)):
-        return [(0.5 * (t1 + t2), "single")]
-    lo, hi = (t1, t2) if t1 < t2 else (t2, t1)
-    return [(lo, "minus"), (hi, "plus")]
-
-
-def _positive_quadratic_roots(q2, q1, q0):
-    """Tagged real roots t > 0, ascending."""
-    return [
-        (t, tag) for t, tag in _real_quadratic_roots(q2, q1, q0)
-        if t > _POSITIVITY_ATOL
-    ]
+    qq = -0.5 * (q1 + ns.copysign(ns.sqrt(disc), q1))
+    t1, t2 = ns.divide(qq, q2), ns.divide(q0, qq)
+    close = abs(t1 - t2) <= 1e-12 * ns.maximum(ns.maximum(1.0, abs(t1)), abs(t2))
+    low, zero = t1 < t2, qq == 0.0
+    lower = ns.where(linear, ns.divide(-q0, q1), ns.where(
+        zero, 0.0, ns.where(close, 0.5 * (t1 + t2), ns.where(low, t1, t2))))
+    real = ns.where(linear, abs(q1) > 1e-14 * scale, disc >= 0.0)
+    return lower, ns.where(low, t2, t1), real, linear | zero | close
 
 
 def _adjugate(m, e, nu):
@@ -255,88 +236,98 @@ def _adjugate(m, e, nu):
     return a00, A * C - E * E, A * B - D * D, a01, a02, D * E - A * F, A * a00 + D * a01 + E * a02
 
 
-def _linear_form(pairs, cross, idx):
-    """([squared coordinates], R^2, branch) of every root whose nonzero
-    coordinates are exactly the coupled block idx: a plane (i, j), or the
-    3D bulk (0, 1, 2).
+def _linear_form(ns, m, k, e, bulk):
+    """(roots, mu, adj, solvable) of a coupled block: a plane (i, j), or the
+    3D bulk (0, 1, 2), which bulk says.  The block sits in a 3x3 identity, so
+    one adjugate serves every block: m holds its entries 00, 11, 22, 01, 02,
+    12, k and e its right-hand side and indicator, both 0.0 off the block.
 
     With r^4 as a parameter the block is linear, M X = r^4 1 + k: M holds
     2a_i on its diagonal and u_ij off it, k the quadratic coefficients c_i.
-    r^2 = 1^T X closes it to the quadratic
-    (1^T adj M 1) r^4 - (det M) r^2 + 1^T adj M k = 0, free of division.
-    The block sits in a 3x3 identity, so one adjugate serves every block.
+    r^2 = 1^T X closes it to a quadratic free of division, solved into
+    roots by :func:`_real_quadratic_roots`:
+    (1^T adj M 1) r^4 - (det M) r^2 + 1^T adj M k = 0.
     Because 1^T X = r^2, X also solves (M - mu 11^T) X = (r^4 - mu r^2) 1 + k,
     whose determinant is det M - mu 1^T adj M 1: mu = 0 unless
     |det M| < |1^T adj M 1| max|M|, else mu = -+max|M| with the sign that
-    makes both terms add.  So only a continuum (both terms near zero), or
-    an overflow, raises DegenerateCoupling.  Near a continuum the quadratic's
-    coefficients cancel, so each root then takes two Newton steps on the
-    stationarity equations M X - (1^T X)^2 1 - k = 0, whose Jacobian
-    M - 2 (1^T X) 11^T is one more shift of M.
+    makes both terms add.  adj is the adjugate and determinant of
+    M - mu 11^T.  Only a continuum (both terms near zero), or an overflow,
+    leaves that determinant outside (1e-12 max|M|^n, inf), n the block's
+    size: the block is then not solvable, a DegenerateCoupling.
     """
-    m = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]  # entries 00, 11, 22, 01, 02, 12
-    k, e = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]  # e: the block's indicator vector
-    for i in idx:
-        a, k[i] = pairs[i]
-        m[i], e[i] = 2.0 * a, 1.0
-    for i, j, u in cross:
-        if i in idx and j in idx:
-            m[i + j + 2] = u
     (A, B, C, D, E, F), (k0, k1, k2), (e0, e1, e2) = m, k, e
-    scale = max(abs(D), abs(E), abs(F), e0 * abs(A), e1 * abs(B), e2 * abs(C))
+    scale = ns.maximum(ns.maximum(ns.maximum(abs(D), abs(E)), ns.maximum(abs(F), e0 * abs(A))),
+                       ns.maximum(e1 * abs(B), e2 * abs(C)))
     s00, s11, s22, s01, s02, s12, det = _adjugate(m, e, 0.0)
     ae0, ae1, ae2 = s00 * e0 + s01 * e1 + s02 * e2, s01 * e0 + s11 * e1 + s12 * e2, \
         s02 * e0 + s12 * e1 + s22 * e2
     lead, const = ae0 * e0 + ae1 * e1 + ae2 * e2, ae0 * k0 + ae1 * k1 + ae2 * k2
-    mu, shifted = 0.0, det
-    if abs(det) < abs(lead) * scale:
-        mu = -scale if det * lead >= 0.0 else scale
-        s00, s11, s22, s01, s02, s12, shifted = _adjugate(m, e, mu)
-    # scale^n by products: an overflow gives inf, and so a raise, not an OverflowError
-    bound = 1e-12 * scale * scale * (scale if len(idx) == 3 else 1.0)
-    if not bound < abs(shifted) < math.inf:
-        raise DegenerateCoupling(
-            f"coupling matrix of {''.join(AXES[i] for i in idx)} is singular "
-            f"(shifted det = {shifted:g}); its linear solve is undefined"
-        )
+    # mu = 0 leaves M as it is, and its adjugate the one above, bit for bit
+    mu = ns.where(abs(det) < abs(lead) * scale, ns.where(det * lead >= 0.0, -scale, scale), 0.0)
+    adj = _adjugate(m, e, mu)
+    # scale^n by products: an overflow gives inf, and so no solve, not an OverflowError
+    bound = 1e-12 * scale * scale * ns.where(bulk, scale, 1.0)
+    solvable = (bound < abs(adj[6])) & (abs(adj[6]) < math.inf)
+    return _real_quadratic_roots(ns, lead, -det, const), mu, adj, solvable
+
+
+def _block_point(ns, m, k, e, mu, adj, r2):
+    """Squared coordinates (x0, x1, x2) of a block's root at R^2 = r2 (see
+    :func:`_linear_form`), and whether the block's are positive, after two
+    Newton steps on M X - (1^T X)^2 1 - k = 0 (the quadratic cancels near a
+    continuum), whose Jacobian M - 2 (1^T X) 11^T is one more shift of M."""
+    (A, B, C, D, E, F), (k0, k1, k2), (e0, e1, e2) = m, k, e
+    s00, s11, s22, s01, s02, s12, shifted = adj
+    w = r2 * r2 - mu * r2
+    y0, y1, y2 = w * e0 + k0, w * e1 + k1, w * e2 + k2
+    x0 = (s00 * y0 + s01 * y1 + s02 * y2) / shifted
+    x1 = (s01 * y0 + s11 * y1 + s12 * y2) / shifted
+    x2 = (s02 * y0 + s12 * y1 + s22 * y2) / shifted
+    for _step in range(2):
+        rad = x0 * e0 + x1 * e1 + x2 * e2  # 1^T X
+        j00, j11, j22, j01, j02, j12, jdet = _adjugate(m, e, 2.0 * rad)
+        step = (0.0 < abs(jdet)) & (abs(jdet) < math.inf)  # zero at an exact double root
+        g0 = (A * x0 + D * x1 + E * x2 - rad * rad - k0) * e0
+        g1 = (D * x0 + B * x1 + F * x2 - rad * rad - k1) * e1
+        g2 = (E * x0 + F * x1 + C * x2 - rad * rad - k2) * e2
+        x0 = ns.where(step, x0 - ns.divide(j00 * g0 + j01 * g1 + j02 * g2, jdet), x0)
+        x1 = ns.where(step, x1 - ns.divide(j01 * g0 + j11 * g1 + j12 * g2, jdet), x1)
+        x2 = ns.where(step, x2 - ns.divide(j02 * g0 + j12 * g1 + j22 * g2, jdet), x2)
+    positive = ((x0 > _POSITIVITY_ATOL) | (e0 == 0.0)) & ((x1 > _POSITIVITY_ATOL) | (e1 == 0.0))
+    return (x0, x1, x2), positive & ((x2 > _POSITIVITY_ATOL) | (e2 == 0.0))
+
+
+def _singular(idx, shifted) -> DegenerateCoupling:
+    """The error of coupled block idx, not solvable at shifted determinant shifted."""
+    return DegenerateCoupling(f"coupling matrix of {''.join(AXES[i] for i in idx)} is singular "
+                              f"(shifted det = {shifted:g}); its linear solve is undefined")
+
+
+def _off_axis(pairs, cross, blocks):
+    """([squared coordinates], R^2, subfamily, branch) of each root of one
+    spec, from its axis pairs and couplings cross, (i, j, u_ij) each, whose
+    nonzero coordinates are one of blocks (see _BLOCKS); only real roots
+    take the Newton steps.  Raises DegenerateCoupling at a singular block."""
     out = []
-    for r2, tag in _positive_quadratic_roots(lead, -det, const):
-        w = r2 * r2 - mu * r2
-        y0, y1, y2 = w * e0 + k0, w * e1 + k1, w * e2 + k2
-        x0 = (s00 * y0 + s01 * y1 + s02 * y2) / shifted
-        x1 = (s01 * y0 + s11 * y1 + s12 * y2) / shifted
-        x2 = (s02 * y0 + s12 * y1 + s22 * y2) / shifted
-        for _step in range(2):
-            rad = x0 * e0 + x1 * e1 + x2 * e2  # 1^T X
-            j00, j11, j22, j01, j02, j12, jdet = _adjugate(m, e, 2.0 * rad)
-            if 0.0 < abs(jdet) < math.inf:  # zero at an exact double root
-                g0 = (A * x0 + D * x1 + E * x2 - rad * rad - k0) * e0
-                g1 = (D * x0 + B * x1 + F * x2 - rad * rad - k1) * e1
-                g2 = (E * x0 + F * x1 + C * x2 - rad * rad - k2) * e2
-                x0 -= (j00 * g0 + j01 * g1 + j02 * g2) / jdet
-                x1 -= (j01 * g0 + j11 * g1 + j12 * g2) / jdet
-                x2 -= (j02 * g0 + j12 * g1 + j22 * g2) / jdet
-        X, sq = (x0, x1, x2), [0.0] * len(pairs)
+    for idx, subfamily in blocks:
+        m, k, e = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
         for i in idx:
-            sq[i] = X[i]
-            if not X[i] > _POSITIVITY_ATOL:
-                break
-        else:  # R^2 is the sum of the squares, after the steps
-            out.append((sq, x0 * e0 + x1 * e1 + x2 * e2, tag))
+            a, k[i] = pairs[i]
+            m[i], e[i] = 2.0 * a, 1.0
+        for i, j, u in cross:
+            if i in idx and j in idx:
+                m[i + j + 2] = u
+        roots, mu, adj, solvable = _linear_form(FLOATS, m, k, e, len(idx) == 3)
+        if not solvable:
+            raise _singular(idx, adj[6])
+        lower, upper, real, single = roots
+        for r2, tag in ((lower, "single"),) if single else ((lower, "minus"), (upper, "plus")):
+            if real and r2 > _POSITIVITY_ATOL:
+                X, positive = _block_point(FLOATS, m, k, e, mu, adj, r2)
+                if positive:  # R^2 is the sum of the squares, after the steps
+                    out.append(([X[i] if i in idx else 0.0 for i in range(len(pairs))],
+                                X[0] * e[0] + X[1] * e[1] + X[2] * e[2], subfamily, tag))
     return out
-
-
-def _off_axis(spec, pairs):
-    """Every off-axis root of a butterfly spec with axis pairs ``pairs``:
-    ([squared coordinates], R^2, subfamily, branch) tuples, from
-    :func:`_linear_form` on each coupled plane (i, j) and, in 3D, on the
-    bulk."""
-    cross = couplings(spec)
-    blocks = [((i, j), f"plane_{AXES[i]}{AXES[j]}") for i, j, _u in cross]
-    if len(pairs) == 3:
-        blocks.append(((0, 1, 2), "bulk"))
-    return [(sq, r2, subfamily, tag) for idx, subfamily in blocks
-            for sq, r2, tag in _linear_form(pairs, cross, idx)]
 
 
 def quadratic_aux(spec: PotentialSpec) -> QuadraticAux:
@@ -370,7 +361,8 @@ def off_axis_roots_2d(spec: PotentialSpec) -> list[tuple[float, float, float]]:
     """
     if spec.family != "butterfly2d":
         raise ValueError("off_axis_roots_2d applies to butterfly2d specs")
-    return [(x2, y2, r2) for (x2, y2), r2, _sub, _tag in _off_axis(spec, axis_pairs(spec))]
+    return [(x2, y2, r2) for (x2, y2), r2, _sub, _tag
+            in _off_axis(axis_pairs(spec), couplings(spec), _BLOCKS[2])]
 
 
 def bulk_roots_3d(spec: PotentialSpec) -> list[tuple[float, float, float, float]]:
@@ -386,8 +378,8 @@ def bulk_roots_3d(spec: PotentialSpec) -> list[tuple[float, float, float, float]
     """
     if spec.family != "butterfly3d":
         raise ValueError("bulk_roots_3d applies to butterfly3d specs")
-    return [(*sq, r2) for sq, r2, _tag
-            in _linear_form(axis_pairs(spec), couplings(spec), (0, 1, 2))]
+    return [(*sq, r2) for sq, r2, _sub, _tag
+            in _off_axis(axis_pairs(spec), couplings(spec), _BLOCKS[3][-1:])]
 
 
 def off_axis_roots_3d(spec: PotentialSpec) -> list[tuple]:
@@ -399,7 +391,8 @@ def off_axis_roots_3d(spec: PotentialSpec) -> list[tuple]:
     """
     if spec.family != "butterfly3d":
         raise ValueError("off_axis_roots_3d applies to butterfly3d specs")
-    return [(*sq, r2, sub) for sq, r2, sub, _tag in _off_axis(spec, axis_pairs(spec))]
+    return [(*sq, r2, sub) for sq, r2, sub, _tag
+            in _off_axis(axis_pairs(spec), couplings(spec), _BLOCKS[3])]
 
 
 # ---------------------------------------------------------------------------
@@ -416,26 +409,71 @@ def _representatives(spec: PotentialSpec) -> tuple[list, list]:
     dim = spec.dimension
     reps = [((0.0,) * dim, "origin", "origin")]
     warnings = []
-    pairs = None if spec.is_cusp else axis_pairs(spec)
+    pairs = ([(float(spec.raw[key]),) for key in potentials._RAW_KEYS[spec.family]]
+             if spec.is_cusp else axis_pairs(spec))
     for idx, axis in enumerate(AXES[:dim]):
-        try:
-            roots = _axis_roots(spec, idx, pairs)
-        except NoRealShape:
+        roots = _axis_roots(FLOATS, *pairs[idx])
+        if not roots[-1][1]:
             a, c = pairs[idx]
-            warnings.append(
-                f"axis {axis}: no real on-axis points (a^2 = {a * a:g} < c = {c:g})"
-            )
+            warnings.append(f"axis {axis}: no real on-axis points (a^2 = {a * a:g} < c = {c:g})")
             continue
         subfamily, before, after = f"axis_{axis}", (0.0,) * idx, (0.0,) * (dim - idx - 1)
-        # a double pair is one orbit, kept as its outer root
-        for suffix, t in roots[1:] if roots[0][0] == "_double" else roots:
-            if t > _POSITIVITY_ATOL:
+        for t, present, suffix in roots:
+            if present and t > _POSITIVITY_ATOL:
                 reps.append((before + (math.sqrt(t),) + after, subfamily, subfamily + suffix))
 
-    if dim > 1 and pairs:
-        for sq, _r2, subfamily, tag in _off_axis(spec, pairs):
+    if dim > 1 and not spec.is_cusp:
+        for sq, _r2, subfamily, tag in _off_axis(pairs, couplings(spec), _BLOCKS[dim]):
             reps.append((tuple(map(math.sqrt, sq)), subfamily, f"{subfamily}_{tag}"))
     return reps, warnings
+
+
+def _representative_rows(coeffs):
+    """:func:`_representatives` of a stack of specs of one family, one row
+    of the coefficient arrays coeffs each (see
+    :func:`potentials._coefficient_rows`), without warnings: (x, owner,
+    labels, errors), the (N, D) locations, the row that owns each and its
+    label, row by row in the order of _representatives, and per row None or
+    the DegenerateCoupling that _representatives raises, for a row with no
+    location."""
+    n, dim = coeffs[0].shape[:2]
+    blocks = _BLOCKS[dim] if len(coeffs) == 3 else []
+    slots = 1 + (dim if len(coeffs) == 1 else 2 * dim) + 2 * len(blocks)
+    squares, present = np.zeros((n, slots, dim)), np.zeros((n, slots), dtype=bool)
+    labels = np.empty((n, slots), dtype=object)
+    present[:, 0], labels[:, 0] = True, "origin"
+    errors, s = [None] * n, 1
+    with np.errstate(all="ignore"):  # the rows that _representatives skips or raises for
+        for idx, axis in enumerate(AXES[:dim]):
+            # a cusp's k, or a butterfly's quartic and quadratic coefficients
+            for t, mask, suffix in _axis_roots(np, *(c[:, idx] for c in coeffs[::2])):
+                squares[:, s, idx], present[:, s] = t, mask & (t > _POSITIVITY_ATOL)
+                labels[:, s] = f"axis_{axis}" + np.asarray(suffix, dtype=object)
+                s += 1
+        if blocks:
+            # blocks stacked: entries (B, n) and indicators (B, 1), as one spec's
+            A, U, P = coeffs
+            e = [np.array([[1.0 if i in idx else 0.0] for idx, _sub in blocks]) for i in range(3)]
+            m = [np.where(e[i] == 1.0, 2.0 * A[:, i], 1.0) if i < dim else 1.0 for i in range(3)]
+            k = [np.where(e[i] == 1.0, P[:, i], 0.0) if i < dim else 0.0 for i in range(3)]
+            m += [np.where(e[i] * e[j] == 1.0, U[:, i, j], 0.0) if j < dim else 0.0
+                  for i, j in itertools.combinations(range(3), 2)]
+            bulk = np.array([[len(idx) == 3] for idx, _sub in blocks])
+            (lower, upper, real, single), mu, adj, solvable = _linear_form(np, m, k, e, bulk)
+            r2 = np.stack([lower, upper])  # both roots of every block in one (2, B, n) pass
+            X, positive = _block_point(np, m, k, e, mu, adj, r2)
+            found = np.stack([real, real & ~single]) & (r2 > _POSITIVITY_ATOL) & positive
+            for b, (idx, subfamily) in enumerate(blocks):
+                tags = (np.where(single[b], "single", "minus").astype(object), "plus")
+                for r, tag in enumerate(tags):
+                    for i in idx:
+                        squares[:, s, i] = X[i][r, b]
+                    present[:, s], labels[:, s] = found[r, b], f"{subfamily}_" + tag
+                    s += 1
+            for i in np.flatnonzero(~solvable.all(axis=0)).tolist():
+                b = int(np.argmin(solvable[:, i]))  # the first, as _representatives raises
+                errors[i], present[i] = _singular(blocks[b][0], float(adj[6][b, i])), False
+    return np.sqrt(squares[present]), np.nonzero(present)[0], labels[present].tolist(), errors
 
 
 def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
@@ -455,151 +493,6 @@ def enumerate_stationary(spec: PotentialSpec) -> StationaryReport:
 def stationary_points(spec: PotentialSpec) -> list[StationaryPoint]:
     """The classified stationary list (see :func:`enumerate_stationary`)."""
     return list(enumerate_stationary(spec).points)
-
-
-# ---------------------------------------------------------------------------
-# the root formulas on stacks of specs
-# ---------------------------------------------------------------------------
-#
-# Twins of _axis_roots, _real_quadratic_roots, _linear_form and
-# _representatives on (n,) arrays, one row per spec, with the operations of
-# the scalar code in its order, so that every root is bitwise the scalar
-# one.  A row that reaches a rare branch of the scalar code is flagged
-# instead: the power-of-two rescale, a vanishing leading coefficient,
-# qq == 0, or the DegenerateCoupling bound.  The caller takes the scalar
-# path for a flagged row.
-
-def _axis_root_rows(coeffs, idx):
-    """:func:`_axis_roots` of axis number idx for every row of the
-    coefficient arrays coeffs (see :func:`potentials._coefficient_rows`):
-    [(squared radius, present, label suffix)], none present on a row whose
-    roots are complex."""
-    if len(coeffs) == 1:
-        t = coeffs[0][:, idx]
-        return [(t, np.ones(len(t), dtype=bool), "")]
-    a, c = coeffs[0][:, idx], coeffs[2][:, idx]
-    disc = a * a - c
-    root = np.sqrt(disc)
-    real = ~(disc < 0.0)
-    double = root <= _POSITIVITY_ATOL * np.maximum(1.0, abs(a))
-    # a double pair is one orbit, kept as its outer root
-    return [(a - root, real & ~double, "_inner"),
-            (a + root, real, np.where(double, "_double", "_outer").astype(object))]
-
-
-def _real_quadratic_root_rows(q2, q1, q0):
-    """:func:`_real_quadratic_roots` on arrays: (roots, real, single,
-    flagged), roots stacking the lower and the upper root on a new leading
-    axis, real where any root is real and single where the two are one."""
-    scale = np.maximum(np.maximum(abs(q2), abs(q1)), np.maximum(abs(q0), 1e-300))
-    flagged = ~((1e-100 < scale) & (scale < 1e100)) | (abs(q2) <= 1e-14 * scale)
-    disc = q1 * q1 - 4.0 * q2 * q0
-    real = ~(disc < 0.0)
-    qq = -0.5 * (q1 + np.copysign(np.sqrt(disc), q1))
-    flagged |= real & (qq == 0.0)
-    t1, t2 = qq / q2, q0 / qq
-    single = abs(t1 - t2) <= 1e-12 * np.maximum(np.maximum(1.0, abs(t1)), abs(t2))
-    low = t1 < t2
-    roots = np.stack([np.where(single, 0.5 * (t1 + t2), np.where(low, t1, t2)),
-                      np.where(low, t2, t1)])
-    return roots, real, single, flagged
-
-
-def _linear_form_rows(coeffs, blocks):
-    """:func:`_linear_form` of every coupled block of blocks (index tuples)
-    on every row of the butterfly coefficient arrays coeffs at once.
-
-    Each block's 3x3 embedding is a (B, n) array per entry, with its
-    indicator e of 0.0 and 1.0 as (B, 1), so every product with e is the
-    scalar one.  Returns (X, found, single, flagged): the squared
-    coordinates X[i] of shape (2, B, n) of the lower and the upper root of
-    every block, whether each is a root of its block, whether the lower is
-    the quadratic's single root, and the (B, n) flagged entries.
-    """
-    quartic, coupling, quadratic = coeffs
-    n, dim = quartic.shape
-    e = [np.array([[1.0 if i in idx else 0.0] for idx in blocks]) for i in range(3)]
-    m = [np.where(e[i] == 1.0, 2.0 * quartic[:, i], 1.0) if i < dim
-         else np.ones((len(blocks), n)) for i in range(3)]
-    k = [np.where(e[i] == 1.0, quadratic[:, i], 0.0) if i < dim
-         else np.zeros((len(blocks), n)) for i in range(3)]
-    for i, j in itertools.combinations(range(3), 2):
-        m.append(np.where(e[i] * e[j] == 1.0, coupling[:, i, j], 0.0) if j < dim
-                 else np.zeros((len(blocks), n)))
-    (A, B, C, D, E, F), (k0, k1, k2), (e0, e1, e2) = m, k, e
-    scale = np.maximum.reduce([abs(D), abs(E), abs(F), e0 * abs(A), e1 * abs(B), e2 * abs(C)])
-    s00, s11, s22, s01, s02, s12, det = _adjugate(m, e, 0.0)
-    ae0, ae1, ae2 = s00 * e0 + s01 * e1 + s02 * e2, s01 * e0 + s11 * e1 + s12 * e2, \
-        s02 * e0 + s12 * e1 + s22 * e2
-    lead, const = ae0 * e0 + ae1 * e1 + ae2 * e2, ae0 * k0 + ae1 * k1 + ae2 * k2
-    # mu = 0 leaves M as it is: the second adjugate is then the first
-    mu = np.where(abs(det) < abs(lead) * scale, np.where(det * lead >= 0.0, -scale, scale), 0.0)
-    s00, s11, s22, s01, s02, s12, shifted = _adjugate(m, e, mu)
-    bulk = np.array([[len(idx) == 3] for idx in blocks])
-    bound = 1e-12 * scale * scale * np.where(bulk, scale, 1.0)
-    r2, real, single, flagged = _real_quadratic_root_rows(lead, -det, const)
-    flagged |= ~((bound < abs(shifted)) & (abs(shifted) < math.inf))
-    found = np.stack([real, real & ~single]) & (r2 > _POSITIVITY_ATOL)
-    w = r2 * r2 - mu * r2
-    y0, y1, y2 = w * e0 + k0, w * e1 + k1, w * e2 + k2
-    x0 = (s00 * y0 + s01 * y1 + s02 * y2) / shifted
-    x1 = (s01 * y0 + s11 * y1 + s12 * y2) / shifted
-    x2 = (s02 * y0 + s12 * y1 + s22 * y2) / shifted
-    for _step in range(2):
-        rad = x0 * e0 + x1 * e1 + x2 * e2
-        j00, j11, j22, j01, j02, j12, jdet = _adjugate(m, e, 2.0 * rad)
-        step = (0.0 < abs(jdet)) & (abs(jdet) < math.inf)
-        g0 = (A * x0 + D * x1 + E * x2 - rad * rad - k0) * e0
-        g1 = (D * x0 + B * x1 + F * x2 - rad * rad - k1) * e1
-        g2 = (E * x0 + F * x1 + C * x2 - rad * rad - k2) * e2
-        x0 = np.where(step, x0 - (j00 * g0 + j01 * g1 + j02 * g2) / jdet, x0)
-        x1 = np.where(step, x1 - (j01 * g0 + j11 * g1 + j12 * g2) / jdet, x1)
-        x2 = np.where(step, x2 - (j02 * g0 + j12 * g1 + j22 * g2) / jdet, x2)
-    X = (x0, x1, x2)
-    for i in range(dim):
-        found &= (X[i] > _POSITIVITY_ATOL) | (e[i] == 0.0)
-    return X, found, single, flagged
-
-
-def _representative_rows(coeffs):
-    """:func:`_representatives` of a stack of specs of one family, one row
-    of the coefficient arrays coeffs each (see
-    :func:`potentials._coefficient_rows`), without warnings.
-
-    Returns (x, owner, labels, flagged): the (N, D) locations, the row that
-    owns each and its label, row by row in the order of _representatives,
-    and the (n,) mask of the flagged rows, which own no location.
-    """
-    n, dim = coeffs[0].shape[:2]
-    blocks = []
-    if dim > 1 and len(coeffs) == 3:
-        blocks = list(itertools.combinations(range(dim), 2)) + ([(0, 1, 2)] if dim == 3 else [])
-    slots = 1 + (dim if len(coeffs) == 1 else 2 * dim) + 2 * len(blocks)
-    squares = np.zeros((n, slots, dim))
-    present = np.zeros((n, slots), dtype=bool)
-    labels = np.empty((n, slots), dtype=object)
-    present[:, 0], labels[:, 0] = True, "origin"
-    flagged = np.zeros(n, dtype=bool)
-    s = 1
-    with np.errstate(all="ignore"):  # the rows that the scalar code skips or raises for
-        for idx, axis in enumerate(AXES[:dim]):
-            for t, mask, suffix in _axis_root_rows(coeffs, idx):
-                squares[:, s, idx], present[:, s] = t, mask & (t > _POSITIVITY_ATOL)
-                labels[:, s] = f"axis_{axis}" + suffix
-                s += 1
-        if blocks:
-            X, found, single, block_flagged = _linear_form_rows(coeffs, blocks)
-            flagged = block_flagged.any(axis=0)
-            for b, idx in enumerate(blocks):
-                subfamily = "bulk" if len(idx) == 3 else f"plane_{AXES[idx[0]]}{AXES[idx[1]]}"
-                tags = (np.where(single[b], "single", "minus").astype(object), "plus")
-                for r, tag in enumerate(tags):
-                    for i in idx:
-                        squares[:, s, i] = X[i][r, b]
-                    present[:, s], labels[:, s] = found[r, b], f"{subfamily}_" + tag
-                    s += 1
-    present &= ~flagged[:, None]
-    return np.sqrt(squares[present]), np.nonzero(present)[0], labels[present].tolist(), flagged
 
 
 # ---------------------------------------------------------------------------

@@ -915,15 +915,14 @@ _BULK = ((0, 1, 2), "bulk")
 def _off_axis_tagged_reference(family, raw, blocks=None):
     """(squares, R^2, subfamily, tag) of every root of the coupled blocks,
     by default every plane and then the 3D bulk: each block goes through
-    the library's _linear_form with its axis pairs and couplings read key
-    by key."""
+    the library's one-spec _off_axis with its axis pairs and couplings
+    read key by key."""
     pairs = [(raw[quartic], raw[quad]) for quartic, quad in _AXIS_KEYS[family]]
     cross = [(i, j, raw[key]) for key, i, j in _CROSS_KEYS[family]]
     if blocks is None:
         blocks = [((i, j), f"plane_{'xyz'[i]}{'xyz'[j]}") for _key, i, j in _CROSS_KEYS[family]]
         blocks += [_BULK] if family == "butterfly3d" else []
-    return [(sq, r2, subfamily, tag) for idx, subfamily in blocks
-            for sq, r2, tag in stationary._linear_form(pairs, cross, idx)]
+    return stationary._off_axis(pairs, cross, blocks)
 
 
 def _axis_roots_reference(spec, idx):
@@ -1002,7 +1001,7 @@ def representatives_reference(spec):
     """stationary._representatives with every coefficient read by its raw
     key: each axis re-reads the axis pairs, and every coupled block is
     built from per-axis and per-plane key tables.  The library's own
-    _linear_form solves the blocks."""
+    _off_axis solves the blocks."""
     dim = spec.dimension
     reps = [((0.0,) * dim, "origin", "origin")]
     warnings = []

@@ -139,6 +139,38 @@ def test_same_label_across_invalid_samples_records_nothing():
     assert rep.boundaries == () and rep.events == ()
 
 
+# alpha = beta = 1 make a = b = 2 and c = d = 3: the plane orbits appear at
+# u = 4 (sqrt(3) - 1), and the plane's coupling matrix is singular at u = 2a = 4
+PLANE_APPEARS = 4.0 * (math.sqrt(3.0) - 1.0)
+
+
+def test_event_bisection_meeting_an_undefined_probe_is_unrefined():
+    # the bisection's first probe is u = 4, where the spec raises
+    # DegenerateCoupling: that probe is undefined, not "orbit absent"
+    path = ParamPath(spec=make_spec("butterfly2d", alpha=1, beta=1, u=0.5),
+                     varied=(("u", -8.0, 8.0),), steps=3)
+    rep = scan_line(path)
+    assert all(s.ok for s in rep.samples)
+    assert [(e.label, e.change) for e in rep.events] == [
+        ("plane_xy_minus", "appears"), ("plane_xy_plus", "appears")]
+    for e in rep.events:
+        if "unrefined" in e.params:
+            assert e.location == 4.0 and "DegenerateCoupling" in e.params["unrefined"]
+        else:
+            assert abs(e.location - PLANE_APPEARS) <= DEFAULT_WIDTH_TOL * path.primary_span
+
+
+def test_orbit_change_across_invalid_samples_is_recorded():
+    # u = 4 is invalid; the plane orbits exist at u = 6 and not at u = 2
+    path = ParamPath(spec=make_spec("butterfly2d", alpha=1, beta=1, u=0.5),
+                     varied=(("u", 0.0, 8.0),), steps=5)
+    rep = scan_line(path)
+    assert [s.ok for s in rep.samples] == [True, True, False, True, True]
+    assert [(e.label, e.change, e.location, e.params) for e in rep.events] == [
+        (label, "appears", 4.0, {"unrefined": "orbit changes across invalid samples"})
+        for label in ("plane_xy_minus", "plane_xy_plus")]
+
+
 @pytest.mark.parametrize("name, space", [("alpha_sq", "raw"), ("alpha", "shape")])
 def test_path_space_is_the_space_with_param_moves_in(name, space):
     # a cusp's alpha_sq is its raw coefficient; alpha sets its square

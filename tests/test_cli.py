@@ -554,9 +554,9 @@ def test_verify_names_corrupted_routine(monkeypatch):
     # flip the sign of the constant term of the quadratic that closes every
     # off-axis linear form: the reconstructed points stop satisfying the
     # stationarity equations and the verdict must name the broken routine
-    original = stationary._positive_quadratic_roots
-    monkeypatch.setattr(stationary, "_positive_quadratic_roots",
-                        lambda q2, q1, q0: original(q2, q1, -q0))
+    original = stationary._real_quadratic_roots
+    monkeypatch.setattr(stationary, "_real_quadratic_roots",
+                        lambda ns, q2, q1, q0: original(ns, q2, q1, -q0))
     verdict = verify.run_verify(seed=3)
     assert not verdict["passed"]
     failing = [s for s in verdict["suites"] if not s["passed"]]

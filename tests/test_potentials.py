@@ -747,8 +747,8 @@ def param_rows_case(draw):
 @example((make_spec("cusp2d", alpha=1.0, beta=1.0),
           [("alpha", np.array([-2.0, 0.5])), ("beta_sq", np.array([-1.0, 1.0]))]))
 def test_param_rows_match_with_param_chains_drawn(case):
-    # bit for bit where the chain builds; flagged where it raises, and then
-    # the scalar fallback gives the chain's own error text
+    # bit for bit where the chain builds; marked invalid where it raises, and
+    # then _prepare_rows builds the chain for its own error text
     spec, settings_ = case
     raw, fallback = potentials._param_rows(spec, settings_)
 
@@ -768,4 +768,4 @@ def test_param_rows_match_with_param_chains_drawn(case):
         assert raw[i].tobytes() == np.array(
             [built.raw[k] for k in potentials._RAW_KEYS[spec.family]]).tobytes()
     stack = catastrophe._prepare_rows(spec, settings_)
-    assert stack.errors == [catastrophe._prepare(lambda: chain(i))[2] for i in range(len(raw))]
+    assert stack.errors == [catastrophe._prepare(lambda: chain(i))[1] for i in range(len(raw))]

@@ -31,6 +31,7 @@ from helpers import (
     ROOT_ALGEBRA_REFERENCES,
     any_family_spec,
     coefficients_reference,
+    count_calls,
     draw_butterfly2d_with_roots,
     draw_butterfly3d_ordered,
     orbit_members_reference,
@@ -115,6 +116,17 @@ def test_on_axis_roots_no_real_shape():
     report = enumerate_stationary(spec)
     assert report.warnings and "axis x" in report.warnings[0]
     assert all(p.location[0] == 0.0 for p in report.points)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the inner on-axis root is taken as "
+                   "a - sqrt(a^2 - c), which cancels as c/a^2 -> 0")
+@pytest.mark.parametrize("c", [1e-10, 1e-14])
+def test_inner_axis_root_does_not_cancel(c):
+    # measured: 8.3e-8 relative off at c = 1e-10; axis_x_inner dropped at c = 1e-14
+    spec = spec_from_raw("butterfly2d", dict(a=1.0, b=1.0, c=c, d=0.5, u=0.0))
+    reference = c / (1.0 + math.sqrt(1.0 - c))
+    assert on_axis_roots(spec, "x")["x_minus_sq"] == pytest.approx(reference, rel=1e-15, abs=0.0)
+    assert "axis_x_inner" in {p.label for p in stationary_points(spec)}
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +401,18 @@ def test_bulk_roots_near_a_singular_coupling_matrix_solve_to_rounding(drawn):
 def test_quadratic_roots_are_scale_free_over_the_float_range():
     # the coefficients of a coupled block scale as max|M|^n: at u = 1e100 the
     # bulk quadratic of butterfly3d_ordered is (-1e200, 4e200, -2.56e200), and
-    # q1^2 overflows (2^600) or underflows (2^-600) unless rescaled first
-    unit = stationary._real_quadratic_roots(-1.0, 4.0, -2.56)
-    assert [tag for _t, tag in unit] == ["minus", "plus"]
-    assert [t for t, _tag in unit] == pytest.approx([0.8, 3.2], rel=1e-15)
-    for f in (2.0 ** 600, 2.0 ** -600):  # exact rescalings: the same bits
-        assert stationary._real_quadratic_roots(-f, 4.0 * f, -2.56 * f) == unit
-    roots = stationary._real_quadratic_roots(-1e200, 4e200, -2.56e200)
-    assert [t for t, _tag in roots] == pytest.approx([0.8, 3.2], rel=1e-15)
+    # q1^2 overflows (2^600) or underflows (2^-600) unless rescaled first;
+    # on Python floats and on arrays alike
+    def roots(ns, wrap, *q):
+        return [np.asarray(v).item() for v in stationary._real_quadratic_roots(ns, *map(wrap, q))]
+
+    for ns, wrap in ((potentials.FLOATS, float), (np, lambda v: np.array([v]))):
+        unit = roots(ns, wrap, -1.0, 4.0, -2.56)  # (lower, upper, real, single)
+        assert unit[:2] == pytest.approx([0.8, 3.2], rel=1e-15) and unit[2:] == [True, False]
+        for f in (2.0 ** 600, 2.0 ** -600):  # exact rescalings: the same bits
+            assert repr(roots(ns, wrap, -f, 4.0 * f, -2.56 * f)) == repr(unit)
+        big = roots(ns, wrap, -1e200, 4e200, -2.56e200)
+        assert big[:2] == pytest.approx([0.8, 3.2], rel=1e-15) and big[2:] == [True, False]
 
 
 # specs at which an older solve raised DegenerateCoupling though the
@@ -687,7 +703,8 @@ def test_root_algebra_matches_raw_key_reference(spec):
 
 
 # ---------------------------------------------------------------------------
-# the root formulas on stacks of specs, against the one-spec path
+# the root formulas on numpy, one row per spec, against the same formulas on
+# the Python floats of one spec
 # ---------------------------------------------------------------------------
 
 def _scaled_rows(spec, factors):
@@ -706,26 +723,25 @@ def _scaled_rows(spec, factors):
 
 
 def assert_rows_match_representatives(spec, factors):
-    """Through the array path, and through the scalar fallback of a flagged
-    row, every row has the locations and labels of _representatives, in the
-    same order after sorting, or the same error text; returns the flags."""
+    """The root formulas on arrays, one row per factor, agree with the same
+    formulas on the Python floats of each row's spec: every row has the
+    locations and labels of _representatives in its order, bit for bit, or
+    the error text of the DegenerateCoupling it raises, both from
+    _representative_rows and through _prepare_rows."""
     settings, chain = _scaled_rows(spec, factors)
     raw, fallback = potentials._param_rows(spec, settings)
     assert not fallback.any()
-    x, owner, labels, flagged = stationary._representative_rows(
+    x, owner, labels, errors = stationary._representative_rows(
         potentials._coefficient_rows(spec.family, raw))
     stack = catastrophe._prepare_rows(spec, settings)
     for i in range(len(factors)):
-        _built, reps, error = catastrophe._prepare(lambda: chain(i))
+        reps, error = catastrophe._prepare(lambda: chain(i))
         assert stack.errors[i] == error
-        expected = repr(sorted((label, loc) for loc, _sub, label in reps or ()))
-        mine = np.flatnonzero(stack.owner == i)
-        assert repr(sorted((stack.labels[j], tuple(stack.x[j].tolist())) for j in mine)) \
-            == expected
-        if not flagged[i]:  # the arrays alone
-            mine = np.flatnonzero(owner == i)
-            assert repr(sorted((labels[j], tuple(x[j].tolist())) for j in mine)) == expected
-    return flagged
+        assert (errors[i] and f"{type(errors[i]).__name__}: {errors[i]}") == error
+        expected = repr([(label, loc) for loc, _sub, label in reps or ()])
+        for xs, owners, labs in ((x, owner, labels), (stack.x, stack.owner, stack.labels)):
+            mine = np.flatnonzero(owners == i)
+            assert repr([(labs[j], tuple(xs[j].tolist())) for j in mine]) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -744,12 +760,31 @@ def test_representative_rows_match_representatives_drawn(spec, k):
     assert_rows_match_representatives(spec, [1.0, 2.0 ** k, 2.0 ** (4 * k), 2.0 ** (10 * k)])
 
 
-@pytest.mark.parametrize("raw, factor", [
-    (dict(a=1.0, b=4.0, c=1.0, d=2.0, u=4.0), 1.0),  # singular M with 1^T adj M k = 0: qq == 0
-    (dict(a=1.0, b=2.0, c=1.0, d=1.0, u=3.0), 1.0),  # 1^T adj M 1 = 0: a linear equation
-    (dict(a=1.0, b=1.0, c=1.0, d=1.0, u=2.0), 1.0),  # a continuum: DegenerateCoupling
-    (dict(a=1.0, b=1.5, c=0.5, d=1.0, u=0.5), 2.0 ** 300),  # the power-of-two rescale
+@pytest.mark.parametrize("raw, factor, branch", [
+    # singular M with 1^T adj M k = 0: qq == 0
+    (dict(a=1.0, b=4.0, c=1.0, d=2.0, u=4.0), 1.0, lambda q2, q1, q0: q1 == q0 == 0.0 != q2),
+    # 1^T adj M 1 = 0: a linear equation
+    (dict(a=1.0, b=2.0, c=1.0, d=1.0, u=3.0), 1.0,
+     lambda q2, q1, q0: abs(q2) <= 1e-14 * max(abs(q1), abs(q0))),
+    # a continuum: DegenerateCoupling
+    (dict(a=1.0, b=1.0, c=1.0, d=1.0, u=2.0), 1.0, None),
+    # the power-of-two rescale
+    (dict(a=1.0, b=1.5, c=0.5, d=1.0, u=0.5), 2.0 ** 300,
+     lambda q2, q1, q0: max(abs(q2), abs(q1), abs(q0)) >= 1e100),
 ], ids=["qq_zero", "linear", "continuum", "rescale"])
-def test_rare_root_branches_are_flagged(raw, factor):
+def test_rare_root_branches_are_handled_per_row(monkeypatch, raw, factor, branch):
+    # the row takes its rare branch in the arrays, as the one spec does on
+    # floats, and _prepare_rows builds no with_param chain for it
     spec = spec_from_raw("butterfly2d", raw)
-    assert assert_rows_match_representatives(spec, [factor]).tolist() == [True]
+    settings_, _chain = _scaled_rows(spec, [factor])
+    quadratics = count_calls(monkeypatch, stationary._real_quadratic_roots)
+    chains = count_calls(monkeypatch, potentials.with_param)
+    stack = catastrophe._prepare_rows(spec, settings_)
+    assert chains == []
+    if branch is None:
+        assert stack.errors[0].startswith("DegenerateCoupling: ")
+    else:
+        (_ns, *q), = quadratics
+        assert branch(*(v.item() for v in q))
+    monkeypatch.undo()
+    assert_rows_match_representatives(spec, [factor])
